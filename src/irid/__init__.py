@@ -12,7 +12,7 @@ from .errors import (ConfigError, DegreeError, DenominatorZero, DomainError,
                      SingularSystem, ZeroMagnitude)
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, Polynomial,
-                  TimeSeries, continuous_freq_response,
+                  TimeSeries, continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete, poly_eval, poly_roots)
 from .nilt import NiltConfig, nilt

@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ParamError, SingularInput
 from .lti import FrequencyGrid, FrequencyResponseSeries
 
@@ -58,36 +60,46 @@ class CfoiParams:
         object.__setattr__(self, "wgc", wgc)
 
 
-def cfoi_transfer(p: CfoiParams, s: complex) -> complex:
-    """G(s) by direct complex evaluation with principal-branch log/power."""
-    s = complex(s)
-    if s == 0:
+def cfoi_transfer(p: CfoiParams, s):
+    """G(s) by direct complex evaluation with principal-branch log/power.
+
+    Array in, array out, in the input's complex dtype (real input is
+    promoted to the matching complex type), so an extended-precision line
+    is evaluated in extended precision; a scalar returns a scalar.
+    """
+    s = np.asarray(s)
+    if not np.iscomplexobj(s):
+        s = s.astype(np.result_type(s, 0j))
+    if np.any(s == 0):
         raise SingularInput("transfer function is singular at s = 0")
-    w = p.wgc / s
-    return w ** p.lam * cmath.cos(p.mu * cmath.log(w))
+    log_w = np.log(p.wgc / s)
+    return (np.exp(p.lam * log_w) * np.cos(p.mu * log_w))[()]
 
 
-def cfoi_freq_response(p: CfoiParams, omega: float) -> complex:
+def cfoi_freq_response(p: CfoiParams, omega):
     """G(j*omega) from the expanded real/imaginary parts.
 
     Independent of :func:`cfoi_transfer`; the two must agree to roundoff,
     which the test suite checks across the admissible parameter range.
+    Array in, array out; a scalar returns a scalar.
     """
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError(f"omega must be positive and finite, got {omega!r}")
-    x = p.mu * math.log(p.wgc / omega)
-    a = math.cosh(p.mu * math.pi / 2.0) * math.cos(x)
-    b = math.sinh(p.mu * math.pi / 2.0) * math.sin(x)
+    omega = np.asarray(omega, dtype=float)
+    ok = (omega > 0.0) & np.isfinite(omega)
+    if not np.all(ok):
+        raise DomainError(f"omega must be positive and finite, "
+                          f"got {float(omega[~ok][0])!r}")
+    x = p.mu * np.log(p.wgc / omega)
+    a = math.cosh(p.mu * math.pi / 2.0) * np.cos(x)
+    b = math.sinh(p.mu * math.pi / 2.0) * np.sin(x)
     c = math.cos(p.lam * math.pi / 2.0)
     d = math.sin(p.lam * math.pi / 2.0)
     pref = (p.wgc / omega) ** p.lam
-    return complex(pref * (a * c + b * d), pref * (b * c - a * d))
+    return (pref * (a * c + b * d) + 1j * (pref * (b * c - a * d)))[()]
 
 
 def cfoi_freq_grid(p: CfoiParams, grid: FrequencyGrid) -> FrequencyResponseSeries:
-    """Pointwise :func:`cfoi_freq_response` over a frequency grid."""
-    resp = [cfoi_freq_response(p, w) for w in grid.omegas]
-    return FrequencyResponseSeries(grid, resp)
+    """:func:`cfoi_freq_response` over a frequency grid."""
+    return FrequencyResponseSeries(grid, cfoi_freq_response(p, grid.omegas))
 
 
 # Lanczos approximation, g = 607/128 with 15 coefficients; about 15

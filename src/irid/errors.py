@@ -30,7 +30,7 @@ class ConfigError(IridError, ValueError):
 
 
 class EvaluationError(IridError, ArithmeticError):
-    """A user-supplied transfer function returned NaN or Inf."""
+    """A transfer function or an impulse response evaluated to NaN or Inf."""
 
 
 class InsufficientData(IridError, ValueError):

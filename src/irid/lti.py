@@ -18,8 +18,9 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 import scipy.signal
+from scipy.linalg import expm
 
-from .errors import DegreeError, DenominatorZero, ParamError
+from .errors import DegreeError, DenominatorZero, EvaluationError, ParamError
 
 __all__ = [
     "Polynomial",
@@ -31,6 +32,7 @@ __all__ = [
     "poly_eval",
     "poly_roots",
     "discrete_impulse",
+    "continuous_impulse",
     "discrete_freq_response",
     "continuous_freq_response",
     "is_stable_discrete",
@@ -76,12 +78,9 @@ def _as_poly(p: PolyLike) -> Polynomial:
     return p if isinstance(p, Polynomial) else Polynomial(tuple(p))
 
 
-def poly_eval(p: PolyLike, x: complex) -> complex:
-    """Evaluate ``p`` at ``x`` by Horner's nested multiplication."""
-    acc = 0j
-    for c in _as_poly(p).coeffs:
-        acc = acc * x + c
-    return acc
+def poly_eval(p: PolyLike, x):
+    """Evaluate ``p`` at ``x`` (scalar or array) by Horner's scheme."""
+    return np.polyval(_as_poly(p).coeffs, x)
 
 
 def poly_roots(p: PolyLike) -> np.ndarray:
@@ -249,6 +248,51 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     x[0] = 1.0
     y = scipy.signal.lfilter(g.num.coeffs, g.den.coeffs, x)
     return TimeSeries(0.0, g.ts, y)
+
+
+def continuous_impulse(g: ContinuousTransferFunction, dt: float,
+                       n: int) -> TimeSeries:
+    """Exact impulse response of ``g`` at t = dt, 2*dt, ..., n*dt.
+
+    With sigma = s*dt the denominator's coefficients become a_i*dt**i, of
+    order one for poles up to the sampling rate, and the companion
+    realization (A, B, C) of the strictly proper part of g(sigma/dt) gives
+    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A).  The direct term
+    acts at t = 0 only.  The columns Phi**k @ B are filled by doubling,
+    X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
+
+    Raises DegreeError for an improper g and EvaluationError when the
+    response overflows (a pole far in the right half-plane).
+    """
+    if n < 1:
+        raise ParamError("need at least one output sample")
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParamError("need dt > 0")
+    num = np.array(g.num.normalized().coeffs)
+    den = np.array(g.den.coeffs)
+    order = len(den) - 1
+    if len(num) > len(den):
+        raise DegreeError("impulse response needs a proper transfer function")
+    if order == 0:
+        return TimeSeries(dt, dt, np.zeros(n))
+    num = np.concatenate((np.zeros(len(den) - len(num)), num))
+    scale = dt ** np.arange(1, order + 1)
+    rem = (num[1:] - num[0] * den[1:]) * scale
+    a = np.zeros((order, order))
+    a[0] = -den[1:] * scale
+    a[np.arange(1, order), np.arange(order - 1)] = 1.0
+    with np.errstate(all="ignore"):
+        p = expm(a)
+        cols = p[:, :1]
+        while cols.shape[1] < n:
+            cols = np.hstack((cols, p @ cols))
+            p = p @ p
+        vals = rem @ cols[:, :n] / dt
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("continuous impulse response overflows; the "
+                              "model has a pole far in the right half-plane")
+    return TimeSeries(dt, dt, vals)
 
 
 def _rational_response(num: Polynomial, den: Polynomial, points: np.ndarray,

@@ -19,10 +19,11 @@ term (trapezoid end correction).  Two refinements sit on top:
   responses.  The estimate is linear in F, so inversion stays linear.
 * optional tail acceleration ("qd"): the truncated part of the series is
   summed by a Pade-type continued fraction built with the
-  quotient-difference algorithm from a handful of extra line samples.
-  This is the mode to use for transforms with algebraic branch points
-  (slowly decaying spectra); it is nonlinear in F and therefore off by
-  default.
+  quotient-difference algorithm from a handful of extra line samples,
+  which are evaluated and processed in extended precision because the
+  fraction amplifies rounding in them.  This is the mode to use for
+  transforms with algebraic branch points (slowly decaying spectra); it
+  is nonlinear in F and therefore off by default.
 
 The first returned sample sits at t = dt = tm/m; t = 0 is excluded because
 impulse responses of fractional integrators with order below one diverge
@@ -93,16 +94,20 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
     """Continued-fraction coefficients for sum_i d[i] z^i via the
     quotient-difference algorithm.
 
-    The fraction is truncated at the first non-finite entry: the qd
-    recursion breaks down exactly when the series is rational of lower
-    order, in which case the prefix already represents it exactly.
+    The recursion runs in the dtype of ``d`` (at least complex128), so an
+    extended-precision ``d`` gives coefficients free of double rounding;
+    they are returned as complex128.  The fraction is truncated at the
+    first non-finite entry: the qd recursion breaks down exactly when the
+    series is rational of lower order, in which case the prefix already
+    represents it exactly.
     """
     terms = len(d)
     p = (terms - 1) // 2
     if abs(d[0]) == 0.0:
         return np.zeros(1, dtype=complex)
-    q = np.zeros((terms, p + 1), dtype=complex)
-    e = np.zeros((terms, p + 1), dtype=complex)
+    dtype = np.promote_types(d.dtype, np.complex128)
+    q = np.zeros((terms, p + 1), dtype=dtype)
+    e = np.zeros((terms, p + 1), dtype=dtype)
     with np.errstate(all="ignore"):
         q[: terms - 1, 1] = d[1:] / d[:-1]
         for r in range(1, p + 1):
@@ -111,11 +116,11 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
             if r < p:
                 for i in range(2 * (p - r)):
                     q[i, r + 1] = q[i + 1, r] * e[i + 1, r] / e[i, r]
-    cf = np.zeros(2 * p + 1, dtype=complex)
-    cf[0] = d[0]
-    for r in range(1, p + 1):
-        cf[2 * r - 1] = -q[0, r]
-        cf[2 * r] = -e[0, r]
+        cf = np.zeros(2 * p + 1, dtype=dtype)
+        cf[0] = d[0]
+        cf[1::2] = -q[0, 1:]
+        cf[2::2] = -e[0, 1:]
+        cf = cf.astype(complex)
     bad = ~np.isfinite(cf)
     if bad.any():
         cf = cf[: int(np.argmax(bad))]
@@ -133,15 +138,33 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(res), res, 0.0)
 
 
-def nilt(f: Callable[[complex], complex], cfg: NiltConfig) -> TimeSeries:
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
+              first: int) -> np.ndarray:
+    """``f`` on the line ``s`` (sample indices from ``first``), broadcast
+    to its shape; raises EvaluationError at the first non-finite value."""
+    F = np.broadcast_to(f(s), s.shape)
+    finite = np.isfinite(F)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EvaluationError(f"transform returned a non-finite value at "
+                              f"s = {complex(s[bad]):g} (sample {first + bad})")
+    return F
+
+
+def nilt(f: Callable[[np.ndarray], np.ndarray], cfg: NiltConfig) -> TimeSeries:
     """Invert a Laplace transform to ``cfg.m`` samples on (0, cfg.tm].
 
     Parameters
     ----------
     f : callable
-        Transform ``s -> complex``, analytic for Re(s) > cfg.alpha with
-        ``f(conj(s)) == conj(f(s))``.  Evaluated at N (+ a few) points on
-        one line, in fixed index order.
+        Array transform ``s -> F(s)``, analytic for Re(s) > cfg.alpha with
+        ``f(conj(s)) == conj(f(s))``.  Called once on the whole line of N
+        points (complex128) and, with ``acceleration="qd"``, once more on
+        the 2P+1 tail points as an ``np.clongdouble`` array.  A scalar
+        return is broadcast to the line.  The qd tail amplifies rounding
+        in F, so a transform that keeps the extended dtype gets a tail
+        independent of double rounding; one that returns complex128 there
+        gets a double-precision tail.
     cfg : NiltConfig
 
     Returns
@@ -159,14 +182,14 @@ def nilt(f: Callable[[complex], complex], cfg: NiltConfig) -> TimeSeries:
     dt = cfg.tm / cfg.m
     t = np.arange(1, cfg.m + 1) * dt
 
-    n_eval = N + (_QD_TERMS if cfg.acceleration == "qd" else 0)
-    s = c + 1j * dw * np.arange(n_eval)
-    F = np.fromiter((complex(f(sn)) for sn in s), dtype=complex, count=n_eval)
-    finite = np.isfinite(F.real) & np.isfinite(F.imag)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise EvaluationError(f"transform returned a non-finite value at "
-                              f"s = {s[bad]:g} (sample {bad})")
+    s = c + 1j * dw * np.arange(N)
+    F = _evaluate(f, s, 0)
+    peak = float(np.max(np.abs(F)))
+    qd = cfg.acceleration == "qd"
+    if qd:
+        s_tail = c + 1j * dw * np.arange(N, N + _QD_TERMS).astype(np.longdouble)
+        F_tail = _evaluate(f, s_tail, N)
+        peak = max(peak, float(np.max(np.abs(F_tail))))
 
     # initial-value split: fit s*F(s) ~ f0 + f1/s on two line samples and
     # peel off f0/(s + 1/tm); skipped when the estimate is wildly out of
@@ -176,15 +199,19 @@ def nilt(f: Callable[[complex], complex], cfg: NiltConfig) -> TimeSeries:
     f1 = (va - vb) / (1.0 / sa - 1.0 / sb)
     r = float((va - f1 / sa).real)
     beta = 1.0 / cfg.tm
-    if not math.isfinite(r) or abs(r) > 100.0 * c * max(float(np.max(np.abs(F))), 1e-300):
+    if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
         r = 0.0
     if r != 0.0:
         F = F - r / (s + beta)
 
-    core = (np.fft.ifft(F[:N]) * N)[1:cfg.m + 1]
-    if cfg.acceleration == "qd":
-        z1 = np.exp(2j * np.pi * np.arange(1, cfg.m + 1) / N)
-        core = core + _qd_eval(_qd_coeffs(F[N:]), z1) * z1 ** N
+    core = (np.fft.ifft(F) * N)[1:cfg.m + 1]
+    if qd:
+        if r != 0.0:
+            F_tail = F_tail - r / (s_tail + beta)
+        # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
+        # z^N = 1 at every sample point z = exp(2j*pi*k/N)
+        z = np.exp(2j * np.pi * np.arange(1, cfg.m + 1) / N)
+        core = core + _qd_eval(_qd_coeffs(F_tail), z)
     vals = (np.exp(c * t) / T) * (2.0 * np.real(core) - F[0].real)
     if r != 0.0:
         vals = vals + r * np.exp(-beta * t)

@@ -25,8 +25,9 @@ from .errors import (GridMismatch, IoError, IridError, ParamError,
                      PipelineStageError, ZeroMagnitude)
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                  continuous_freq_response, discrete_freq_response,
-                  discrete_impulse, is_stable_discrete, poly_eval)
+                  continuous_freq_response, continuous_impulse,
+                  discrete_freq_response, discrete_impulse,
+                  is_stable_discrete)
 from .nilt import NiltConfig, nilt
 from .sysid import FitConfig, bilinear_d2c, stmcb_fit
 
@@ -167,13 +168,15 @@ def irid_fcoi(req: IridRequest) -> IridResult:
 
     Steps: numerically invert the exact transfer function on (0, tm];
     scale by dt and fit a (norder, norder) discrete model; bilinear-convert
-    it to a continuous model; recompute both models' impulse responses
-    (the discrete one rescaled back by 1/dt so all three share one
-    amplitude convention) and all three frequency responses on a log grid;
-    attach comparison metrics and a stability flag.
+    it to a continuous model; compute both models' impulse responses (the
+    discrete one by its difference equation, rescaled back by 1/dt so all
+    three share one amplitude convention; the continuous one exactly, from
+    a state-space realization) and all three frequency responses on a log
+    grid; attach comparison metrics and a stability flag.
 
     Stage failures re-raise as PipelineStageError tagged "nilt", "fit" or
-    "conversion".
+    "conversion" (the bilinear map and the continuous model's impulse
+    response, which overflows for poles far in the right half-plane).
     """
     p = req.params
     dt = req.tm / req.m
@@ -202,14 +205,11 @@ def irid_fcoi(req: IridRequest) -> IridResult:
 
     try:
         gc = bilinear_d2c(gd)
+        h_c = continuous_impulse(gc, dt, req.m)
     except IridError as exc:
         raise PipelineStageError("conversion", exc) from exc
 
     h_d = TimeSeries(dt, dt, discrete_impulse(gd, req.m).values / dt)
-    try:
-        h_c = nilt(lambda s: poly_eval(gc.num, s) / poly_eval(gc.den, s), cfg)
-    except IridError as exc:
-        raise PipelineStageError("nilt", exc) from exc
 
     grid = FrequencyGrid.log_spaced(req.wmin, wmax, req.npoints)
     f_ref = cfoi_freq_grid(p, grid)

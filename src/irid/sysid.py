@@ -155,23 +155,20 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in den_c):
         raise PoleAtMinusOne("discrete denominator has a root at z = -1")
 
-    p = np.array([ts / 2.0, 1.0])   # numerator of z(s)
-    q = np.array([-ts / 2.0, 1.0])  # denominator of z(s)
+    # row k: ascending coefficients in x = s*ts/2 of
+    # (1 + x)**k * (1 - x)**(deg - k), the image of z**k once the
+    # denominator (1 - x)**deg of the substitution is cleared
     deg = max(len(num_c), len(den_c)) - 1
+    basis = np.array([np.convolve([math.comb(k, j) for j in range(k + 1)],
+                                  [(-1) ** j * math.comb(deg - k, j)
+                                   for j in range(deg - k + 1)])
+                      for k in range(deg + 1)], dtype=float)
+    powers = (ts / 2.0) ** np.arange(deg + 1)
 
     def lift(coeffs: Tuple[float, ...]) -> np.ndarray:
-        # sum_i c_i * p^(d-i) * q^(deg-d+i)  with d = len(coeffs)-1, i.e.
-        # substitute z = p/q and clear q^deg
+        # coeffs[i] multiplies z**(d - i)
         d = len(coeffs) - 1
-        out = np.zeros(1)
-        for i, ci in enumerate(coeffs):
-            term = np.array([ci])
-            for _ in range(d - i):
-                term = np.polymul(term, p)
-            for _ in range(deg - d + i):
-                term = np.polymul(term, q)
-            out = np.polyadd(out, term)
-        return out
+        return (np.asarray(coeffs) @ basis[d::-1] * powers)[::-1]
 
     num_s = lift(num_c)
     den_s = lift(den_c)

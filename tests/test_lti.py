@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irid.errors import DegreeError, DenominatorZero, ParamError
+from irid.errors import (DegreeError, DenominatorZero, EvaluationError,
+                         ParamError)
 from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                       FrequencyGrid, FrequencyResponseSeries, Polynomial,
                       TimeSeries, continuous_freq_response,
-                      discrete_freq_response, discrete_impulse,
-                      is_stable_discrete, poly_eval, poly_roots)
+                      continuous_impulse, discrete_freq_response,
+                      discrete_impulse, is_stable_discrete, poly_eval,
+                      poly_roots)
 
 
 def tf_d(num, den, ts=1.0):
@@ -178,6 +180,35 @@ class TestDiscreteImpulse:
         base = discrete_impulse(tf_d(num, den), 40).values
         scaled = discrete_impulse(tf_d([alpha * c for c in num], den), 40).values
         np.testing.assert_allclose(scaled, alpha * base, rtol=1e-13, atol=0)
+
+
+class TestContinuousImpulse:
+    @pytest.mark.parametrize("num,den,h", [
+        ([1], [1, 1], lambda t: np.exp(-t)),
+        # strictly proper, two real poles: (e^-t + e^-3t)/2
+        ([1, 2], [1, 4, 3], lambda t: 0.5 * (np.exp(-t) + np.exp(-3 * t))),
+        # biproper, direct term 1 acting at t = 0 only: (e^-t - e^-3t)/2
+        ([1, 4, 4], [1, 4, 3], lambda t: 0.5 * (np.exp(-t) - np.exp(-3 * t))),
+        ([1], [1, -0.5], lambda t: np.exp(0.5 * t)),
+        ([1], [1, 0, 1], np.sin),
+    ])
+    def test_closed_forms(self, num, den, h):
+        ts = continuous_impulse(tf_c(num, den), 0.01, 1000)
+        assert ts.t0 == ts.dt == 0.01 and len(ts) == 1000
+        want = h(ts.times)
+        assert np.max(np.abs(ts.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_constant_is_zero_after_t0(self):
+        ts = continuous_impulse(tf_c([2.0], [1.0]), 0.1, 5)
+        assert list(ts.values) == [0.0] * 5
+
+    def test_improper_rejected(self):
+        with pytest.raises(DegreeError):
+            continuous_impulse(tf_c([1, 0, 0], [1, 1]), 0.1, 5)
+
+    def test_overflow_raises(self):
+        with pytest.raises(EvaluationError):
+            continuous_impulse(tf_c([1], [1, -1e4]), 0.1, 64)
 
 
 class TestFrequencyResponses:

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import irid.pipeline
 from irid.cfoi import CfoiParams
 from irid.errors import (GridMismatch, IoError, ParamError,
                          PipelineStageError, ZeroMagnitude)
-from irid.lti import FrequencyGrid, FrequencyResponseSeries, TimeSeries
+from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
+                      FrequencyResponseSeries, Polynomial, TimeSeries)
 from irid.pipeline import (IridRequest, compare_frequency, compare_impulse,
                            irid_fcoi, write_outputs)
 
@@ -148,6 +150,36 @@ class TestIridFcoi:
         with pytest.raises(PipelineStageError) as err:
             irid_fcoi(req)
         assert err.value.stage == "fit"
+
+    @pytest.mark.parametrize("mu", [-0.4, -0.2])
+    def test_continuous_impulse_matches_residues(self, mu):
+        # h_c is the exact impulse response of gc: sum of residue * e^(p t)
+        # over the (simple) poles of its strictly proper part
+        req = IridRequest(params=CfoiParams(1.5, mu, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5)
+        res = irid_fcoi(req)
+        num, den = np.array(res.gc.num.coeffs), np.array(res.gc.den.coeffs)
+        rem = np.polysub(num, num[0] * den)
+        poles = np.roots(den)
+        residues = np.polyval(rem, poles) / np.polyval(np.polyder(den), poles)
+        t = res.h_c.times
+        want = np.real(np.exp(np.outer(t, poles)) @ residues)
+        gap = np.linalg.norm(res.h_c.values - want) / np.linalg.norm(want)
+        assert gap <= 1e-9
+
+    def test_continuous_impulse_overflow_is_labelled(self, monkeypatch):
+        # a discrete pole at z = -1.01 maps to s = +402/ts, whose response
+        # overflows long before t = tm
+        def fit(h, cfg):
+            return DiscreteTransferFunction(Polynomial((1.0, 0.0)),
+                                            Polynomial((1.0, 1.01)), h.dt)
+
+        monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=1, m=256)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "conversion"
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("mu", [-0.2, -0.4])
