@@ -33,10 +33,10 @@ def main() -> int:
                           norder=args.norder, m=args.samples)
         res = irid_fcoi(req)
         stable, margin = is_stable_discrete(res.gd)
-        den = np.array(res.gd.den.coeffs)
+        den = np.array2string(res.gd.den, precision=4, suppress_small=True)
         print(f"  tm={tm:6g}  stable={str(stable):5s} margin={margin:+.4f}  "
               f"rel_l2={res.metrics.discrete.impulse_rel_l2:.2e}")
-        print(f"           den={np.array2string(den, precision=4, suppress_small=True)}")
+        print(f"           den={den}")
     return 0
 
 

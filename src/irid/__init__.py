@@ -5,14 +5,11 @@ pipeline with comparison reports."""
 
 from .cfoi import (CfoiParams, cfoi_analytic_impulse, cfoi_freq_grid,
                    cfoi_freq_response, cfoi_transfer, gamma_complex)
-from .errors import (ConfigError, DegreeError, DenominatorZero, DomainError,
-                     EvaluationError, GridMismatch, InsufficientData,
-                     IoError, IridError, NonFiniteIterate, ParamError,
-                     PipelineStageError, PoleAtMinusOne, SingularInput,
-                     SingularSystem, ZeroMagnitude)
+from .errors import (EvaluationError, IoError, IridError, ParamError,
+                     PipelineStageError)
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  FrequencyGrid, FrequencyResponseSeries, Polynomial,
-                  TimeSeries, continuous_freq_response, continuous_impulse,
+                  FrequencyGrid, FrequencyResponseSeries, TimeSeries,
+                  continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete, poly_eval, poly_roots)
 from .nilt import NiltConfig, nilt

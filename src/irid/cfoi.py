@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParamError, SingularInput
+from .errors import ParamError
 from .lti import FrequencyGrid, FrequencyResponseSeries
 
 __all__ = [
@@ -71,7 +71,7 @@ def cfoi_transfer(p: CfoiParams, s):
     if not np.iscomplexobj(s):
         s = s.astype(np.result_type(s, 0j))
     if np.any(s == 0):
-        raise SingularInput("transfer function is singular at s = 0")
+        raise ParamError("transfer function is singular at s = 0")
     log_w = np.log(p.wgc / s)
     return (np.exp(p.lam * log_w) * np.cos(p.mu * log_w))[()]
 
@@ -86,7 +86,7 @@ def cfoi_freq_response(p: CfoiParams, omega):
     omega = np.asarray(omega, dtype=float)
     ok = (omega > 0.0) & np.isfinite(omega)
     if not np.all(ok):
-        raise DomainError(f"omega must be positive and finite, "
+        raise ParamError(f"omega must be positive and finite, "
                           f"got {float(omega[~ok][0])!r}")
     x = p.mu * np.log(p.wgc / omega)
     a = math.cosh(p.mu * math.pi / 2.0) * np.cos(x)
@@ -119,11 +119,11 @@ _LANCZOS_C = (
 
 def gamma_complex(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos; reflection for
-    Re(z) < 0.5).  Poles at the non-positive integers raise DomainError."""
+    Re(z) < 0.5).  Poles at the non-positive integers raise ParamError."""
     z = complex(z)
     if z.real < 0.5:
         if z.imag == 0.0 and z.real == int(z.real):
-            raise DomainError(f"gamma pole at z = {z.real:g}")
+            raise ParamError(f"gamma pole at z = {z.real:g}")
         return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
     zz = z - 1.0
     t = zz + _LANCZOS_G + 0.5
@@ -142,7 +142,7 @@ def cfoi_analytic_impulse(p: CfoiParams, t: float) -> float:
     Singular at t = 0 when lam < 1, hence t must be positive.
     """
     if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be positive and finite, got {t!r}")
+        raise ParamError(f"t must be positive and finite, got {t!r}")
     nu = complex(p.lam, p.mu)
     val = p.wgc ** nu * t ** (nu - 1.0) / gamma_complex(nu)
     return val.real

@@ -7,7 +7,7 @@ import sys
 from typing import List, Optional
 
 from .cfoi import CfoiParams
-from .errors import ConfigError, IridError, ParamError
+from .errors import IridError, ParamError
 from .pipeline import IridRequest, format_summary, irid_fcoi, write_outputs
 
 __all__ = ["cli_main", "main"]
@@ -68,7 +68,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         )
         result = irid_fcoi(request)
         paths = write_outputs(result, args.out_dir, svg=not args.no_svg)
-    except (ParamError, ConfigError) as exc:
+    except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IridError as exc:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Five classes, one per builtin family: ``ParamError`` for invalid input
+(arguments, request fields, configurations, too little data),
+``EvaluationError`` for a computation that broke down (a vanishing
+denominator, a degenerate least-squares system, a non-finite value or
+iterate, a pole at z = -1 under the bilinear map, a magnitude below the
+dB scale), ``IoError`` for failed file output and ``PipelineStageError``
+for any of these raised inside a pipeline stage.  All derive from
+``IridError``.  The command line exits 2 on a ``ParamError``, which
+request and configuration checks raise before any stage runs, and 1 on
+any other ``IridError``.
+"""
 
 
 class IridError(Exception):
@@ -6,60 +18,13 @@ class IridError(Exception):
 
 
 class ParamError(IridError, ValueError):
-    """Invalid constructor argument or request field."""
-
-
-class DomainError(IridError, ValueError):
-    """Argument outside the mathematical domain of an operation."""
-
-
-class SingularInput(IridError, ValueError):
-    """Evaluation requested exactly at a singularity."""
-
-
-class DegreeError(IridError, ValueError):
-    """Polynomial degree too low for the requested operation."""
-
-
-class DenominatorZero(IridError, ArithmeticError):
-    """Transfer-function denominator vanishes at an evaluation point."""
-
-
-class ConfigError(IridError, ValueError):
-    """Invalid solver configuration."""
+    """Invalid argument, request field or configuration, an argument
+    outside an operation's domain, or too few samples for a fit."""
 
 
 class EvaluationError(IridError, ArithmeticError):
-    """A transfer function or an impulse response evaluated to NaN or Inf."""
-
-
-class InsufficientData(IridError, ValueError):
-    """Too few samples for the requested fit."""
-
-
-class SingularSystem(IridError, ArithmeticError):
-    """Degenerate least-squares system with no usable solution."""
-
-
-class NonFiniteIterate(IridError, ArithmeticError):
-    """An iteration produced non-finite coefficients."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
-        self.iteration = iteration
-
-
-class PoleAtMinusOne(IridError, ValueError):
-    """Discrete denominator has a root at z = -1, where the bilinear map
-    sends a pole to infinity."""
-
-
-class GridMismatch(IridError, ValueError):
-    """Two series do not share the same sampling grid."""
-
-
-class ZeroMagnitude(IridError, ArithmeticError):
-    """Frequency-response magnitude too small for a dB comparison."""
+    """A computation broke down: a denominator vanished, a system was
+    singular, or a value or iterate came out NaN or Inf."""
 
 
 class IoError(IridError, OSError):

@@ -1,12 +1,12 @@
-"""Polynomials, rational transfer functions and sampled signals.
+"""Rational transfer functions and sampled signals.
 
-Coefficient convention used everywhere in this package: lists are ordered by
-DESCENDING powers, leading coefficient first, so ``[1, -3, 2]`` is
-``x**2 - 3*x + 2``.  Discrete filtering pairs numerator and denominator
-entries by lag index (entry ``i`` multiplies the input/output delayed by
-``i`` samples); when numerator and denominator are equally long this agrees
-with reading ``num(z)/den(z)`` as polynomials in ``z``, which is the only
-shape the fitting pipeline produces.
+Coefficient convention used everywhere in this package: coefficient arrays
+are ordered by DESCENDING powers, leading coefficient first, so
+``[1, -3, 2]`` is ``x**2 - 3*x + 2``.  Discrete filtering pairs numerator
+and denominator entries by lag index (entry ``i`` multiplies the
+input/output delayed by ``i`` samples); when numerator and denominator are
+equally long this agrees with reading ``num(z)/den(z)`` as polynomials in
+``z``, which is the only shape the fitting pipeline produces.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 import scipy.signal
 from scipy.linalg import expm
 
-from .errors import DegreeError, DenominatorZero, EvaluationError, ParamError
+from .errors import EvaluationError, ParamError
 
 __all__ = [
-    "Polynomial",
     "DiscreteTransferFunction",
     "ContinuousTransferFunction",
     "TimeSeries",
@@ -38,83 +37,67 @@ __all__ = [
     "is_stable_discrete",
 ]
 
-PolyLike = Union["Polynomial", Sequence[float]]
+# the one polynomial evaluator: descending coefficients, scalar or array x
+poly_eval = np.polyval
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial; ``coeffs`` in descending powers, never empty."""
-
-    coeffs: Tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            raise ParamError("polynomial needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ParamError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def normalized(self) -> "Polynomial":
-        """Strip leading zeros; the zero polynomial stays as ``(0.0,)``."""
-        c = self.coeffs
-        k = 0
-        while k < len(c) - 1 and c[k] == 0.0:
-            k += 1
-        return Polynomial(c[k:]) if k else self
-
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(c * factor for c in self.coeffs))
-
-    def __call__(self, x: complex) -> complex:
-        return poly_eval(self, x)
+def _coeff_array(c) -> np.ndarray:
+    """``c`` as a new float64 coefficient array; rejects empty and
+    non-finite input."""
+    arr = np.array(c, dtype=float)
+    if arr.ndim != 1:
+        raise ParamError("polynomial coefficients must be a 1-D sequence")
+    if arr.size == 0:
+        raise ParamError("polynomial needs at least one coefficient")
+    if not np.isfinite(arr).all():
+        raise ParamError("polynomial coefficients must be finite")
+    return arr
 
 
-def _as_poly(p: PolyLike) -> Polynomial:
-    return p if isinstance(p, Polynomial) else Polynomial(tuple(p))
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Strip leading zeros; the zero polynomial stays as ``[0.0]``."""
+    nz = np.flatnonzero(c)
+    return c[nz[0]:] if nz.size else c[-1:]
 
 
-def poly_eval(p: PolyLike, x):
-    """Evaluate ``p`` at ``x`` (scalar or array) by Horner's scheme."""
-    return np.polyval(_as_poly(p).coeffs, x)
-
-
-def poly_roots(p: PolyLike) -> np.ndarray:
+def poly_roots(p) -> np.ndarray:
     """All roots of ``p`` via the companion-matrix eigenvalue method.
 
-    Raises DegreeError for (effectively) constant polynomials.  Each
+    Raises ParamError for (effectively) constant polynomials.  Each
     returned root r satisfies
     ``|p(r)| <= 1e-8 * max|coeff| * max(1, |r|)**degree``.
     """
-    q = _as_poly(p).normalized()
-    if q.degree < 1 or q.coeffs[0] == 0.0:
-        raise DegreeError("root finding needs degree >= 1")
-    return np.roots(q.coeffs)
+    q = _trim(_coeff_array(p))
+    if len(q) < 2:
+        raise ParamError("root finding needs degree >= 1")
+    return np.roots(q)
 
 
-def _monic_pair(num: PolyLike, den: PolyLike) -> Tuple[Polynomial, Polynomial]:
-    num = _as_poly(num)
-    den = _as_poly(den)
-    lead = den.coeffs[0]
+def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
+    num = _coeff_array(num)
+    den = _coeff_array(den)
+    lead = den[0]
     if lead == 0.0:
         raise ParamError("denominator leading coefficient must be nonzero")
     if lead != 1.0:
-        num = num.scaled(1.0 / lead)
-        den = den.scaled(1.0 / lead)
+        num = num * (1.0 / lead)
+        den = den * (1.0 / lead)
+    num.flags.writeable = False
+    den.flags.writeable = False
     return num, den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTransferFunction:
-    """Rational function of z with sample period ``ts``; denominator is
-    normalized to monic on construction (numerator rescaled to match)."""
+    """Rational function of z with sample period ``ts``.
 
-    num: Polynomial
-    den: Polynomial
+    ``num`` and ``den`` are read-only float64 coefficient arrays; the
+    denominator is normalized to monic on construction (numerator
+    rescaled to match).
+    """
+
+    num: np.ndarray
+    den: np.ndarray
     ts: float
 
     def __post_init__(self):
@@ -127,12 +110,13 @@ class DiscreteTransferFunction:
         object.__setattr__(self, "ts", ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousTransferFunction:
-    """Rational function of s; denominator normalized to monic."""
+    """Rational function of s; read-only coefficient arrays, denominator
+    normalized to monic."""
 
-    num: Polynomial
-    den: Polynomial
+    num: np.ndarray
+    den: np.ndarray
 
     def __post_init__(self):
         num, den = _monic_pair(self.num, self.den)
@@ -246,7 +230,7 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
         raise ParamError("need at least one output sample")
     x = np.zeros(n)
     x[0] = 1.0
-    y = scipy.signal.lfilter(g.num.coeffs, g.den.coeffs, x)
+    y = scipy.signal.lfilter(g.num, g.den, x)
     return TimeSeries(0.0, g.ts, y)
 
 
@@ -261,7 +245,7 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     acts at t = 0 only.  The columns Phi**k @ B are filled by doubling,
     X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
 
-    Raises DegreeError for an improper g and EvaluationError when the
+    Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).
     """
     if n < 1:
@@ -269,11 +253,11 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ParamError("need dt > 0")
-    num = np.array(g.num.normalized().coeffs)
-    den = np.array(g.den.coeffs)
+    num = _trim(g.num)
+    den = g.den
     order = len(den) - 1
     if len(num) > len(den):
-        raise DegreeError("impulse response needs a proper transfer function")
+        raise ParamError("impulse response needs a proper transfer function")
     if order == 0:
         return TimeSeries(dt, dt, np.zeros(n))
     num = np.concatenate((np.zeros(len(den) - len(num)), num))
@@ -295,14 +279,14 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     return TimeSeries(dt, dt, vals)
 
 
-def _rational_response(num: Polynomial, den: Polynomial, points: np.ndarray,
+def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,
                        grid: FrequencyGrid) -> FrequencyResponseSeries:
-    nv = np.polyval(num.coeffs, points)
-    dv = np.polyval(den.coeffs, points)
+    nv = np.polyval(num, points)
+    dv = np.polyval(den, points)
     small = np.abs(dv) < 1e-300
     if np.any(small):
         w = grid.omegas[np.argmax(small)]
-        raise DenominatorZero(f"denominator vanishes near omega={w:g} rad/s")
+        raise EvaluationError(f"denominator vanishes near omega={w:g} rad/s")
     return FrequencyResponseSeries(grid, nv / dv)
 
 
@@ -332,8 +316,8 @@ def is_stable_discrete(g: DiscreteTransferFunction) -> Tuple[bool, float]:
     Returns (stable, margin) with margin = 1 - max root modulus; a
     constant denominator has no poles and reports (True, 1.0).
     """
-    den = g.den.normalized()
-    if den.degree < 1:
+    if len(g.den) < 2:
         return True, 1.0
-    margin = 1.0 - float(np.max(np.abs(poly_roots(den))))
+    # the monic denominator needs no trimming or checks before np.roots
+    margin = 1.0 - float(np.max(np.abs(np.roots(g.den))))
     return margin > 0.0, margin

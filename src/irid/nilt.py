@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import EvaluationError, ParamError
 from .lti import TimeSeries
 
 __all__ = ["NiltConfig", "nilt"]
@@ -72,18 +72,18 @@ class NiltConfig:
     def __post_init__(self):
         tm = float(self.tm)
         if not (math.isfinite(tm) and tm > 0.0):
-            raise ConfigError(f"tm must be positive and finite, got {tm!r}")
+            raise ParamError(f"tm must be positive and finite, got {tm!r}")
         m = int(self.m)
         if m < 64 or (m & (m - 1)) != 0:
-            raise ConfigError(f"m must be a power of two >= 64, got {self.m!r}")
+            raise ParamError(f"m must be a power of two >= 64, got {self.m!r}")
         alpha = float(self.alpha)
         if not (math.isfinite(alpha) and alpha >= 0.0):
-            raise ConfigError(f"alpha must be >= 0, got {alpha!r}")
+            raise ParamError(f"alpha must be >= 0, got {alpha!r}")
         rel_err = float(self.rel_err)
         if not (0.0 < rel_err < 1.0):
-            raise ConfigError(f"rel_err must lie in (0, 1), got {rel_err!r}")
+            raise ParamError(f"rel_err must lie in (0, 1), got {rel_err!r}")
         if self.acceleration not in _ACCELERATIONS:
-            raise ConfigError(f"acceleration must be one of {_ACCELERATIONS}")
+            raise ParamError(f"acceleration must be one of {_ACCELERATIONS}")
         object.__setattr__(self, "tm", tm)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "alpha", alpha)

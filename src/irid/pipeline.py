@@ -21,8 +21,8 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
-from .errors import (GridMismatch, IoError, IridError, ParamError,
-                     PipelineStageError, ZeroMagnitude)
+from .errors import (EvaluationError, IoError, IridError, ParamError,
+                     PipelineStageError)
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
                   continuous_freq_response, continuous_impulse,
@@ -125,7 +125,7 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     nonzero b reports an infinite relative error.
     """
     if a.t0 != b.t0 or a.dt != b.dt or len(a) != len(b):
-        raise GridMismatch("time series grids differ")
+        raise ParamError("time series grids differ")
     diff = a.values - b.values
     err = float(np.linalg.norm(diff))
     ref = float(np.linalg.norm(a.values))
@@ -142,9 +142,9 @@ def compare_frequency(a: FrequencyResponseSeries,
     degrees, phases unwrapped along the grid) of b against a."""
     if len(a.grid) != len(b.grid) or not np.array_equal(a.grid.omegas,
                                                         b.grid.omegas):
-        raise GridMismatch("frequency grids differ")
+        raise ParamError("frequency grids differ")
     if np.min(np.abs(a.response)) < 1e-300 or np.min(np.abs(b.response)) < 1e-300:
-        raise ZeroMagnitude("response magnitude underflows the dB scale")
+        raise EvaluationError("response magnitude underflows the dB scale")
     mag_err = float(np.max(np.abs(a.magnitude_db() - b.magnitude_db())))
     phase_err = float(np.max(np.abs(a.phase_deg() - b.phase_deg())))
     return mag_err, phase_err
@@ -174,13 +174,16 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     a state-space realization) and all three frequency responses on a log
     grid; attach comparison metrics and a stability flag.
 
-    Stage failures re-raise as PipelineStageError tagged "nilt", "fit" or
+    Invalid configuration raises ParamError before any stage runs.  Stage
+    failures re-raise as PipelineStageError tagged "nilt", "fit" or
     "conversion" (the bilinear map and the continuous model's impulse
     response, which overflows for poles far in the right half-plane).
     """
     p = req.params
     dt = req.tm / req.m
-    cfg = NiltConfig(tm=req.tm, m=req.m, acceleration="qd")
+    nilt_cfg = NiltConfig(tm=req.tm, m=req.m, acceleration="qd")
+    fit_cfg = FitConfig(nb=req.norder, na=req.norder,
+                        iterations=req.iterations)
 
     wmax = req.wmax
     nyq = NYQUIST_MARGIN * math.pi / dt
@@ -192,14 +195,13 @@ def irid_fcoi(req: IridRequest) -> IridResult:
             raise ParamError("wmin exceeds the clamped Nyquist band")
 
     try:
-        h_ref = nilt(lambda s: cfoi_transfer(p, s), cfg)
+        h_ref = nilt(lambda s: cfoi_transfer(p, s), nilt_cfg)
     except IridError as exc:
         raise PipelineStageError("nilt", exc) from exc
 
     scaled = TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values)
     try:
-        gd = stmcb_fit(scaled, FitConfig(nb=req.norder, na=req.norder,
-                                         iterations=req.iterations))
+        gd = stmcb_fit(scaled, fit_cfg)
     except IridError as exc:
         raise PipelineStageError("fit", exc) from exc
 
@@ -324,12 +326,12 @@ def write_outputs(res: IridResult, out_dir: Union[str, Path],
         coeffs = {
             "discrete": {
                 "ts": res.gd.ts,
-                "num": list(res.gd.num.coeffs),
-                "den": list(res.gd.den.coeffs),
+                "num": res.gd.num.tolist(),
+                "den": res.gd.den.tolist(),
             },
             "continuous": {
-                "num": list(res.gc.num.coeffs),
-                "den": list(res.gc.den.coeffs),
+                "num": res.gc.num.tolist(),
+                "den": res.gc.den.tolist(),
             },
             "stable_discrete": res.stable,
             "metrics": {

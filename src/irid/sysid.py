@@ -10,59 +10,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 import scipy.signal
 
-from .errors import (ConfigError, InsufficientData, NonFiniteIterate,
-                     PoleAtMinusOne, SingularSystem)
+from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  Polynomial, TimeSeries, poly_eval)
+                  TimeSeries, poly_eval)
 
 __all__ = ["FitConfig", "prony_init", "stmcb_fit", "bilinear_d2c"]
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Model orders and iteration knobs for :func:`stmcb_fit`.
+    """Model orders and iteration count for :func:`stmcb_fit`.
 
     nb: numerator degree (nb + 1 coefficients); na: denominator degree.
-    regularization adds a ridge term to the least-squares solves for
-    near-singular data; zero keeps them plain.
     """
 
     nb: int
     na: int
     iterations: int = 5
-    regularization: float = 0.0
 
     def __post_init__(self):
         if int(self.nb) < 0:
-            raise ConfigError(f"nb must be >= 0, got {self.nb!r}")
+            raise ParamError(f"nb must be >= 0, got {self.nb!r}")
         if int(self.na) < 1:
-            raise ConfigError(f"na must be >= 1, got {self.na!r}")
+            raise ParamError(f"na must be >= 1, got {self.na!r}")
         if int(self.iterations) < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations!r}")
-        reg = float(self.regularization)
-        if not (math.isfinite(reg) and reg >= 0.0):
-            raise ConfigError(f"regularization must be >= 0, got {self.regularization!r}")
+            raise ParamError(f"iterations must be >= 1, got {self.iterations!r}")
         object.__setattr__(self, "nb", int(self.nb))
         object.__setattr__(self, "na", int(self.na))
         object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "regularization", reg)
 
 
-def _lstsq(mat: np.ndarray, rhs: np.ndarray, regularization: float) -> np.ndarray:
+def _lstsq(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least squares via orthogonal factorization (SVD); minimum-norm on
     rank-deficient systems.  A degenerate all-zero system has no usable
-    solution and raises SingularSystem."""
+    solution and raises EvaluationError."""
     if not np.any(mat):
-        raise SingularSystem("all-zero regression matrix")
-    if regularization > 0.0:
-        k = mat.shape[1]
-        mat = np.vstack([mat, math.sqrt(regularization) * np.eye(k)])
-        rhs = np.concatenate([rhs, np.zeros(k)])
+        raise EvaluationError("all-zero regression matrix")
     sol, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=None)
     return sol
 
@@ -78,8 +65,7 @@ def _lagged(x: np.ndarray, lags: range) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def prony_init(h: TimeSeries, nb: int, na: int,
-               regularization: float = 0.0) -> DiscreteTransferFunction:
+def prony_init(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     """One-shot rational fit of an impulse response.
 
     The denominator comes from linear prediction on samples nb+1 onward
@@ -87,16 +73,16 @@ def prony_init(h: TimeSeries, nb: int, na: int,
     nb + 1 terms of the convolution identity b = a * h.
     """
     if nb < 0 or na < 1:
-        raise ConfigError("need nb >= 0 and na >= 1")
+        raise ParamError("need nb >= 0 and na >= 1")
     y = h.values
     n = len(y)
     if n < nb + na + 2:
-        raise InsufficientData(f"need at least {nb + na + 2} samples, got {n}")
+        raise ParamError(f"need at least {nb + na + 2} samples, got {n}")
     rows = _lagged(y, range(1, na + 1))[nb + 1:]
-    a_tail = _lstsq(rows, -y[nb + 1:], regularization)
+    a_tail = _lstsq(rows, -y[nb + 1:])
     a = np.concatenate(([1.0], a_tail))
     b = np.convolve(a, y)[:nb + 1]
-    return DiscreteTransferFunction(Polynomial(tuple(b)), Polynomial(tuple(a)), h.dt)
+    return DiscreteTransferFunction(b, a, h.dt)
 
 
 def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
@@ -119,25 +105,26 @@ def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
     y = h.values
     n = len(y)
     if n < 3 * (nb + na):
-        raise InsufficientData(f"need at least {3 * (nb + na)} samples, got {n}")
-    init = prony_init(h, nb, na, cfg.regularization)
-    a = np.array(init.den.coeffs)
-    b = np.array(init.num.coeffs)
+        raise ParamError(f"need at least {3 * (nb + na)} samples, got {n}")
+    init = prony_init(h, nb, na)
+    a, b = init.den, init.num
     delta = np.zeros(n)
     delta[0] = 1.0
     for it in range(cfg.iterations):
         hf = scipy.signal.lfilter([1.0], a, y)
         xf = scipy.signal.lfilter([1.0], a, delta)
         if not (np.all(np.isfinite(hf)) and np.all(np.isfinite(xf))):
-            raise NonFiniteIterate("prefiltered data overflowed", it)
+            raise EvaluationError(f"prefiltered data overflowed "
+                                  f"(iteration {it})")
         mat = np.hstack([-_lagged(hf, range(1, na + 1)),
                          _lagged(xf, range(0, nb + 1))])
-        sol = _lstsq(mat, hf, cfg.regularization)
+        sol = _lstsq(mat, hf)
         if not np.all(np.isfinite(sol)):
-            raise NonFiniteIterate("least-squares solution is non-finite", it)
+            raise EvaluationError(f"least-squares solution is non-finite "
+                                  f"(iteration {it})")
         a = np.concatenate(([1.0], sol[:na]))
         b = sol[na:]
-    return DiscreteTransferFunction(Polynomial(tuple(b)), Polynomial(tuple(a)), h.dt)
+    return DiscreteTransferFunction(b, a, h.dt)
 
 
 def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
@@ -149,28 +136,23 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     z = -1 maps a pole to infinity and is rejected.
     """
     ts = g.ts
-    num_c = tuple(c for c in g.num.coeffs)
-    den_c = tuple(c for c in g.den.coeffs)
     den_at_minus1 = poly_eval(g.den, -1.0)
-    if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in den_c):
-        raise PoleAtMinusOne("discrete denominator has a root at z = -1")
+    if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in g.den):
+        raise EvaluationError("discrete denominator has a root at z = -1")
 
     # row k: ascending coefficients in x = s*ts/2 of
     # (1 + x)**k * (1 - x)**(deg - k), the image of z**k once the
     # denominator (1 - x)**deg of the substitution is cleared
-    deg = max(len(num_c), len(den_c)) - 1
+    deg = max(len(g.num), len(g.den)) - 1
     basis = np.array([np.convolve([math.comb(k, j) for j in range(k + 1)],
                                   [(-1) ** j * math.comb(deg - k, j)
                                    for j in range(deg - k + 1)])
                       for k in range(deg + 1)], dtype=float)
     powers = (ts / 2.0) ** np.arange(deg + 1)
 
-    def lift(coeffs: Tuple[float, ...]) -> np.ndarray:
+    def lift(coeffs: np.ndarray) -> np.ndarray:
         # coeffs[i] multiplies z**(d - i)
         d = len(coeffs) - 1
-        return (np.asarray(coeffs) @ basis[d::-1] * powers)[::-1]
+        return (coeffs @ basis[d::-1] * powers)[::-1]
 
-    num_s = lift(num_c)
-    den_s = lift(den_c)
-    return ContinuousTransferFunction(Polynomial(tuple(num_s)),
-                                      Polynomial(tuple(den_s)))
+    return ContinuousTransferFunction(lift(g.num), lift(g.den))

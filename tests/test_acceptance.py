@@ -181,7 +181,7 @@ def test_criterion_08_reference_coefficients_qualitative():
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=tm,
                           wmin=0.01, wmax=60.0, norder=5, m=256)
         res = irid_fcoi(req)
-        tail = np.array(res.gd.den.coeffs[1:])
+        tail = res.gd.den[1:]
         signs_ok = np.all(np.sign(tail) == np.sign(REFERENCE_DEN_TAIL))
         close = np.all(np.abs(tail - REFERENCE_DEN_TAIL)
                        <= 0.5 * np.abs(REFERENCE_DEN_TAIL))

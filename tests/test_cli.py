@@ -29,17 +29,24 @@ def test_no_svg_flag(tmp_path):
     assert not (tmp_path / "out" / "impulse.svg").exists()
 
 
-def test_lambda_out_of_range(tmp_path, capsys):
-    code = cli_main(["--lambda", "3", "--mu", "-0.4", "--wgc", "1",
-                     "--tm", "2", "--out-dir", str(tmp_path / "x")])
-    assert code == 2
-    assert "(0, 2)" in capsys.readouterr().err
-
-
-def test_bad_sample_count(tmp_path, capsys):
-    code = run(tmp_path, "--samples", "100")
-    assert code == 2
-    assert "power of two" in capsys.readouterr().err
+# invalid input exits 2 with the validating message, before any file is
+# written; later flags override the defaults of run()
+@pytest.mark.parametrize("flags,fragment", [
+    (("--lambda", "3"), "(0, 2)"),
+    (("--samples", "100"), "power of two"),
+    (("--iters", "0"), "iterations must be >= 1"),
+    (("--iters", "-3"), "iterations must be >= 1"),
+    (("--norder", "0"), "norder must be >= 1"),
+    (("--points", "1"), "npoints must be >= 2"),
+    (("--wmin", "200"), "need 0 < wmin < wmax"),
+    (("--wgc", "0"), "wgc must be positive"),
+], ids=["lambda", "samples", "iters0", "iters-3", "norder0", "points1",
+        "wmin200", "wgc0"])
+def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
+    assert run(tmp_path, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_flag(capsys):

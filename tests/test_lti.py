@@ -5,49 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irid.errors import (DegreeError, DenominatorZero, EvaluationError,
-                         ParamError)
+from irid.errors import EvaluationError, ParamError
 from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                      FrequencyGrid, FrequencyResponseSeries, Polynomial,
-                      TimeSeries, continuous_freq_response,
-                      continuous_impulse, discrete_freq_response,
-                      discrete_impulse, is_stable_discrete, poly_eval,
-                      poly_roots)
+                      FrequencyGrid, FrequencyResponseSeries, TimeSeries,
+                      continuous_freq_response, continuous_impulse,
+                      discrete_freq_response, discrete_impulse,
+                      is_stable_discrete, poly_eval, poly_roots)
 
 
 def tf_d(num, den, ts=1.0):
-    return DiscreteTransferFunction(Polynomial(tuple(num)),
-                                    Polynomial(tuple(den)), ts)
+    return DiscreteTransferFunction(num, den, ts)
 
 
 def tf_c(num, den):
-    return ContinuousTransferFunction(Polynomial(tuple(num)),
-                                      Polynomial(tuple(den)))
+    return ContinuousTransferFunction(num, den)
 
 
 class TestPolynomial:
+    """Coefficient vectors: checked by the transfer-function constructors
+    and poly_roots, trimmed by poly_roots and continuous_impulse,
+    evaluated by poly_eval."""
+
     def test_empty_rejected(self):
-        with pytest.raises(ParamError):
-            Polynomial(())
+        with pytest.raises(ParamError, match="at least one coefficient"):
+            tf_d([], [1.0])
+        with pytest.raises(ParamError, match="at least one coefficient"):
+            tf_c([1.0], [])
+
+    def test_non_vector_rejected(self):
+        with pytest.raises(ParamError, match="1-D"):
+            tf_d([[1.0, 2.0]], [1.0])
+        with pytest.raises(ParamError, match="1-D"):
+            tf_c([1.0], 2.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(ParamError):
-            Polynomial((1.0, math.nan))
+        with pytest.raises(ParamError, match="finite"):
+            tf_d([1.0, math.nan], [1.0])
+        with pytest.raises(ParamError, match="finite"):
+            tf_c([1.0], [1.0, math.inf])
+        with pytest.raises(ParamError, match="finite"):
+            poly_roots([1.0, math.nan])
 
     def test_normalize_strips_leading_zeros(self):
-        assert Polynomial((0.0, 0.0, 3.0, 1.0)).normalized().coeffs == (3.0, 1.0)
+        assert poly_roots([0.0, 0.0, 3.0, 1.0]) == pytest.approx([-1.0 / 3.0])
+        # the numerator trims to [1], so g = 1/(s+1) is proper
+        ts = continuous_impulse(tf_c([0.0, 0.0, 1.0], [1.0, 1.0]), 0.1, 20)
+        np.testing.assert_allclose(ts.values, np.exp(-ts.times),
+                                   rtol=1e-12, atol=0)
 
     def test_normalize_keeps_zero_polynomial(self):
-        assert Polynomial((0.0, 0.0)).normalized().coeffs == (0.0,)
+        ts = continuous_impulse(tf_c([0.0, 0.0, 0.0], [1.0, 1.0]), 0.1, 4)
+        assert list(ts.values) == [0.0] * 4
+        with pytest.raises(ParamError, match="degree >= 1"):
+            poly_roots([0.0, 0.0])
 
     def test_eval_quadratic(self):
-        assert poly_eval(Polynomial((1, 0, -1)), 2.0) == 3.0
+        assert poly_eval([1, 0, -1], 2.0) == 3.0
 
     def test_eval_constant(self):
-        assert poly_eval(Polynomial((5,)), 123.4 + 5j) == 5.0
+        assert poly_eval([5], 123.4 + 5j) == 5.0
 
     def test_eval_at_root(self):
-        assert poly_eval(Polynomial((1, -3, 2)), 1.0) == 0.0
+        assert poly_eval([1, -3, 2], 1.0) == 0.0
 
 
 class TestPolyRoots:
@@ -60,11 +79,11 @@ class TestPolyRoots:
         assert roots == pytest.approx([1.0, 2.0])
 
     def test_constant_raises(self):
-        with pytest.raises(DegreeError):
+        with pytest.raises(ParamError, match="degree >= 1"):
             poly_roots([5.0])
 
     def test_stripped_to_constant_raises(self):
-        with pytest.raises(DegreeError):
+        with pytest.raises(ParamError, match="degree >= 1"):
             poly_roots([0.0, 5.0])
 
     def test_degree_five_known_roots(self):
@@ -90,11 +109,12 @@ class TestPolyRoots:
 class TestTransferFunctionTypes:
     def test_monic_normalization(self):
         g = tf_d([2.0, 4.0], [2.0, 0.0])
-        assert g.den.coeffs == (1.0, 0.0)
-        assert g.num.coeffs == (1.0, 2.0)
+        assert g.den.dtype == g.num.dtype == np.float64
+        assert g.den.tolist() == [1.0, 0.0]
+        assert g.num.tolist() == [1.0, 2.0]
 
     def test_zero_leading_denominator_rejected(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match="leading coefficient"):
             tf_d([1.0], [0.0, 1.0])
 
     def test_bad_ts_rejected(self):
@@ -103,7 +123,16 @@ class TestTransferFunctionTypes:
 
     def test_continuous_monic(self):
         g = tf_c([3.0], [3.0, 6.0])
-        assert g.den.coeffs == (1.0, 2.0)
+        assert g.den.tolist() == [1.0, 2.0]
+
+    def test_coefficients_are_frozen_copies(self):
+        num = np.array([1.0, 2.0])
+        for g in (tf_d(num, [1.0, 0.5]), tf_c(num, [1.0, 0.5])):
+            for coeffs in (g.num, g.den):
+                with pytest.raises(ValueError):
+                    coeffs[0] = 5.0
+        num[0] = 7.0
+        assert g.num.tolist() == [1.0, 2.0]
 
 
 class TestTimeSeries:
@@ -203,11 +232,11 @@ class TestContinuousImpulse:
         assert list(ts.values) == [0.0] * 5
 
     def test_improper_rejected(self):
-        with pytest.raises(DegreeError):
+        with pytest.raises(ParamError, match="proper transfer function"):
             continuous_impulse(tf_c([1, 0, 0], [1, 1]), 0.1, 5)
 
     def test_overflow_raises(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="overflows"):
             continuous_impulse(tf_c([1], [1, -1e4]), 0.1, 64)
 
 
@@ -254,7 +283,7 @@ class TestFrequencyResponses:
 
     def test_denominator_zero_raises(self):
         g = tf_c([1], [1, 0, 1])  # poles at +-j
-        with pytest.raises(DenominatorZero):
+        with pytest.raises(EvaluationError, match="denominator vanishes"):
             continuous_freq_response(g, FrequencyGrid([0.5, 1.0]))
 
     def test_magnitude_and_phase_views(self):

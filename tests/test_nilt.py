@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from irid.errors import ConfigError, EvaluationError
+from irid.errors import EvaluationError, ParamError
 from irid.nilt import NiltConfig, nilt
 
 
@@ -18,17 +18,17 @@ class TestConfig:
         assert cfg.rel_err == 1e-8
         assert cfg.acceleration == "none"
 
-    @pytest.mark.parametrize("kw", [
-        dict(tm=0.0, m=1024),
-        dict(tm=10.0, m=1000),      # not a power of two
-        dict(tm=10.0, m=32),        # below the minimum
-        dict(tm=10.0, m=1024, alpha=-1.0),
-        dict(tm=10.0, m=1024, rel_err=0.0),
-        dict(tm=10.0, m=1024, rel_err=1.5),
-        dict(tm=10.0, m=1024, acceleration="epsilon"),
-    ])
-    def test_invalid(self, kw):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kw,match", [
+        (dict(tm=0.0, m=1024), "tm must be positive"),
+        (dict(tm=10.0, m=1000), "power of two"),
+        (dict(tm=10.0, m=32), ">= 64"),
+        (dict(tm=10.0, m=1024, alpha=-1.0), "alpha must be >= 0"),
+        (dict(tm=10.0, m=1024, rel_err=0.0), "rel_err must lie in"),
+        (dict(tm=10.0, m=1024, rel_err=1.5), "rel_err must lie in"),
+        (dict(tm=10.0, m=1024, acceleration="epsilon"), "acceleration"),
+    ], ids=[f"kw{i}" for i in range(7)])
+    def test_invalid(self, kw, match):
+        with pytest.raises(ParamError, match=match):
             NiltConfig(**kw)
 
 

@@ -6,10 +6,10 @@ import pytest
 
 import irid.pipeline
 from irid.cfoi import CfoiParams
-from irid.errors import (GridMismatch, IoError, ParamError,
-                         PipelineStageError, ZeroMagnitude)
+from irid.errors import (EvaluationError, IoError, ParamError,
+                         PipelineStageError)
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
-                      FrequencyResponseSeries, Polynomial, TimeSeries)
+                      FrequencyResponseSeries, TimeSeries)
 from irid.pipeline import (IridRequest, compare_frequency, compare_impulse,
                            irid_fcoi, write_outputs)
 
@@ -42,7 +42,7 @@ class TestCompareImpulse:
     def test_grid_mismatch(self):
         a = TimeSeries(0.0, 1.0, [1.0, 2.0])
         b = TimeSeries(0.0, 0.5, [1.0, 2.0])
-        with pytest.raises(GridMismatch):
+        with pytest.raises(ParamError, match="time series grids differ"):
             compare_impulse(a, b)
 
 
@@ -72,12 +72,12 @@ class TestCompareFrequency:
         a = FrequencyResponseSeries(self.grid(), [1.0, 1.0, 1.0])
         other = FrequencyResponseSeries(FrequencyGrid([1.0, 2.0, 5.0]),
                                         [1.0, 1.0, 1.0])
-        with pytest.raises(GridMismatch):
+        with pytest.raises(ParamError, match="frequency grids differ"):
             compare_frequency(a, other)
 
     def test_zero_magnitude(self):
         a = FrequencyResponseSeries(self.grid(), [1.0, 0.0, 1.0])
-        with pytest.raises(ZeroMagnitude):
+        with pytest.raises(EvaluationError, match="underflows the dB scale"):
             compare_frequency(a, a)
 
 
@@ -97,6 +97,20 @@ class TestRequestValidation:
             IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                         wmin=0.01, wmax=100.0, norder=0)
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(iterations=0), "iterations must be >= 1"),
+        (dict(m=1000), "power of two"),
+    ], ids=["iterations", "samples"])
+    def test_config_rejected_before_any_stage(self, kw, match, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(irid.pipeline, "nilt", no_stage)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, **kw)
+        with pytest.raises(ParamError, match=match):
+            irid_fcoi(req)
+
 
 class TestIridFcoi:
     def test_series_share_grid(self, small_result):
@@ -114,10 +128,10 @@ class TestIridFcoi:
         assert np.all(np.diff(omegas) > 0)
 
     def test_model_shapes(self, small_result):
-        assert small_result.gd.num.degree == 5
-        assert small_result.gd.den.degree == 5
-        assert small_result.gd.den.coeffs[0] == 1.0
-        assert small_result.gc.den.coeffs[0] == 1.0
+        assert len(small_result.gd.num) == 6
+        assert len(small_result.gd.den) == 6
+        assert small_result.gd.den[0] == 1.0
+        assert small_result.gc.den[0] == 1.0
         assert small_result.gd.ts == pytest.approx(2.0 / 256)
 
     def test_metrics_nonnegative(self, small_result):
@@ -133,7 +147,7 @@ class TestIridFcoi:
         again = irid_fcoi(req)
         assert np.array_equal(again.h_ref.values, small_result.h_ref.values)
         assert np.array_equal(again.h_d.values, small_result.h_d.values)
-        assert again.gd.den.coeffs == small_result.gd.den.coeffs
+        assert np.array_equal(again.gd.den, small_result.gd.den)
         assert again.metrics == small_result.metrics
 
     def test_wmax_clamped_to_nyquist(self):
@@ -158,7 +172,7 @@ class TestIridFcoi:
         req = IridRequest(params=CfoiParams(1.5, mu, 1.0), tm=2.0,
                           wmin=0.01, wmax=100.0, norder=5)
         res = irid_fcoi(req)
-        num, den = np.array(res.gc.num.coeffs), np.array(res.gc.den.coeffs)
+        num, den = res.gc.num, res.gc.den
         rem = np.polysub(num, num[0] * den)
         poles = np.roots(den)
         residues = np.polyval(rem, poles) / np.polyval(np.polyder(den), poles)
@@ -171,8 +185,7 @@ class TestIridFcoi:
         # a discrete pole at z = -1.01 maps to s = +402/ts, whose response
         # overflows long before t = tm
         def fit(h, cfg):
-            return DiscreteTransferFunction(Polynomial((1.0, 0.0)),
-                                            Polynomial((1.0, 1.01)), h.dt)
+            return DiscreteTransferFunction([1.0, 0.0], [1.0, 1.01], h.dt)
 
         monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
@@ -215,11 +228,11 @@ class TestWriteOutputs:
     def test_coeffs_roundtrip_bitwise(self, small_result, tmp_path):
         write_outputs(small_result, tmp_path / "rt", svg=False)
         data = json.loads((tmp_path / "rt" / "coeffs.json").read_text())
-        assert tuple(data["discrete"]["num"]) == small_result.gd.num.coeffs
-        assert tuple(data["discrete"]["den"]) == small_result.gd.den.coeffs
+        assert data["discrete"]["num"] == small_result.gd.num.tolist()
+        assert data["discrete"]["den"] == small_result.gd.den.tolist()
         assert data["discrete"]["ts"] == small_result.gd.ts
-        assert tuple(data["continuous"]["num"]) == small_result.gc.num.coeffs
-        assert tuple(data["continuous"]["den"]) == small_result.gc.den.coeffs
+        assert data["continuous"]["num"] == small_result.gc.num.tolist()
+        assert data["continuous"]["den"] == small_result.gc.den.tolist()
         assert data["stable_discrete"] == small_result.stable
         m = data["metrics"]["discrete"]
         assert m["impulse_rel_l2"] == small_result.metrics.discrete.impulse_rel_l2

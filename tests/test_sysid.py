@@ -4,10 +4,9 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irid.errors import (ConfigError, InsufficientData, NonFiniteIterate,
-                         PoleAtMinusOne, SingularSystem)
-from irid.lti import (DiscreteTransferFunction, Polynomial, TimeSeries,
-                      discrete_impulse, poly_eval)
+from irid.errors import EvaluationError, ParamError
+from irid.lti import (DiscreteTransferFunction, TimeSeries, discrete_impulse,
+                      poly_eval)
 from irid.sysid import FitConfig, bilinear_d2c, prony_init, stmcb_fit
 
 
@@ -22,43 +21,41 @@ def regenerate(g: DiscreteTransferFunction, n: int) -> np.ndarray:
 
 
 class TestFitConfig:
-    @pytest.mark.parametrize("kw", [
-        dict(nb=-1, na=1), dict(nb=0, na=0),
-        dict(nb=1, na=1, iterations=0),
-        dict(nb=1, na=1, regularization=-0.5),
-    ])
-    def test_invalid(self, kw):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kw,match", [
+        (dict(nb=-1, na=1), "nb must be >= 0"),
+        (dict(nb=0, na=0), "na must be >= 1"),
+        (dict(nb=1, na=1, iterations=0), "iterations must be >= 1"),
+    ], ids=["kw0", "kw1", "kw2"])
+    def test_invalid(self, kw, match):
+        with pytest.raises(ParamError, match=match):
             FitConfig(**kw)
 
     def test_defaults(self):
-        cfg = FitConfig(nb=5, na=5)
-        assert cfg.iterations == 5
-        assert cfg.regularization == 0.0
+        assert FitConfig(nb=5, na=5).iterations == 5
 
 
 class TestProny:
     def test_geometric_sequence(self):
         h = impulse_of([1.0], [1.0, -0.5], 64)
         g = prony_init(h, 0, 1)
-        assert g.num.coeffs == pytest.approx((1.0,), abs=1e-10)
-        assert g.den.coeffs == pytest.approx((1.0, -0.5), abs=1e-10)
+        assert g.num == pytest.approx([1.0], abs=1e-10)
+        assert g.den == pytest.approx([1.0, -0.5], abs=1e-10)
         assert g.ts == 1.0
 
     def test_scaled_impulse(self):
         h = TimeSeries(0.0, 1.0, [3.0] + [0.0] * 63)
         g = prony_init(h, 0, 1)
-        assert g.num.coeffs == pytest.approx((3.0,))
-        assert g.den.coeffs == pytest.approx((1.0, 0.0))
+        assert g.num == pytest.approx([3.0])
+        assert g.den == pytest.approx([1.0, 0.0])
 
     def test_all_zero_input_singular(self):
         h = TimeSeries(0.0, 1.0, np.zeros(32))
-        with pytest.raises(SingularSystem):
+        with pytest.raises(EvaluationError, match="all-zero"):
             prony_init(h, 0, 1)
 
     def test_insufficient_data(self):
         h = TimeSeries(0.0, 1.0, [1.0, 0.5, 0.25])
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ParamError, match="need at least 6 samples"):
             prony_init(h, 2, 2)
 
 
@@ -68,15 +65,15 @@ class TestStmcb:
         h = impulse_of(num, den, 200)
         g = stmcb_fit(h, FitConfig(nb=1, na=2))
         assert np.max(np.abs(regenerate(g, 200) - h.values)) <= 1e-8
-        assert g.num.coeffs == pytest.approx(tuple(num), abs=1e-8)
-        assert g.den.coeffs == pytest.approx(tuple(den), abs=1e-8)
+        assert g.num == pytest.approx(num, abs=1e-8)
+        assert g.den == pytest.approx(den, abs=1e-8)
 
     def test_fir_truth_with_one_pole(self):
         taps = [0.3, -1.2, 0.8, 0.05, -0.4, 1.1]
         h = TimeSeries(0.0, 1.0, taps + [0.0] * 44)
         g = stmcb_fit(h, FitConfig(nb=5, na=1))
-        assert g.num.coeffs == pytest.approx(tuple(taps), abs=1e-9)
-        assert abs(g.den.coeffs[1]) <= 1e-9  # pole at the origin
+        assert g.num == pytest.approx(taps, abs=1e-9)
+        assert abs(g.den[1]) <= 1e-9  # pole at the origin
         assert np.max(np.abs(regenerate(g, 50) - h.values)) <= 1e-8
 
     def test_overparameterized_recovery(self):
@@ -86,7 +83,7 @@ class TestStmcb:
 
     def test_insufficient_data(self):
         h = TimeSeries(0.0, 1.0, np.ones(10))
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ParamError, match="need at least 12 samples"):
             stmcb_fit(h, FitConfig(nb=2, na=2))
 
     def test_ts_copied_from_input(self):
@@ -126,8 +123,8 @@ class TestStmcb:
         g5 = stmcb_fit(h, FitConfig(nb=1, na=2, iterations=5))
         regen = TimeSeries(0.0, 1.0, regenerate(g5, 200))
         g6 = stmcb_fit(regen, FitConfig(nb=1, na=2, iterations=6))
-        for a, b in zip(g5.den.coeffs + g5.num.coeffs,
-                        g6.den.coeffs + g6.num.coeffs):
+        for a, b in zip(np.concatenate((g5.den, g5.num)),
+                        np.concatenate((g6.den, g6.num))):
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
 
     @pytest.mark.parametrize("alpha", [2.0, -0.3, 1e4])
@@ -136,35 +133,37 @@ class TestStmcb:
         scaled = TimeSeries(0.0, 1.0, alpha * base.values)
         g0 = stmcb_fit(base, FitConfig(nb=1, na=2))
         g1 = stmcb_fit(scaled, FitConfig(nb=1, na=2))
-        np.testing.assert_allclose(g1.den.coeffs, g0.den.coeffs, rtol=1e-10)
-        np.testing.assert_allclose(g1.num.coeffs,
-                                   alpha * np.array(g0.num.coeffs), rtol=1e-10)
+        np.testing.assert_allclose(g1.den, g0.den, rtol=1e-10)
+        np.testing.assert_allclose(g1.num, alpha * g0.num, rtol=1e-10)
 
     def test_zero_data_raises_singular(self):
         h = TimeSeries(0.0, 1.0, np.zeros(40))
-        with pytest.raises(SingularSystem):
+        with pytest.raises(EvaluationError, match="all-zero"):
             stmcb_fit(h, FitConfig(nb=1, na=2))
 
     def test_non_finite_iterate_reports_index(self):
-        err = NonFiniteIterate("prefiltered data overflowed", 3)
-        assert err.iteration == 3
-        assert "iteration 3" in str(err)
+        # finite data growing to 1e307: the fitted pole near 1.6e5 makes
+        # the first prefilter pass overflow
+        n = 60
+        h = TimeSeries(0.0, 1.0, 10.0 ** (307 / (n - 1) * np.arange(n)))
+        with pytest.raises(EvaluationError,
+                           match=r"data overflowed \(iteration 0\)"):
+            stmcb_fit(h, FitConfig(nb=0, na=1))
 
 
 class TestBilinear:
     def test_identity(self):
-        g = DiscreteTransferFunction(Polynomial((1.0,)), Polynomial((1.0,)), 0.1)
+        g = DiscreteTransferFunction([1.0], [1.0], 0.1)
         gc = bilinear_d2c(g)
-        assert gc.num.normalized().coeffs == pytest.approx((1.0,))
-        assert gc.den.normalized().coeffs == pytest.approx((1.0,))
+        assert gc.num == pytest.approx([1.0])
+        assert gc.den == pytest.approx([1.0])
 
     def test_forward_euler_like_integrator(self):
         # (z+1)/(z-1) with ts=2 maps exactly to 1/s
-        g = DiscreteTransferFunction(Polynomial((1.0, 1.0)),
-                                     Polynomial((1.0, -1.0)), 2.0)
+        g = DiscreteTransferFunction([1.0, 1.0], [1.0, -1.0], 2.0)
         gc = bilinear_d2c(g)
-        assert gc.num.normalized().coeffs == pytest.approx((1.0,))
-        assert gc.den.normalized().coeffs == pytest.approx((1.0, 0.0))
+        assert np.trim_zeros(gc.num, "f") == pytest.approx([1.0])
+        assert gc.den == pytest.approx([1.0, 0.0])
         rng = np.random.default_rng(3)
         for s in rng.uniform(0.1, 5, 10) + 1j * rng.uniform(-5, 5, 10):
             z = (1 + s) / (1 - s)
@@ -180,8 +179,7 @@ class TestBilinear:
         poles = np.r_[poles[:2], np.conj(poles[:2]), poles[4].real]
         den = np.real(np.poly(poles))
         num = rng.normal(size=6)
-        g = DiscreteTransferFunction(Polynomial(tuple(num)),
-                                     Polynomial(tuple(den)), ts)
+        g = DiscreteTransferFunction(num, den, ts)
         gc = bilinear_d2c(g)
         mags = (2.0 / ts) * 10.0 ** rng.uniform(-1.5, 0.5, 100)
         angs = rng.uniform(-0.47 * np.pi, 0.47 * np.pi, 100)
@@ -192,9 +190,8 @@ class TestBilinear:
             assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_pole_at_minus_one_rejected(self):
-        g = DiscreteTransferFunction(Polynomial((1.0,)),
-                                     Polynomial((1.0, 1.0)), 0.5)
-        with pytest.raises(PoleAtMinusOne):
+        g = DiscreteTransferFunction([1.0], [1.0, 1.0], 0.5)
+        with pytest.raises(EvaluationError, match="root at z = -1"):
             bilinear_d2c(g)
 
     def test_defining_identity_for_fitted_model(self):
