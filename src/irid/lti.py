@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.signal
 from scipy.linalg import expm
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import EvaluationError, ParamError
 
@@ -220,18 +220,34 @@ class FrequencyResponseSeries:
         return np.degrees(np.unwrap(np.angle(self.response)))
 
 
+def _allpole(den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The columns of ``x`` (shape (n, k)) filtered through 1/den(z) from
+    a zero state; ``den`` is monic.
+
+    This is forward substitution with the n-by-n unit lower-triangular
+    banded Toeplitz matrix whose i-th subdiagonal holds den[i]: LAPACK
+    tbtrs, no pivoting.  The band is passed in Fortran order, so it is
+    not copied again on the way in.
+    """
+    n = x.shape[0]
+    band = np.tile(den, (n, 1)).T
+    y, _ = dtbtrs(band, x, uplo="L", diag="U")
+    return y
+
+
 def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     """First ``n`` samples of the unit-impulse response of ``g``.
 
-    Runs the difference equation defined by (num, den) directly, so the
-    response starts at t=0 with ``num[0]/den[0]``.
+    Filters the numerator's lag sequence (zero-padded or truncated to
+    ``n``) through 1/den(z), so the response starts at t=0 with
+    ``num[0]/den[0]``.
     """
     if n < 1:
         raise ParamError("need at least one output sample")
-    x = np.zeros(n)
-    x[0] = 1.0
-    y = scipy.signal.lfilter(g.num, g.den, x)
-    return TimeSeries(0.0, g.ts, y)
+    x = np.zeros((n, 1))
+    b = g.num[:n]
+    x[:len(b), 0] = b
+    return TimeSeries(0.0, g.ts, _allpole(g.den, x)[:, 0])
 
 
 def continuous_impulse(g: ContinuousTransferFunction, dt: float,

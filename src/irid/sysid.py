@@ -1,9 +1,10 @@
 """Rational model fitting from sampled impulse responses.
 
 A one-shot linear-prediction (Prony) fit initializes the Steiglitz-McBride
-iteration, which refines numerator and denominator by prefiltered linear
-least squares.  A bilinear (Tustin) substitution converts the fitted
-discrete model to a continuous one of the same order.
+iteration, which refines numerator and denominator by linear least squares
+on data filtered through the previous pass's all-pole filter 1/A(z).  A
+bilinear (Tustin) substitution converts the fitted discrete model to a
+continuous one of the same order.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, poly_eval)
+                  TimeSeries, _allpole, poly_eval)
 
 __all__ = ["FitConfig", "prony_init", "stmcb_fit", "bilinear_d2c"]
 
@@ -54,15 +54,17 @@ def _lstsq(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _lagged(x: np.ndarray, lags: range) -> np.ndarray:
-    """Column-stack x delayed by each lag, zero prehistory."""
+def _lagged(x: np.ndarray, lags: range,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """x delayed by each lag, zero prehistory, one lag per column of
+    ``out`` (a new array when None)."""
     n = len(x)
-    cols = []
-    for lag in lags:
-        col = np.zeros(n)
+    if out is None:
+        out = np.empty((n, len(lags)))
+    for col, lag in zip(out.T, lags):
+        col[:lag] = 0.0
         col[lag:] = x[:n - lag]
-        cols.append(col)
-    return np.column_stack(cols)
+    return out
 
 
 def prony_init(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
@@ -89,11 +91,12 @@ def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
     """Fit a discrete rational model to an impulse response by
     Steiglitz-McBride iteration.
 
-    Starting from :func:`prony_init`, each pass prefilters the unit
-    impulse and the data through 1/A(z) of the previous pass (zero initial
-    state), then solves one joint least-squares problem for all numerator
-    coefficients and the trailing denominator coefficients (a0 pinned at
-    one), minimizing ||A(z)*h_f - B(z)*delta_f|| over all samples.
+    Starting from :func:`prony_init`, each pass filters the data and the
+    unit impulse together, as two columns of one triangular solve, through
+    1/A(z) of the previous pass (zero initial state), then solves one joint
+    least-squares problem for all numerator coefficients and the trailing
+    denominator coefficients (a0 pinned at one), minimizing
+    ||A(z)*h_f - B(z)*delta_f|| over all samples.
 
     Noiseless data from a model inside the (nb, na) class is recovered to
     roundoff; the iteration is then a fixed point.  No stabilization is
@@ -108,16 +111,22 @@ def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
         raise ParamError(f"need at least {3 * (nb + na)} samples, got {n}")
     init = prony_init(h, nb, na)
     a, b = init.den, init.num
-    delta = np.zeros(n)
-    delta[0] = 1.0
+    # columns: the data and the unit impulse
+    data = np.zeros((n, 2), order="F")
+    data[:, 0] = y
+    data[0, 1] = 1.0
+    # regression matrix [-lagged h_f | lagged delta_f], rewritten each pass
+    mat = np.empty((n, na + nb + 1), order="F")
     for it in range(cfg.iterations):
-        hf = scipy.signal.lfilter([1.0], a, y)
-        xf = scipy.signal.lfilter([1.0], a, delta)
+        hf, xf = _allpole(a, data).T
         if not (np.all(np.isfinite(hf)) and np.all(np.isfinite(xf))):
             raise EvaluationError(f"prefiltered data overflowed "
                                   f"(iteration {it})")
-        mat = np.hstack([-_lagged(hf, range(1, na + 1)),
-                         _lagged(xf, range(0, nb + 1))])
+        # negated after lagging: the -0.0 prehistory sets lstsq's
+        # Householder signs, so negating hf first changes the fit's last bits
+        lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
+        np.negative(lagged_hf, out=lagged_hf)
+        _lagged(xf, range(0, nb + 1), out=mat[:, na:])
         sol = _lstsq(mat, hf)
         if not np.all(np.isfinite(sol)):
             raise EvaluationError(f"least-squares solution is non-finite "

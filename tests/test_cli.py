@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from irid.cli import cli_main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(tmp_path, *extra):
@@ -56,3 +62,15 @@ def test_missing_required_flag(capsys):
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert "--wgc" in capsys.readouterr().out
+
+
+def test_cold_import_leaves_out_heavy_scipy_modules():
+    # scipy.signal (and scipy.stats, which it pulls in) cost most of the
+    # command's cold start; the package needs only numpy and scipy.linalg
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import irid.cli, sys; print(sorted(m for m in "
+         "('scipy.signal', 'scipy.stats') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

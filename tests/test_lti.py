@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irid.errors import EvaluationError, ParamError
 from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                       FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                      continuous_freq_response, continuous_impulse,
+                      _allpole, continuous_freq_response, continuous_impulse,
                       discrete_freq_response, discrete_impulse,
                       is_stable_discrete, poly_eval, poly_roots)
 
@@ -209,6 +210,55 @@ class TestDiscreteImpulse:
         base = discrete_impulse(tf_d(num, den), 40).values
         scaled = discrete_impulse(tf_d([alpha * c for c in num], den), 40).values
         np.testing.assert_allclose(scaled, alpha * base, rtol=1e-13, atol=0)
+
+
+    # dyadic coefficients keep every product and sum exact, so the
+    # triangular solve and lfilter's difference equation agree bit for bit
+    @pytest.mark.parametrize("num,den,n", [
+        ([1.0, 0.5], [1.0, -0.5, 0.25, -0.125, 0.0625], 2),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -0.5], 3),
+        ([0.5], [1.0, -0.5, 0.25], 10),
+        ([1.0, -1.0, 0.5, 0.25], [1.0, 0.5], 10),
+        ([2.0, 1.0], [1.0, -0.5], 1),
+    ], ids=["n-below-order", "num-longer-than-n", "short-num", "long-num",
+            "n1"])
+    def test_edge_shapes_match_lfilter(self, num, den, n):
+        x = np.zeros(n)
+        x[0] = 1.0
+        want = scipy.signal.lfilter(num, den, x)
+        np.testing.assert_array_equal(discrete_impulse(tf_d(num, den), n).values,
+                                      want)
+
+
+def allpole_den(order, rmax):
+    """Monic denominator of the given order: conjugate pole pairs of modulus
+    rmax, 0.97*rmax, ... at angles spread over (0, pi), plus one real pole
+    for odd orders."""
+    pairs = order // 2
+    j = np.arange(pairs)
+    pair = rmax * 0.97 ** j * np.exp(1j * np.pi * (j + 1) / (pairs + 1))
+    real = [rmax * 0.97 ** pairs] * (order % 2)
+    return np.real(np.poly(np.concatenate((pair, pair.conj(), real))))
+
+
+class TestAllPole:
+    """The banded triangular solve against scipy.signal.lfilter."""
+
+    @pytest.mark.parametrize("rmax", [0.9, 1.0008], ids=["stable", "growing"])
+    @pytest.mark.parametrize("n", [1, 2, 256, 16384])
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_agrees_with_lfilter(self, order, n, rmax):
+        den = allpole_den(order, rmax)
+        data = np.zeros((2, n))
+        data[0] = np.random.default_rng(n).standard_normal(n)
+        data[1, 0] = 1.0
+        for x in (data[:1].T, data.T):
+            y = _allpole(den, x)
+            assert y.shape == x.shape
+            for col in range(x.shape[1]):
+                want = scipy.signal.lfilter([1.0], den, x[:, col])
+                err = np.linalg.norm(y[:, col] - want) / np.linalg.norm(want)
+                assert err <= 1e-13, (col, err)
 
 
 class TestContinuousImpulse:
