@@ -11,11 +11,11 @@ from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
-                  is_stable_discrete, poly_eval, poly_roots)
-from .nilt import NiltConfig, nilt
+                  is_stable_discrete)
+from .nilt import nilt
 from .pipeline import (ComparisonMetrics, IridRequest, IridResult,
                        ModelErrors, compare_frequency, compare_impulse,
                        format_summary, irid_fcoi, write_outputs)
-from .sysid import FitConfig, bilinear_d2c, prony_init, stmcb_fit
+from .sysid import bilinear_d2c, prony_init, stmcb_fit
 
 __version__ = "0.1.0"

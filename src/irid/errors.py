@@ -1,15 +1,15 @@
 """Exception types shared across the package.
 
 Five classes, one per builtin family: ``ParamError`` for invalid input
-(arguments, request fields, configurations, too little data),
+(arguments, request fields, too little data),
 ``EvaluationError`` for a computation that broke down (a vanishing
 denominator, a degenerate least-squares system, a non-finite value or
 iterate, a pole at z = -1 under the bilinear map, a magnitude below the
 dB scale), ``IoError`` for failed file output and ``PipelineStageError``
 for any of these raised inside a pipeline stage.  All derive from
 ``IridError``.  The command line exits 2 on a ``ParamError``, which
-request and configuration checks raise before any stage runs, and 1 on
-any other ``IridError``.
+request checks raise before any stage runs, and 1 on any other
+``IridError``.
 """
 
 
@@ -18,8 +18,8 @@ class IridError(Exception):
 
 
 class ParamError(IridError, ValueError):
-    """Invalid argument, request field or configuration, an argument
-    outside an operation's domain, or too few samples for a fit."""
+    """Invalid argument or request field, an argument outside an
+    operation's domain, or too few samples for a fit."""
 
 
 class EvaluationError(IridError, ArithmeticError):

@@ -28,17 +28,12 @@ __all__ = [
     "TimeSeries",
     "FrequencyGrid",
     "FrequencyResponseSeries",
-    "poly_eval",
-    "poly_roots",
     "discrete_impulse",
     "continuous_impulse",
     "discrete_freq_response",
     "continuous_freq_response",
     "is_stable_discrete",
 ]
-
-# the one polynomial evaluator: descending coefficients, scalar or array x
-poly_eval = np.polyval
 
 
 def _coeff_array(c) -> np.ndarray:
@@ -58,19 +53,6 @@ def _trim(c: np.ndarray) -> np.ndarray:
     """Strip leading zeros; the zero polynomial stays as ``[0.0]``."""
     nz = np.flatnonzero(c)
     return c[nz[0]:] if nz.size else c[-1:]
-
-
-def poly_roots(p) -> np.ndarray:
-    """All roots of ``p`` via the companion-matrix eigenvalue method.
-
-    Raises ParamError for (effectively) constant polynomials.  Each
-    returned root r satisfies
-    ``|p(r)| <= 1e-8 * max|coeff| * max(1, |r|)**degree``.
-    """
-    q = _trim(_coeff_array(p))
-    if len(q) < 2:
-        raise ParamError("root finding needs degree >= 1")
-    return np.roots(q)
 
 
 def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ The core scheme discretizes the Bromwich integral on an extended window
 T = 2*tm with a damping shift, evaluates the transform along the line
 Re(s) = c and reconstructs the time samples with a single inverse FFT:
 
-    c      = alpha - ln(rel_err) / T
+    c      = -ln(rel_err) / T,            rel_err = 1e-8
     s_n    = c + j*n*(2*pi/T),            n = 0 .. N-1,  N = 2*m
     h(t_k) = (exp(c*t_k)/T) * (2*Re(sum_n F_n e^{j*2*pi*n*k/N}) - F_0)
 
@@ -16,78 +16,37 @@ term (trapezoid end correction).  Two refinements sit on top:
   two line samples and carried by an exactly invertible term
   r/(s + 1/tm), removing the jump of the damped periodic extension at
   t = 0 that otherwise dominates the truncation error for step-like
-  responses.  The estimate is linear in F, so inversion stays linear.
-* optional tail acceleration ("qd"): the truncated part of the series is
-  summed by a Pade-type continued fraction built with the
-  quotient-difference algorithm from a handful of extra line samples,
-  which are evaluated and processed in extended precision because the
-  fraction amplifies rounding in them.  This is the mode to use for
-  transforms with algebraic branch points (slowly decaying spectra); it
-  is nonlinear in F and therefore off by default.
+  responses.
+* tail acceleration ("qd", de Hoog, Knight & Stokes 1982): the truncated
+  part of the series is summed by a Pade-type continued fraction built
+  with the quotient-difference algorithm from a handful of extra line
+  samples, which are evaluated and processed in extended precision
+  because the fraction amplifies rounding in them.  It resolves
+  transforms with algebraic branch points (slowly decaying spectra) and
+  makes the inversion nonlinear in F.
 
 The first returned sample sits at t = dt = tm/m; t = 0 is excluded because
 impulse responses of fractional integrators with order below one diverge
 there.  Accuracy is validated on [dt, 0.8*tm]; the last 20% of the window
 is returned but increasingly aliasing-prone.  The transform must be
-analytic for Re(s) > alpha and conjugate-symmetric (real time function);
+analytic for Re(s) > 0 and conjugate-symmetric (real time function);
 neither is detected, only documented.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import EvaluationError, ParamError
 from .lti import TimeSeries
 
-__all__ = ["NiltConfig", "nilt"]
+__all__ = ["nilt"]
 
-_ACCELERATIONS = ("none", "qd")
+_REL_ERR = 1e-8  # target aliasing error; sets the damping c
 _QD_TERMS = 17  # 2*P + 1 extra line samples for the continued fraction
-
-
-@dataclass(frozen=True)
-class NiltConfig:
-    """Inversion window and accuracy knobs.
-
-    tm: window end time in seconds; samples cover (0, tm].
-    m: number of output samples, a power of two >= 64.
-    alpha: abscissa shift for transforms with singularities in
-        Re(s) > 0; the contour runs right of alpha.
-    rel_err: target aliasing error; sets the damping c.
-    acceleration: "none" for the plain FFT sum, "qd" to add the
-        continued-fraction tail estimate.
-    """
-
-    tm: float
-    m: int
-    alpha: float = 0.0
-    rel_err: float = 1e-8
-    acceleration: str = "none"
-
-    def __post_init__(self):
-        tm = float(self.tm)
-        if not (math.isfinite(tm) and tm > 0.0):
-            raise ParamError(f"tm must be positive and finite, got {tm!r}")
-        m = int(self.m)
-        if m < 64 or (m & (m - 1)) != 0:
-            raise ParamError(f"m must be a power of two >= 64, got {self.m!r}")
-        alpha = float(self.alpha)
-        if not (math.isfinite(alpha) and alpha >= 0.0):
-            raise ParamError(f"alpha must be >= 0, got {alpha!r}")
-        rel_err = float(self.rel_err)
-        if not (0.0 < rel_err < 1.0):
-            raise ParamError(f"rel_err must lie in (0, 1), got {rel_err!r}")
-        if self.acceleration not in _ACCELERATIONS:
-            raise ParamError(f"acceleration must be one of {_ACCELERATIONS}")
-        object.__setattr__(self, "tm", tm)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "rel_err", rel_err)
 
 
 def _qd_coeffs(d: np.ndarray) -> np.ndarray:
@@ -151,21 +110,37 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
     return F
 
 
-def nilt(f: Callable[[np.ndarray], np.ndarray], cfg: NiltConfig) -> TimeSeries:
-    """Invert a Laplace transform to ``cfg.m`` samples on (0, cfg.tm].
+def _check_window(tm: float, m: int) -> Tuple[float, int]:
+    """``(tm, m)`` as float and int; raises ParamError unless tm is
+    positive and finite and m is a power of two >= 64."""
+    tm = float(tm)
+    if not (math.isfinite(tm) and tm > 0.0):
+        raise ParamError(f"tm must be positive and finite, got {tm!r}")
+    n = int(m)
+    if n < 64 or (n & (n - 1)) != 0:
+        raise ParamError(f"m must be a power of two >= 64, got {m!r}")
+    return tm, n
+
+
+def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
+         m: int) -> TimeSeries:
+    """Invert a Laplace transform to ``m`` samples on (0, tm].
 
     Parameters
     ----------
     f : callable
-        Array transform ``s -> F(s)``, analytic for Re(s) > cfg.alpha with
+        Array transform ``s -> F(s)``, analytic for Re(s) > 0 with
         ``f(conj(s)) == conj(f(s))``.  Called once on the whole line of N
-        points (complex128) and, with ``acceleration="qd"``, once more on
-        the 2P+1 tail points as an ``np.clongdouble`` array.  A scalar
-        return is broadcast to the line.  The qd tail amplifies rounding
-        in F, so a transform that keeps the extended dtype gets a tail
-        independent of double rounding; one that returns complex128 there
-        gets a double-precision tail.
-    cfg : NiltConfig
+        points (complex128) and once more on the 2P+1 tail points as an
+        ``np.clongdouble`` array.  A scalar return is broadcast to the
+        line.  The qd tail amplifies rounding in F, so a transform that
+        keeps the extended dtype gets a tail independent of double
+        rounding; one that returns complex128 there gets a
+        double-precision tail.
+    tm : float
+        Window end time in seconds, positive and finite.
+    m : int
+        Number of output samples, a power of two >= 64.
 
     Returns
     -------
@@ -173,45 +148,41 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], cfg: NiltConfig) -> TimeSeries:
 
     Raises
     ------
-    EvaluationError if ``f`` returns NaN/Inf anywhere on the line.
+    ParamError for an invalid ``tm`` or ``m``; EvaluationError if ``f``
+    returns NaN/Inf anywhere on the line.
     """
-    T = 2.0 * cfg.tm
-    c = cfg.alpha - math.log(cfg.rel_err) / T
-    N = 2 * cfg.m
+    tm, m = _check_window(tm, m)
+    T = 2.0 * tm
+    c = -math.log(_REL_ERR) / T
+    N = 2 * m
     dw = 2.0 * math.pi / T
-    dt = cfg.tm / cfg.m
-    t = np.arange(1, cfg.m + 1) * dt
+    dt = tm / m
+    t = np.arange(1, m + 1) * dt
 
     s = c + 1j * dw * np.arange(N)
+    s_tail = c + 1j * dw * np.arange(N, N + _QD_TERMS).astype(np.longdouble)
     F = _evaluate(f, s, 0)
-    peak = float(np.max(np.abs(F)))
-    qd = cfg.acceleration == "qd"
-    if qd:
-        s_tail = c + 1j * dw * np.arange(N, N + _QD_TERMS).astype(np.longdouble)
-        F_tail = _evaluate(f, s_tail, N)
-        peak = max(peak, float(np.max(np.abs(F_tail))))
+    F_tail = _evaluate(f, s_tail, N)
+    peak = max(float(np.max(np.abs(F))), float(np.max(np.abs(F_tail))))
 
     # initial-value split: fit s*F(s) ~ f0 + f1/s on two line samples and
     # peel off f0/(s + 1/tm); skipped when the estimate is wildly out of
     # scale (improper transforms), where it would only add noise.
-    sa, sb = s[N - 2], s[cfg.m - 1]
-    va, vb = sa * F[N - 2], sb * F[cfg.m - 1]
+    sa, sb = s[N - 2], s[m - 1]
+    va, vb = sa * F[N - 2], sb * F[m - 1]
     f1 = (va - vb) / (1.0 / sa - 1.0 / sb)
     r = float((va - f1 / sa).real)
-    beta = 1.0 / cfg.tm
+    beta = 1.0 / tm
     if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
         r = 0.0
     if r != 0.0:
         F = F - r / (s + beta)
+        F_tail = F_tail - r / (s_tail + beta)
 
-    core = (np.fft.ifft(F) * N)[1:cfg.m + 1]
-    if qd:
-        if r != 0.0:
-            F_tail = F_tail - r / (s_tail + beta)
-        # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
-        # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-        z = np.exp(2j * np.pi * np.arange(1, cfg.m + 1) / N)
-        core = core + _qd_eval(_qd_coeffs(F_tail), z)
+    # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
+    # z^N = 1 at every sample point z = exp(2j*pi*k/N)
+    z = np.exp(2j * np.pi * np.arange(1, m + 1) / N)
+    core = (np.fft.ifft(F) * N)[1:m + 1] + _qd_eval(_qd_coeffs(F_tail), z)
     vals = (np.exp(c * t) / T) * (2.0 * np.real(core) - F[0].real)
     if r != 0.0:
         vals = vals + r * np.exp(-beta * t)

@@ -28,8 +28,8 @@ from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
-from .nilt import NiltConfig, nilt
-from .sysid import FitConfig, bilinear_d2c, stmcb_fit
+from .nilt import _check_window, nilt
+from .sysid import _check_fit, bilinear_d2c, stmcb_fit
 
 __all__ = [
     "IridRequest",
@@ -54,7 +54,9 @@ class IridRequest:
 
     The sample period is always derived as dt = tm/m.  The frequency band
     [wmin, wmax] is clamped below the Nyquist rate (with a warning) since
-    the discrete model is meaningless above it.
+    the discrete model is meaningless above it.  Every field is checked on
+    construction, with the rules of the stage that uses it, so an invalid
+    request raises ParamError before any numerical work.
     """
 
     params: CfoiParams
@@ -67,21 +69,22 @@ class IridRequest:
     iterations: int = 5
 
     def __post_init__(self):
-        if not (math.isfinite(float(self.tm)) and self.tm > 0.0):
-            raise ParamError(f"tm must be positive, got {self.tm!r}")
+        tm, m = _check_window(self.tm, self.m)
         if not (0.0 < self.wmin < self.wmax):
             raise ParamError("need 0 < wmin < wmax")
-        if int(self.norder) < 1:
+        norder, iterations = int(self.norder), int(self.iterations)
+        if norder < 1:
             raise ParamError(f"norder must be >= 1, got {self.norder!r}")
         if int(self.npoints) < 2:
             raise ParamError(f"npoints must be >= 2, got {self.npoints!r}")
-        object.__setattr__(self, "tm", float(self.tm))
+        _check_fit(m, norder, norder, iterations)
+        object.__setattr__(self, "tm", tm)
         object.__setattr__(self, "wmin", float(self.wmin))
         object.__setattr__(self, "wmax", float(self.wmax))
-        object.__setattr__(self, "norder", int(self.norder))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "norder", norder)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "npoints", int(self.npoints))
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "iterations", iterations)
 
 
 @dataclass(frozen=True)
@@ -174,16 +177,13 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     a state-space realization) and all three frequency responses on a log
     grid; attach comparison metrics and a stability flag.
 
-    Invalid configuration raises ParamError before any stage runs.  Stage
-    failures re-raise as PipelineStageError tagged "nilt", "fit" or
-    "conversion" (the bilinear map and the continuous model's impulse
-    response, which overflows for poles far in the right half-plane).
+    The request was validated on construction.  Stage failures re-raise
+    as PipelineStageError tagged "nilt", "fit" or "conversion" (the
+    bilinear map and the continuous model's impulse response, which
+    overflows for poles far in the right half-plane).
     """
     p = req.params
     dt = req.tm / req.m
-    nilt_cfg = NiltConfig(tm=req.tm, m=req.m, acceleration="qd")
-    fit_cfg = FitConfig(nb=req.norder, na=req.norder,
-                        iterations=req.iterations)
 
     wmax = req.wmax
     nyq = NYQUIST_MARGIN * math.pi / dt
@@ -195,13 +195,13 @@ def irid_fcoi(req: IridRequest) -> IridResult:
             raise ParamError("wmin exceeds the clamped Nyquist band")
 
     try:
-        h_ref = nilt(lambda s: cfoi_transfer(p, s), nilt_cfg)
+        h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
     except IridError as exc:
         raise PipelineStageError("nilt", exc) from exc
 
     scaled = TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values)
     try:
-        gd = stmcb_fit(scaled, fit_cfg)
+        gd = stmcb_fit(scaled, req.norder, req.norder, req.iterations)
     except IridError as exc:
         raise PipelineStageError("fit", exc) from exc
 

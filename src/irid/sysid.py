@@ -10,38 +10,31 @@ continuous one of the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, _allpole, poly_eval)
+                  TimeSeries, _allpole)
 
-__all__ = ["FitConfig", "prony_init", "stmcb_fit", "bilinear_d2c"]
+__all__ = ["prony_init", "stmcb_fit", "bilinear_d2c"]
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Model orders and iteration count for :func:`stmcb_fit`.
+def _check_orders(nb: int, na: int) -> None:
+    if nb < 0:
+        raise ParamError(f"nb must be >= 0, got {nb!r}")
+    if na < 1:
+        raise ParamError(f"na must be >= 1, got {na!r}")
 
-    nb: numerator degree (nb + 1 coefficients); na: denominator degree.
-    """
 
-    nb: int
-    na: int
-    iterations: int = 5
-
-    def __post_init__(self):
-        if int(self.nb) < 0:
-            raise ParamError(f"nb must be >= 0, got {self.nb!r}")
-        if int(self.na) < 1:
-            raise ParamError(f"na must be >= 1, got {self.na!r}")
-        if int(self.iterations) < 1:
-            raise ParamError(f"iterations must be >= 1, got {self.iterations!r}")
-        object.__setattr__(self, "nb", int(self.nb))
-        object.__setattr__(self, "na", int(self.na))
-        object.__setattr__(self, "iterations", int(self.iterations))
+def _check_fit(n: int, nb: int, na: int, iterations: int) -> None:
+    """Raise ParamError unless :func:`stmcb_fit` can fit a (nb, na) model
+    to ``n`` samples in ``iterations`` passes."""
+    _check_orders(nb, na)
+    if iterations < 1:
+        raise ParamError(f"iterations must be >= 1, got {iterations!r}")
+    if n < 3 * (nb + na):
+        raise ParamError(f"need at least {3 * (nb + na)} samples, got {n}")
 
 
 def _lstsq(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -74,8 +67,7 @@ def prony_init(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     (each predicted from the previous na); the numerator from the first
     nb + 1 terms of the convolution identity b = a * h.
     """
-    if nb < 0 or na < 1:
-        raise ParamError("need nb >= 0 and na >= 1")
+    _check_orders(nb, na)
     y = h.values
     n = len(y)
     if n < nb + na + 2:
@@ -87,9 +79,14 @@ def prony_init(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     return DiscreteTransferFunction(b, a, h.dt)
 
 
-def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
+def stmcb_fit(h: TimeSeries, nb: int, na: int,
+              iterations: int = 5) -> DiscreteTransferFunction:
     """Fit a discrete rational model to an impulse response by
     Steiglitz-McBride iteration.
+
+    ``nb`` and ``na`` are the numerator and denominator degrees (nb >= 0,
+    na >= 1) and ``iterations`` the number of passes (>= 1); at least
+    3*(nb + na) samples are needed, else ParamError.
 
     Starting from :func:`prony_init`, each pass filters the data and the
     unit impulse together, as two columns of one triangular solve, through
@@ -104,11 +101,9 @@ def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
     outside the unit circle, and the stability flag is left to the caller
     (see :func:`irid.lti.is_stable_discrete`).
     """
-    nb, na = cfg.nb, cfg.na
     y = h.values
     n = len(y)
-    if n < 3 * (nb + na):
-        raise ParamError(f"need at least {3 * (nb + na)} samples, got {n}")
+    _check_fit(n, nb, na, iterations)
     init = prony_init(h, nb, na)
     a, b = init.den, init.num
     # columns: the data and the unit impulse
@@ -117,7 +112,7 @@ def stmcb_fit(h: TimeSeries, cfg: FitConfig) -> DiscreteTransferFunction:
     data[0, 1] = 1.0
     # regression matrix [-lagged h_f | lagged delta_f], rewritten each pass
     mat = np.empty((n, na + nb + 1), order="F")
-    for it in range(cfg.iterations):
+    for it in range(iterations):
         hf, xf = _allpole(a, data).T
         if not (np.all(np.isfinite(hf)) and np.all(np.isfinite(xf))):
             raise EvaluationError(f"prefiltered data overflowed "
@@ -145,7 +140,7 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     z = -1 maps a pole to infinity and is rejected.
     """
     ts = g.ts
-    den_at_minus1 = poly_eval(g.den, -1.0)
+    den_at_minus1 = np.polyval(g.den, -1.0)
     if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in g.den):
         raise EvaluationError("discrete denominator has a root at z = -1")
 

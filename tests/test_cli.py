@@ -46,8 +46,9 @@ def test_no_svg_flag(tmp_path):
     (("--points", "1"), "npoints must be >= 2"),
     (("--wmin", "200"), "need 0 < wmin < wmax"),
     (("--wgc", "0"), "wgc must be positive"),
+    (("--norder", "11", "--samples", "64"), "need at least 66 samples"),
 ], ids=["lambda", "samples", "iters0", "iters-3", "norder0", "points1",
-        "wmin200", "wgc0"])
+        "wmin200", "wgc0", "norder11"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err

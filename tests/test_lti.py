@@ -11,7 +11,7 @@ from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                       FrequencyGrid, FrequencyResponseSeries, TimeSeries,
                       _allpole, continuous_freq_response, continuous_impulse,
                       discrete_freq_response, discrete_impulse,
-                      is_stable_discrete, poly_eval, poly_roots)
+                      is_stable_discrete)
 
 
 def tf_d(num, den, ts=1.0):
@@ -23,9 +23,8 @@ def tf_c(num, den):
 
 
 class TestPolynomial:
-    """Coefficient vectors: checked by the transfer-function constructors
-    and poly_roots, trimmed by poly_roots and continuous_impulse,
-    evaluated by poly_eval."""
+    """Coefficient vectors: checked by the transfer-function constructors,
+    trimmed by continuous_impulse."""
 
     def test_empty_rejected(self):
         with pytest.raises(ParamError, match="at least one coefficient"):
@@ -44,11 +43,8 @@ class TestPolynomial:
             tf_d([1.0, math.nan], [1.0])
         with pytest.raises(ParamError, match="finite"):
             tf_c([1.0], [1.0, math.inf])
-        with pytest.raises(ParamError, match="finite"):
-            poly_roots([1.0, math.nan])
 
     def test_normalize_strips_leading_zeros(self):
-        assert poly_roots([0.0, 0.0, 3.0, 1.0]) == pytest.approx([-1.0 / 3.0])
         # the numerator trims to [1], so g = 1/(s+1) is proper
         ts = continuous_impulse(tf_c([0.0, 0.0, 1.0], [1.0, 1.0]), 0.1, 20)
         np.testing.assert_allclose(ts.values, np.exp(-ts.times),
@@ -57,54 +53,6 @@ class TestPolynomial:
     def test_normalize_keeps_zero_polynomial(self):
         ts = continuous_impulse(tf_c([0.0, 0.0, 0.0], [1.0, 1.0]), 0.1, 4)
         assert list(ts.values) == [0.0] * 4
-        with pytest.raises(ParamError, match="degree >= 1"):
-            poly_roots([0.0, 0.0])
-
-    def test_eval_quadratic(self):
-        assert poly_eval([1, 0, -1], 2.0) == 3.0
-
-    def test_eval_constant(self):
-        assert poly_eval([5], 123.4 + 5j) == 5.0
-
-    def test_eval_at_root(self):
-        assert poly_eval([1, -3, 2], 1.0) == 0.0
-
-
-class TestPolyRoots:
-    def test_square_minus_one(self):
-        roots = sorted(poly_roots([1, 0, -1]).real)
-        assert roots == pytest.approx([-1.0, 1.0])
-
-    def test_factored_quadratic(self):
-        roots = sorted(poly_roots([1, -3, 2]).real)
-        assert roots == pytest.approx([1.0, 2.0])
-
-    def test_constant_raises(self):
-        with pytest.raises(ParamError, match="degree >= 1"):
-            poly_roots([5.0])
-
-    def test_stripped_to_constant_raises(self):
-        with pytest.raises(ParamError, match="degree >= 1"):
-            poly_roots([0.0, 5.0])
-
-    def test_degree_five_known_roots(self):
-        truth = [0.1, 0.3, -0.5, 0.2 + 0.4j, 0.2 - 0.4j]
-        coeffs = np.real(np.poly(truth))
-        got = sorted(poly_roots(coeffs), key=lambda r: (r.real, r.imag))
-        want = sorted(truth, key=lambda r: (complex(r).real, complex(r).imag))
-        for g, w in zip(got, want):
-            assert abs(g - w) < 1e-6
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=2,
-                    max_size=9).filter(lambda c: abs(c[0]) > 1e-6))
-    def test_residual_bound(self, coeffs):
-        roots = poly_roots(coeffs)
-        scale = max(abs(c) for c in coeffs)
-        deg = len(coeffs) - 1
-        for r in roots:
-            bound = 1e-8 * scale * max(1.0, abs(r)) ** deg
-            assert abs(poly_eval(coeffs, r)) <= bound
 
 
 class TestTransferFunctionTypes:
@@ -310,7 +258,7 @@ class TestFrequencyResponses:
         fr = discrete_freq_response(g, grid)
         for w, got in zip(grid.omegas, fr.response):
             z = np.exp(1j * w * g.ts)
-            want = poly_eval(g.num, z) / poly_eval(g.den, z)
+            want = np.polyval(g.num, z) / np.polyval(g.den, z)
             assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_warns_above_nyquist(self):

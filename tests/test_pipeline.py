@@ -12,6 +12,7 @@ from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries)
 from irid.pipeline import (IridRequest, compare_frequency, compare_impulse,
                            irid_fcoi, write_outputs)
+from irid.sysid import stmcb_fit
 
 
 @pytest.fixture(scope="module")
@@ -99,17 +100,16 @@ class TestRequestValidation:
 
     @pytest.mark.parametrize("kw,match", [
         (dict(iterations=0), "iterations must be >= 1"),
+        (dict(iterations=-3), "iterations must be >= 1"),
         (dict(m=1000), "power of two"),
-    ], ids=["iterations", "samples"])
-    def test_config_rejected_before_any_stage(self, kw, match, monkeypatch):
-        def no_stage(*args):
-            raise AssertionError("a stage ran")
-
-        monkeypatch.setattr(irid.pipeline, "nilt", no_stage)
-        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
-                          wmin=0.01, wmax=100.0, norder=5, **kw)
+        (dict(m=32), ">= 64"),
+    ], ids=["iterations", "iterations-3", "samples", "samples32"])
+    def test_config_rejected_before_any_stage(self, kw, match):
+        # the request itself raises, so no stage can be reached
+        fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                      wmin=0.01, wmax=100.0, norder=5)
         with pytest.raises(ParamError, match=match):
-            irid_fcoi(req)
+            IridRequest(**{**fields, **kw})
 
 
 class TestIridFcoi:
@@ -157,13 +157,20 @@ class TestIridFcoi:
             res = irid_fcoi(req)
         assert res.f_ref.grid.omegas[-1] <= 0.9 * math.pi / (2.0 / 64)
 
-    def test_fit_stage_failure_is_labelled(self):
-        # 3*(nb+na) exceeds the available samples
+    def test_fit_stage_failure_is_labelled(self, monkeypatch):
+        # a valid request cannot ask for too few samples any more, so the
+        # real fit is handed data it cannot use: all zeros
+        def fit(h, nb, na, iterations):
+            zeros = TimeSeries(h.t0, h.dt, np.zeros(len(h)))
+            return stmcb_fit(zeros, nb, na, iterations)
+
+        monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
         req = IridRequest(params=CfoiParams(1.0, 0.0, 1.0), tm=2.0,
-                          wmin=0.1, wmax=10.0, norder=11, m=64, npoints=20)
+                          wmin=0.1, wmax=10.0, norder=5, m=64, npoints=20)
         with pytest.raises(PipelineStageError) as err:
             irid_fcoi(req)
         assert err.value.stage == "fit"
+        assert isinstance(err.value.cause, EvaluationError)
 
     @pytest.mark.parametrize("mu", [-0.4, -0.2])
     def test_continuous_impulse_matches_residues(self, mu):
@@ -184,7 +191,7 @@ class TestIridFcoi:
     def test_continuous_impulse_overflow_is_labelled(self, monkeypatch):
         # a discrete pole at z = -1.01 maps to s = +402/ts, whose response
         # overflows long before t = tm
-        def fit(h, cfg):
+        def fit(h, nb, na, iterations):
             return DiscreteTransferFunction([1.0, 0.0], [1.0, 1.01], h.dt)
 
         monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
