@@ -16,6 +16,6 @@ from .nilt import nilt
 from .pipeline import (ComparisonMetrics, IridRequest, IridResult,
                        ModelErrors, compare_frequency, compare_impulse,
                        format_summary, irid_fcoi, write_outputs)
-from .sysid import bilinear_d2c, prony_init, stmcb_fit
+from .sysid import bilinear_d2c, stmcb_fit
 
 __version__ = "0.1.0"

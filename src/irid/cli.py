@@ -39,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 1024)")
     parser.add_argument("--points", type=int, default=200,
                         help="frequency grid size (default 200)")
-    parser.add_argument("--iters", type=int, default=5,
-                        help="fit iteration count (default 5)")
     parser.add_argument("--out-dir", default="out",
                         help="output directory (default ./out)")
     parser.add_argument("--no-svg", action="store_true",
@@ -64,7 +62,6 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             params=CfoiParams(lam=args.lam, mu=args.mu, wgc=args.wgc),
             tm=args.tm, wmin=args.wmin, wmax=args.wmax,
             norder=args.norder, m=args.samples, npoints=args.points,
-            iterations=args.iters,
         )
         result = irid_fcoi(request)
         paths = write_outputs(result, args.out_dir, svg=not args.no_svg)

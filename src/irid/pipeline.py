@@ -48,15 +48,23 @@ VALIDATED_WINDOW = 0.8
 NYQUIST_MARGIN = 0.9
 
 
+def _band_limit(tm: float, m: int) -> float:
+    """Highest band frequency for window tm and m samples: NYQUIST_MARGIN
+    times the Nyquist rate pi/dt, dt = tm/m."""
+    return NYQUIST_MARGIN * math.pi / (tm / m)
+
+
 @dataclass(frozen=True)
 class IridRequest:
     """One discretization job.
 
     The sample period is always derived as dt = tm/m.  The frequency band
-    [wmin, wmax] is clamped below the Nyquist rate (with a warning) since
-    the discrete model is meaningless above it.  Every field is checked on
-    construction, with the rules of the stage that uses it, so an invalid
-    request raises ParamError before any numerical work.
+    [wmin, wmax] must start below 0.9x the Nyquist rate; ``irid_fcoi``
+    clamps wmax to that limit (with a warning) since the discrete model is
+    meaningless above it.  The fit makes five Steiglitz-McBride passes.
+    Every field is checked on construction, with the rules of the stage
+    that uses it, so an invalid request raises ParamError before any
+    numerical work.
     """
 
     params: CfoiParams
@@ -66,25 +74,27 @@ class IridRequest:
     norder: int
     m: int = 1024
     npoints: int = 200
-    iterations: int = 5
 
     def __post_init__(self):
         tm, m = _check_window(self.tm, self.m)
         if not (0.0 < self.wmin < self.wmax):
             raise ParamError("need 0 < wmin < wmax")
-        norder, iterations = int(self.norder), int(self.iterations)
+        limit = _band_limit(tm, m)
+        if not self.wmin < limit:
+            raise ParamError(f"wmin must be below {NYQUIST_MARGIN:g}x the "
+                             f"Nyquist rate, {limit:g} rad/s")
+        norder = int(self.norder)
         if norder < 1:
             raise ParamError(f"norder must be >= 1, got {self.norder!r}")
         if int(self.npoints) < 2:
             raise ParamError(f"npoints must be >= 2, got {self.npoints!r}")
-        _check_fit(m, norder, norder, iterations)
+        _check_fit(m, norder, norder)
         object.__setattr__(self, "tm", tm)
         object.__setattr__(self, "wmin", float(self.wmin))
         object.__setattr__(self, "wmax", float(self.wmax))
         object.__setattr__(self, "norder", norder)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "npoints", int(self.npoints))
-        object.__setattr__(self, "iterations", iterations)
 
 
 @dataclass(frozen=True)
@@ -186,13 +196,11 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     dt = req.tm / req.m
 
     wmax = req.wmax
-    nyq = NYQUIST_MARGIN * math.pi / dt
+    nyq = _band_limit(req.tm, req.m)
     if wmax > nyq:
         warnings.warn(f"wmax={wmax:g} rad/s exceeds {nyq:g}; clamping to it",
                       stacklevel=2)
         wmax = nyq
-        if not req.wmin < wmax:
-            raise ParamError("wmin exceeds the clamped Nyquist band")
 
     try:
         h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
@@ -201,7 +209,7 @@ def irid_fcoi(req: IridRequest) -> IridResult:
 
     scaled = TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values)
     try:
-        gd = stmcb_fit(scaled, req.norder, req.norder, req.iterations)
+        gd = stmcb_fit(scaled, req.norder, req.norder)
     except IridError as exc:
         raise PipelineStageError("fit", exc) from exc
 

@@ -40,15 +40,13 @@ def test_no_svg_flag(tmp_path):
 @pytest.mark.parametrize("flags,fragment", [
     (("--lambda", "3"), "(0, 2)"),
     (("--samples", "100"), "power of two"),
-    (("--iters", "0"), "iterations must be >= 1"),
-    (("--iters", "-3"), "iterations must be >= 1"),
     (("--norder", "0"), "norder must be >= 1"),
     (("--points", "1"), "npoints must be >= 2"),
     (("--wmin", "200"), "need 0 < wmin < wmax"),
     (("--wgc", "0"), "wgc must be positive"),
     (("--norder", "11", "--samples", "64"), "need at least 66 samples"),
-], ids=["lambda", "samples", "iters0", "iters-3", "norder0", "points1",
-        "wmin200", "wgc0", "norder11"])
+], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
+        "norder11"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err

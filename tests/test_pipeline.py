@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,11 +101,10 @@ class TestRequestValidation:
                         wmin=0.01, wmax=100.0, norder=0)
 
     @pytest.mark.parametrize("kw,match", [
-        (dict(iterations=0), "iterations must be >= 1"),
-        (dict(iterations=-3), "iterations must be >= 1"),
         (dict(m=1000), "power of two"),
         (dict(m=32), ">= 64"),
-    ], ids=["iterations", "iterations-3", "samples", "samples32"])
+        (dict(tm=20.0, wmin=10.0, m=64), "below 0.9x the Nyquist rate"),
+    ], ids=["samples", "samples32", "wmin-nyquist"])
     def test_config_rejected_before_any_stage(self, kw, match):
         # the request itself raises, so no stage can be reached
         fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
@@ -160,9 +161,9 @@ class TestIridFcoi:
     def test_fit_stage_failure_is_labelled(self, monkeypatch):
         # a valid request cannot ask for too few samples any more, so the
         # real fit is handed data it cannot use: all zeros
-        def fit(h, nb, na, iterations):
+        def fit(h, nb, na):
             zeros = TimeSeries(h.t0, h.dt, np.zeros(len(h)))
-            return stmcb_fit(zeros, nb, na, iterations)
+            return stmcb_fit(zeros, nb, na)
 
         monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
         req = IridRequest(params=CfoiParams(1.0, 0.0, 1.0), tm=2.0,
@@ -191,7 +192,7 @@ class TestIridFcoi:
     def test_continuous_impulse_overflow_is_labelled(self, monkeypatch):
         # a discrete pole at z = -1.01 maps to s = +402/ts, whose response
         # overflows long before t = tm
-        def fit(h, nb, na, iterations):
+        def fit(h, nb, na):
             return DiscreteTransferFunction([1.0, 0.0], [1.0, 1.01], h.dt)
 
         monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
@@ -211,6 +212,26 @@ class TestIridFcoi:
                           wmin=0.01, wmax=100.0, norder=5)
         res = irid_fcoi(req)
         assert res.metrics.discrete.impulse_rel_l2 <= 0.05
+
+
+class TestFitQualitySweep:
+    def test_m256_lattice(self):
+        # the m=256 half of the benchmark's domain_sweep lattice, 405
+        # requests; a good fit has a discrete impulse relative L2 below 0.1
+        # on [dt, 0.8*tm].  Orders 5 and 8 fit everywhere; order 2 cannot
+        # follow every integrator.
+        good = {2: 0, 5: 0, 8: 0}
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
+            for lam, mu, wgc, tm, norder in itertools.product(
+                    (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
+                    (0.1, 1.0, 10.0), (0.5, 2.0, 20.0), (2, 5, 8)):
+                req = IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
+                                  wmin=0.01, wmax=100.0, norder=norder, m=256)
+                res = irid_fcoi(req)
+                good[norder] += res.metrics.discrete.impulse_rel_l2 < 0.1
+        assert good[5] == good[8] == 135
+        assert good[2] >= 112
 
 
 class TestWriteOutputs:
