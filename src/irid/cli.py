@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -49,7 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Parse flags, run the pipeline, write outputs, print the summary.
 
-    Exit codes: 0 success, 2 invalid input, 1 computation failure.
+    Exit codes: 0 success, 2 invalid input, 1 computation failure.  A
+    standard output closed early (``irid-cfoi ... | head -1``) is not a
+    failure: the artifacts are written before the summary is printed, so
+    the rest of the summary is dropped, output goes to os.devnull from
+    then on, and the exit code stays 0.
     """
     parser = build_parser()
     try:
@@ -72,10 +77,16 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(format_summary(result))
-    print("  wrote:")
-    for path in paths:
-        print(f"    {path}")
+    try:
+        print(format_summary(result))
+        print("  wrote:")
+        for path in paths:
+            print(f"    {path}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 0
 
 

@@ -3,8 +3,11 @@
 The Steiglitz-McBride iteration fits numerator and denominator by linear
 least squares on data filtered through the previous pass's all-pole filter
 1/A(z).  It starts from A(z) = 1, so its first pass is the plain
-equation-error fit.  A bilinear (Tustin) substitution converts the fitted
-discrete model to a continuous one of the same order.
+equation-error fit.  Each pass solves its least-squares problem by one
+Householder QR of [regression | data], then a minimum-norm solve of the
+small triangular factor R with the eps*n rank rule.  A bilinear (Tustin)
+substitution converts the fitted discrete model to a continuous one of the
+same order.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
@@ -55,11 +59,18 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     Starting from A(z) = 1, each of five passes filters the data and the
     unit impulse together, as two columns of one triangular solve, through
     1/A(z) of the previous pass (zero initial state), then solves one joint
-    least-squares problem (SVD, minimum-norm when rank-deficient) for all
-    numerator coefficients and the trailing denominator coefficients (a0
-    pinned at one), minimizing ||A(z)*h_f - B(z)*delta_f|| over all
-    samples.  The first pass filters through 1/1, so it is the
-    equation-error fit.  The last pass's model is returned.
+    least-squares problem for all numerator coefficients and the trailing
+    denominator coefficients (a0 pinned at one), minimizing
+    ||A(z)*h_f - B(z)*delta_f|| over all samples.  The solve is one
+    Householder QR (LAPACK geqrf) of the n-by-(k + 1) matrix
+    [regression | data], k = na + nb + 1, which leaves R in its top k-by-k
+    block and (Q^T h_f)[:k] above it in the last column; then the
+    minimum-norm solution of that k-by-k triangular system with the eps*n
+    rank rule, the rule ``np.linalg.lstsq`` applies to the full regression
+    matrix.  A rank-deficient (overparameterized) fit therefore gets the
+    same minimum-norm answer as a full-matrix solve.  The first pass
+    filters through 1/1, so it is the equation-error fit.  The last pass's
+    model is returned.
 
     Noiseless data from a model inside the (nb, na) class is recovered to
     roundoff; the iteration is then a fixed point.  No stabilization is
@@ -77,19 +88,26 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     data = np.zeros((n, 2), order="F")
     data[:, 0] = y
     data[0, 1] = 1.0
-    # regression matrix [-lagged h_f | lagged delta_f], rewritten each pass
-    mat = np.empty((n, na + nb + 1), order="F")
+    k = na + nb + 1
+    # [-lagged h_f | lagged delta_f | h_f], rewritten each pass
+    mat = np.empty((n, k + 1), order="F")
+    # lstsq's default rank rule for the full n-by-k matrix (n > k)
+    rcond = np.finfo(float).eps * n
     for it in range(_PASSES):
         hf, xf = _allpole(a, data).T
         if not (np.all(np.isfinite(hf)) and np.all(np.isfinite(xf))):
             raise EvaluationError(f"prefiltered data overflowed "
                                   f"(iteration {it})")
-        # negated after lagging: the -0.0 prehistory sets lstsq's
-        # Householder signs, so negating hf first changes the fit's last bits
+        # negated after lagging: the -0.0 in row 0 sets the sign of
+        # dgeqrf's first reflector, so negating hf first changes last bits
         lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
         np.negative(lagged_hf, out=lagged_hf)
-        _lagged(xf, range(0, nb + 1), out=mat[:, na:])
-        sol, _, _, _ = np.linalg.lstsq(mat, hf, rcond=None)
+        _lagged(xf, range(0, nb + 1), out=mat[:, na:k])
+        mat[:, k] = hf
+        # R of the regression and (Q^T h_f)[:k] in one Householder QR
+        qr, _, _, _ = dgeqrf(mat, overwrite_a=1)
+        sol, _, _, _ = np.linalg.lstsq(np.triu(qr[:k, :k]), qr[:k, k],
+                                       rcond=rcond)
         if not np.all(np.isfinite(sol)):
             raise EvaluationError(f"least-squares solution is non-finite "
                                   f"(iteration {it})")

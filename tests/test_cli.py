@@ -73,3 +73,27 @@ def test_cold_import_leaves_out_heavy_scipy_modules():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_zero(tmp_path):
+    # stdout is a pipe whose read end is already closed, as after
+    # `irid-cfoi ... | head -1`: printing the summary hits EPIPE after the
+    # artifacts are written
+    out_dir = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "irid", "--lambda", "1.5", "--mu", "-0.4",
+             "--wgc", "1", "--tm", "2", "--samples", "128",
+             "--out-dir", str(out_dir)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    for name in ("impulse.csv", "freq.csv", "coeffs.json", "summary.txt",
+                 "impulse.svg", "freq.svg"):
+        assert (out_dir / name).exists()

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irid.errors import EvaluationError, ParamError
-from irid.lti import DiscreteTransferFunction, TimeSeries, discrete_impulse
-from irid.sysid import bilinear_d2c, stmcb_fit
+from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
+                      discrete_impulse)
+from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
 
 
 def impulse_of(num, den, n, ts=1.0):
@@ -17,6 +18,26 @@ def impulse_of(num, den, n, ts=1.0):
 
 def regenerate(g: DiscreteTransferFunction, n: int) -> np.ndarray:
     return discrete_impulse(g, n).values
+
+
+def full_matrix_stmcb(h: TimeSeries, nb: int, na: int):
+    """Reference fit: five passes, each solving with np.linalg.lstsq on the
+    whole n-by-(na + nb + 1) regression matrix."""
+    n = len(h.values)
+    data = np.zeros((n, 2), order="F")
+    data[:, 0] = h.values
+    data[0, 1] = 1.0
+    mat = np.empty((n, na + nb + 1), order="F")
+    a = np.ones(1)
+    for _ in range(5):
+        hf, xf = _allpole(a, data).T
+        lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
+        np.negative(lagged_hf, out=lagged_hf)
+        _lagged(xf, range(0, nb + 1), out=mat[:, na:])
+        sol, _, _, _ = np.linalg.lstsq(mat, hf, rcond=None)
+        a = np.concatenate(([1.0], sol[:na]))
+        b = sol[na:]
+    return DiscreteTransferFunction(b, a, h.dt)
 
 
 class TestFitConfig:
@@ -51,6 +72,25 @@ class TestStmcb:
         h = impulse_of([1.0, 0.4], [1.0, -0.9, 0.2], 200)
         g = stmcb_fit(h, 3, 4)
         assert np.max(np.abs(regenerate(g, 200) - h.values)) <= 1e-8
+
+    def test_matches_full_matrix_lstsq(self):
+        # full rank: noisy data, fitted in its own class
+        rng = np.random.default_rng(7)
+        clean = impulse_of([1.0, 0.5, -0.3], [1.0, -1.2, 0.6, -0.1], 200)
+        h = TimeSeries(0.0, 1.0, clean.values + 1e-3 * rng.normal(size=200))
+        g, ref = stmcb_fit(h, 2, 3), full_matrix_stmcb(h, 2, 3)
+        np.testing.assert_allclose(g.num, ref.num, rtol=1e-9)
+        np.testing.assert_allclose(g.den, ref.den, rtol=1e-9)
+        # rank-deficient: exact (1, 2) data fitted at (3, 4), where the
+        # regression has a null space and only the minimum-norm solution
+        # is unique
+        h = impulse_of([1.0, 0.4], [1.0, -0.9, 0.2], 200)
+        g, ref = stmcb_fit(h, 3, 4), full_matrix_stmcb(h, 3, 4)
+        assert np.max(np.abs(regenerate(g, 200) - regenerate(ref, 200))) \
+            <= 1e-8
+        norm = np.linalg.norm(np.concatenate((g.den[1:], g.num)))
+        ref_norm = np.linalg.norm(np.concatenate((ref.den[1:], ref.num)))
+        assert norm == pytest.approx(ref_norm, rel=1e-6)
 
     def test_insufficient_data(self):
         h = TimeSeries(0.0, 1.0, np.ones(10))
