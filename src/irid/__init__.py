@@ -5,8 +5,7 @@ pipeline with comparison reports."""
 
 from .cfoi import (CfoiParams, cfoi_analytic_impulse, cfoi_freq_grid,
                    cfoi_freq_response, cfoi_transfer, gamma_complex)
-from .errors import (EvaluationError, IoError, IridError, ParamError,
-                     PipelineStageError)
+from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
                   continuous_freq_response, continuous_impulse,

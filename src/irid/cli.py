@@ -50,11 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Parse flags, run the pipeline, write outputs, print the summary.
 
-    Exit codes: 0 success, 2 invalid input, 1 computation failure.  A
-    standard output closed early (``irid-cfoi ... | head -1``) is not a
-    failure: the artifacts are written before the summary is printed, so
-    the rest of the summary is dropped, output goes to os.devnull from
-    then on, and the exit code stays 0.
+    Exit codes: 0 success, 2 invalid input, 1 computation failure or a
+    file that could not be written.  A standard output closed early
+    (``irid-cfoi ... | head -1``) is not a failure: the artifacts are
+    written before the summary is printed, so the rest of the summary is
+    dropped, output goes to os.devnull from then on, and the exit code
+    stays 0.
     """
     parser = build_parser()
     try:
@@ -73,7 +74,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IridError as exc:
+    except (IridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

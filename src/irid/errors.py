@@ -1,15 +1,15 @@
 """Exception types shared across the package.
 
-Five classes, one per builtin family: ``ParamError`` for invalid input
-(arguments, request fields, too little data),
+Four classes, one per builtin family: ``ParamError`` for invalid input
+(arguments, request fields, an empty output path, too little data),
 ``EvaluationError`` for a computation that broke down (a vanishing
 denominator, a degenerate least-squares system, a non-finite value or
 iterate, a pole at z = -1 under the bilinear map, a magnitude below the
-dB scale), ``IoError`` for failed file output and ``PipelineStageError``
-for any of these raised inside a pipeline stage.  All derive from
-``IridError``.  The command line exits 2 on a ``ParamError``, which
-request checks raise before any stage runs, and 1 on any other
-``IridError``.
+dB scale) and ``PipelineStageError`` for either raised inside a pipeline
+stage.  All derive from ``IridError``.  File output raises the builtin
+OSError, which names the path.  The command line exits 2 on a
+``ParamError``, which request checks raise before any stage runs, and 1
+on any other ``IridError`` or an OSError.
 """
 
 
@@ -25,10 +25,6 @@ class ParamError(IridError, ValueError):
 class EvaluationError(IridError, ArithmeticError):
     """A computation broke down: a denominator vanished, a system was
     singular, or a value or iterate came out NaN or Inf."""
-
-
-class IoError(IridError, OSError):
-    """File output failed; the message carries the offending path."""
 
 
 class PipelineStageError(IridError, RuntimeError):

@@ -139,13 +139,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.values))
 
-    def sliced(self, mask: np.ndarray) -> "TimeSeries":
-        """Restrict to a boolean mask that keeps a contiguous prefix."""
-        idx = np.flatnonzero(mask)
-        if idx.size == 0 or idx[0] != 0 or idx[-1] != idx.size - 1:
-            raise ParamError("mask must select a non-empty prefix")
-        return TimeSeries(self.t0, self.dt, self.values[mask])
-
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:

@@ -60,25 +60,20 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
     series is rational of lower order, in which case the prefix already
     represents it exactly.
     """
-    terms = len(d)
-    p = (terms - 1) // 2
+    p = (len(d) - 1) // 2
     if abs(d[0]) == 0.0:
         return np.zeros(1, dtype=complex)
     dtype = np.promote_types(d.dtype, np.complex128)
-    q = np.zeros((terms, p + 1), dtype=dtype)
-    e = np.zeros((terms, p + 1), dtype=dtype)
+    cf = np.zeros(2 * p + 1, dtype=dtype)
+    cf[0] = d[0]
+    # rhombus rules, one q column and one e column at a time
     with np.errstate(all="ignore"):
-        q[: terms - 1, 1] = d[1:] / d[:-1]
+        q = (d[1:] / d[:-1]).astype(dtype)
+        e = np.zeros(len(q), dtype=dtype)
         for r in range(1, p + 1):
-            for i in range(2 * (p - r) + 1):
-                e[i, r] = q[i + 1, r] - q[i, r] + e[i + 1, r - 1]
-            if r < p:
-                for i in range(2 * (p - r)):
-                    q[i, r + 1] = q[i + 1, r] * e[i + 1, r] / e[i, r]
-        cf = np.zeros(2 * p + 1, dtype=dtype)
-        cf[0] = d[0]
-        cf[1::2] = -q[0, 1:]
-        cf[2::2] = -e[0, 1:]
+            e = q[1:] - q[:-1] + e[1:len(q)]
+            cf[2 * r - 1], cf[2 * r] = -q[0], -e[0]
+            q = q[1:-1] * e[1:] / e[:-1]
         cf = cf.astype(complex)
     bad = ~np.isfinite(cf)
     if bad.any():
@@ -110,13 +105,25 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
     return F
 
 
+def _count(name: str, x) -> int:
+    """``x`` as an int; raises ParamError unless it is an integral number
+    (an integral float or a numpy integer is accepted, 5.7 or "5" not)."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ParamError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
     """``(tm, m)`` as float and int; raises ParamError unless tm is
     positive and finite and m is a power of two >= 64."""
     tm = float(tm)
     if not (math.isfinite(tm) and tm > 0.0):
         raise ParamError(f"tm must be positive and finite, got {tm!r}")
-    n = int(m)
+    n = _count("m", m)
     if n < 64 or (n & (n - 1)) != 0:
         raise ParamError(f"m must be a power of two >= 64, got {m!r}")
     return tm, n

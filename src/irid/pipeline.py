@@ -21,14 +21,13 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
-from .errors import (EvaluationError, IoError, IridError, ParamError,
-                     PipelineStageError)
+from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
-from .nilt import _check_window, nilt
+from .nilt import _check_window, _count, nilt
 from .sysid import _check_fit, bilinear_d2c, stmcb_fit
 
 __all__ = [
@@ -83,10 +82,11 @@ class IridRequest:
         if not self.wmin < limit:
             raise ParamError(f"wmin must be below {NYQUIST_MARGIN:g}x the "
                              f"Nyquist rate, {limit:g} rad/s")
-        norder = int(self.norder)
+        norder = _count("norder", self.norder)
         if norder < 1:
             raise ParamError(f"norder must be >= 1, got {self.norder!r}")
-        if int(self.npoints) < 2:
+        npoints = _count("npoints", self.npoints)
+        if npoints < 2:
             raise ParamError(f"npoints must be >= 2, got {self.npoints!r}")
         _check_fit(m, norder, norder)
         object.__setattr__(self, "tm", tm)
@@ -94,7 +94,9 @@ class IridRequest:
         object.__setattr__(self, "wmax", float(self.wmax))
         object.__setattr__(self, "norder", norder)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "npoints", int(self.npoints))
+        object.__setattr__(self, "npoints", npoints)
+        # the grid irid_fcoi builds, after its Nyquist clamp
+        FrequencyGrid.log_spaced(self.wmin, min(self.wmax, limit), npoints)
 
 
 @dataclass(frozen=True)
@@ -163,15 +165,13 @@ def compare_frequency(a: FrequencyResponseSeries,
     return mag_err, phase_err
 
 
-def _validated_mask(ts: TimeSeries, tm: float) -> np.ndarray:
-    return ts.times <= VALIDATED_WINDOW * tm * (1.0 + 1e-12)
-
-
-def _model_errors(ref_h: TimeSeries, mod_h: TimeSeries, tm: float,
+def _model_errors(ref_h: TimeSeries, mod_h: TimeSeries,
                   ref_f: FrequencyResponseSeries,
                   mod_f: FrequencyResponseSeries) -> ModelErrors:
-    mask = _validated_mask(ref_h, tm)
-    rel, mabs = compare_impulse(ref_h.sliced(mask), mod_h.sliced(mask))
+    # samples k*dt, k = 1..n, cover [dt, VALIDATED_WINDOW*tm]
+    n = int(VALIDATED_WINDOW * len(ref_h))
+    ref, mod = (TimeSeries(h.t0, h.dt, h.values[:n]) for h in (ref_h, mod_h))
+    rel, mabs = compare_impulse(ref, mod)
     mag, phase = compare_frequency(ref_f, mod_f)
     return ModelErrors(rel, mabs, mag, phase)
 
@@ -227,8 +227,8 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     f_c = continuous_freq_response(gc, grid)
 
     metrics = ComparisonMetrics(
-        discrete=_model_errors(h_ref, h_d, req.tm, f_ref, f_d),
-        continuous=_model_errors(h_ref, h_c, req.tm, f_ref, f_c),
+        discrete=_model_errors(h_ref, h_d, f_ref, f_d),
+        continuous=_model_errors(h_ref, h_c, f_ref, f_c),
     )
     stable, _ = is_stable_discrete(gd)
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
@@ -241,19 +241,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: str, columns: List[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv(header: str, columns: List[np.ndarray]) -> str:
+    rows = (",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
+    return header + "\n" + "".join(rows)
 
 
 _SVG_COLORS = ("#555555", "#c02020", "#2040c0")
 
 
-def _svg_chart(path: Path, x: np.ndarray, curves: List[np.ndarray],
-               labels: List[str], title: str, logx: bool = False) -> None:
+def _svg_chart(x: np.ndarray, curves: List[np.ndarray], labels: List[str],
+               title: str, logx: bool = False) -> str:
     width, height, pad = 720, 420, 50
     xv = np.log10(x) if logx else x
     ys = np.concatenate(curves)
@@ -296,85 +293,66 @@ def _svg_chart(path: Path, x: np.ndarray, curves: List[np.ndarray],
                      f'font-family="sans-serif" font-size="12" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def write_outputs(res: IridResult, out_dir: Union[str, Path],
                   svg: bool = True) -> List[Path]:
     """Write impulse.csv, freq.csv, coeffs.json, summary.txt and (unless
-    disabled) impulse.svg/freq.svg into ``out_dir``; returns the paths."""
+    disabled) impulse.svg/freq.svg into ``out_dir``, created if needed;
+    returns the paths in that order.  Raises ParamError for an empty
+    ``out_dir``, and the OSError, which names the path, of a failed
+    mkdir or write."""
     if not str(out_dir):
-        raise IoError("empty output directory path")
+        raise ParamError("empty output directory path")
+    coeffs = {
+        "discrete": {
+            "ts": res.gd.ts,
+            "num": res.gd.num.tolist(),
+            "den": res.gd.den.tolist(),
+        },
+        "continuous": {
+            "num": res.gc.num.tolist(),
+            "den": res.gc.den.tolist(),
+        },
+        "stable_discrete": res.stable,
+        "metrics": {
+            "discrete": asdict(res.metrics.discrete),
+            "continuous": asdict(res.metrics.continuous),
+        },
+    }
+    texts = {
+        "impulse.csv": _csv("t,h_cfoi,h_discrete,h_continuous",
+                            [res.h_ref.times, res.h_ref.values,
+                             res.h_d.values, res.h_c.values]),
+        "freq.csv": _csv("omega_rad_s,mag_db_cfoi,phase_deg_cfoi,"
+                         "mag_db_discrete,phase_deg_discrete,"
+                         "mag_db_continuous,phase_deg_continuous",
+                         [res.f_ref.grid.omegas,
+                          res.f_ref.magnitude_db(), res.f_ref.phase_deg(),
+                          res.f_d.magnitude_db(), res.f_d.phase_deg(),
+                          res.f_c.magnitude_db(), res.f_c.phase_deg()]),
+        "coeffs.json": json.dumps(coeffs, indent=2) + "\n",
+        "summary.txt": format_summary(res) + "\n",
+    }
+    if svg:
+        labels = ["exact", "discrete", "continuous"]
+        texts["impulse.svg"] = _svg_chart(
+            res.h_ref.times,
+            [res.h_ref.values, res.h_d.values, res.h_c.values],
+            labels, "impulse responses")
+        texts["freq.svg"] = _svg_chart(
+            res.f_ref.grid.omegas,
+            [res.f_ref.magnitude_db(), res.f_d.magnitude_db(),
+             res.f_c.magnitude_db()],
+            labels, "magnitude (dB) vs log10 omega", logx=True)
+
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out}: {exc}") from exc
-
-    written: List[Path] = []
-    try:
-        impulse_csv = out / "impulse.csv"
-        _write_csv(impulse_csv, "t,h_cfoi,h_discrete,h_continuous",
-                   [res.h_ref.times, res.h_ref.values, res.h_d.values,
-                    res.h_c.values])
-        written.append(impulse_csv)
-
-        freq_csv = out / "freq.csv"
-        _write_csv(freq_csv,
-                   "omega_rad_s,mag_db_cfoi,phase_deg_cfoi,"
-                   "mag_db_discrete,phase_deg_discrete,"
-                   "mag_db_continuous,phase_deg_continuous",
-                   [res.f_ref.grid.omegas,
-                    res.f_ref.magnitude_db(), res.f_ref.phase_deg(),
-                    res.f_d.magnitude_db(), res.f_d.phase_deg(),
-                    res.f_c.magnitude_db(), res.f_c.phase_deg()])
-        written.append(freq_csv)
-
-        coeffs = {
-            "discrete": {
-                "ts": res.gd.ts,
-                "num": res.gd.num.tolist(),
-                "den": res.gd.den.tolist(),
-            },
-            "continuous": {
-                "num": res.gc.num.tolist(),
-                "den": res.gc.den.tolist(),
-            },
-            "stable_discrete": res.stable,
-            "metrics": {
-                "discrete": asdict(res.metrics.discrete),
-                "continuous": asdict(res.metrics.continuous),
-            },
-        }
-        coeffs_json = out / "coeffs.json"
-        with open(coeffs_json, "w", newline="\n") as fh:
-            json.dump(coeffs, fh, indent=2)
-            fh.write("\n")
-        written.append(coeffs_json)
-
-        summary = out / "summary.txt"
-        with open(summary, "w", newline="\n") as fh:
-            fh.write(format_summary(res) + "\n")
-        written.append(summary)
-
-        if svg:
-            impulse_svg = out / "impulse.svg"
-            _svg_chart(impulse_svg, res.h_ref.times,
-                       [res.h_ref.values, res.h_d.values, res.h_c.values],
-                       ["exact", "discrete", "continuous"],
-                       "impulse responses")
-            written.append(impulse_svg)
-            freq_svg = out / "freq.svg"
-            _svg_chart(freq_svg, res.f_ref.grid.omegas,
-                       [res.f_ref.magnitude_db(), res.f_d.magnitude_db(),
-                        res.f_c.magnitude_db()],
-                       ["exact", "discrete", "continuous"],
-                       "magnitude (dB) vs log10 omega", logx=True)
-            written.append(freq_svg)
-    except OSError as exc:
-        raise IoError(f"failed writing outputs under {out}: {exc}") from exc
-    return written
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in texts]
+    for path, text in zip(paths, texts.values()):
+        path.write_text(text, newline="\n")
+    return paths
 
 
 def format_summary(res: IridResult) -> str:

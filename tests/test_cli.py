@@ -45,13 +45,24 @@ def test_no_svg_flag(tmp_path):
     (("--wmin", "200"), "need 0 < wmin < wmax"),
     (("--wgc", "0"), "wgc must be positive"),
     (("--norder", "11", "--samples", "64"), "need at least 66 samples"),
+    (("--out-dir", ""), "empty output directory path"),
 ], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
-        "norder11"])
+        "norder11", "out-dir-empty"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_dir_exits_1(tmp_path, capsys):
+    # an existing regular file cannot become the output directory
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert run(tmp_path, "--out-dir", str(blocker)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert "Traceback" not in err
 
 
 def test_missing_required_flag(capsys):

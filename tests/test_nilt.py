@@ -35,7 +35,9 @@ class TestConfig:
         (dict(tm=0.0, m=1024), "tm must be positive"),
         (dict(tm=10.0, m=1000), "power of two"),
         (dict(tm=10.0, m=32), ">= 64"),
-    ], ids=[f"kw{i}" for i in range(3)])
+        (dict(tm=10.0, m=256.7), "m must be an integer"),
+        (dict(tm=10.0, m="256"), "m must be an integer"),
+    ], ids=[f"kw{i}" for i in range(5)])
     def test_invalid(self, kw, match):
         def no_call(s):
             raise AssertionError("the transform was evaluated")

@@ -8,8 +8,7 @@ import pytest
 
 import irid.pipeline
 from irid.cfoi import CfoiParams
-from irid.errors import (EvaluationError, IoError, ParamError,
-                         PipelineStageError)
+from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries)
 from irid.pipeline import (IridRequest, compare_frequency, compare_impulse,
@@ -104,13 +103,27 @@ class TestRequestValidation:
         (dict(m=1000), "power of two"),
         (dict(m=32), ">= 64"),
         (dict(tm=20.0, wmin=10.0, m=64), "below 0.9x the Nyquist rate"),
-    ], ids=["samples", "samples32", "wmin-nyquist"])
+        (dict(wmin=1.0, wmax=1.0 + 1e-14, m=256), "strictly increasing"),
+        (dict(norder=5.7), "norder must be an integer"),
+        (dict(m=1024.5), "m must be an integer"),
+        (dict(m="1024"), "m must be an integer"),
+        (dict(npoints=200.9), "npoints must be an integer"),
+    ], ids=["samples", "samples32", "wmin-nyquist", "narrow-band",
+            "norder-fraction", "samples-fraction", "samples-str",
+            "points-fraction"])
     def test_config_rejected_before_any_stage(self, kw, match):
         # the request itself raises, so no stage can be reached
         fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                       wmin=0.01, wmax=100.0, norder=5)
         with pytest.raises(ParamError, match=match):
             IridRequest(**{**fields, **kw})
+
+    def test_integral_counts_accepted(self):
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5.0,
+                          m=np.int64(256), npoints=np.int32(60))
+        assert (req.norder, req.m, req.npoints) == (5, 256, 60)
+        assert all(type(v) is int for v in (req.norder, req.m, req.npoints))
 
 
 class TestIridFcoi:
@@ -266,5 +279,5 @@ class TestWriteOutputs:
         assert m["impulse_rel_l2"] == small_result.metrics.discrete.impulse_rel_l2
 
     def test_empty_dir_rejected(self, small_result):
-        with pytest.raises(IoError):
+        with pytest.raises(ParamError, match="empty output directory"):
             write_outputs(small_result, "")
