@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .lti import FrequencyGrid, FrequencyResponseSeries
+from .lti import (FrequencyGrid, FrequencyResponseSeries, _finite_real,
+                  _positive)
 
 __all__ = [
     "CfoiParams",
@@ -38,7 +39,8 @@ __all__ = [
 class CfoiParams:
     """Order (lam + j*mu) and gain-crossover frequency of one integrator.
 
-    ``lam`` must lie strictly inside (0, 2) and ``mu`` in (-1, 0]; the
+    Real numbers (not strings or bools), stored as floats: ``lam`` strictly
+    inside (0, 2), ``mu`` in (-1, 0] and ``wgc`` positive and finite.  The
     realizable form above assumes a non-positive imaginary part, and
     ``mu = 0`` is admitted as the real-integrator limit.
     """
@@ -48,16 +50,14 @@ class CfoiParams:
     wgc: float
 
     def __post_init__(self):
-        lam, mu, wgc = float(self.lam), float(self.mu), float(self.wgc)
-        if not (math.isfinite(lam) and 0.0 < lam < 2.0):
+        lam, mu = self.lam, self.mu
+        if not (_finite_real(lam) and 0.0 < lam < 2.0):
             raise ParamError(f"lambda must lie strictly inside (0, 2), got {lam!r}")
-        if not (math.isfinite(mu) and -1.0 < mu <= 0.0):
+        if not (_finite_real(mu) and -1.0 < mu <= 0.0):
             raise ParamError(f"mu must lie in (-1, 0], got {mu!r}")
-        if not (math.isfinite(wgc) and wgc > 0.0):
-            raise ParamError(f"wgc must be positive, got {wgc!r}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "wgc", wgc)
+        object.__setattr__(self, "lam", float(lam))
+        object.__setattr__(self, "mu", float(mu))
+        object.__setattr__(self, "wgc", _positive("wgc", self.wgc))
 
 
 def cfoi_transfer(p: CfoiParams, s):
@@ -139,10 +139,9 @@ def cfoi_analytic_impulse(p: CfoiParams, t: float) -> float:
 
     Serves as an independent oracle for the numerical inversion; for
     ``mu = 0`` it reduces to ``wgc**lam * t**(lam-1) / gamma(lam)``.
-    Singular at t = 0 when lam < 1, hence t must be positive.
+    Singular at t = 0 when lam < 1, hence t must be positive and finite.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ParamError(f"t must be positive and finite, got {t!r}")
+    t = _positive("t", t)
     nu = complex(p.lam, p.mu)
     val = p.wgc ** nu * t ** (nu - 1.0) / gamma_complex(nu)
     return val.real

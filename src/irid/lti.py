@@ -12,6 +12,7 @@ equally long this agrees with reading ``num(z)/den(z)`` as polynomials in
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -36,16 +37,39 @@ __all__ = [
 ]
 
 
-def _coeff_array(c) -> np.ndarray:
-    """``c`` as a new float64 coefficient array; rejects empty and
-    non-finite input."""
-    arr = np.array(c, dtype=float)
-    if arr.ndim != 1:
-        raise ParamError("polynomial coefficients must be a 1-D sequence")
-    if arr.size == 0:
-        raise ParamError("polynomial needs at least one coefficient")
-    if not np.isfinite(arr).all():
-        raise ParamError("polynomial coefficients must be finite")
+def _finite_real(x) -> bool:
+    """Whether ``x`` is a finite int, float or numpy real scalar; a bool, a
+    string or bytes is not a number."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and -math.inf < x < math.inf)
+
+
+def _positive(name: str, x) -> float:
+    """``x`` as a float; ParamError unless it is a finite real number > 0."""
+    if not (_finite_real(x) and x > 0.0):
+        raise ParamError(f"{name} must be positive and finite, got {x!r}")
+    return float(x)
+
+
+def _count(name: str, x, least: int) -> int:
+    """``x`` as an int; ParamError unless it is an integral real number >=
+    ``least`` (5.0 or a numpy integer is accepted, 5.7, "5" or True not)."""
+    if not (_finite_real(x) and x == int(x)):
+        raise ParamError(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise ParamError(f"{name} must be >= {least}, got {x!r}")
+    return int(x)
+
+
+def _vector(name: str, x) -> np.ndarray:
+    """``x`` as a new read-only float64 array; raises ParamError unless it
+    is a non-empty 1-D sequence of finite numbers."""
+    arr = np.array(x, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParamError(f"{name} must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ParamError(f"{name} must be finite")
+    arr.flags.writeable = False
     return arr
 
 
@@ -56,16 +80,13 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 
 def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
-    num = _coeff_array(num)
-    den = _coeff_array(den)
+    num, den = _vector("num", num), _vector("den", den)
     lead = den[0]
     if lead == 0.0:
         raise ParamError("denominator leading coefficient must be nonzero")
     if lead != 1.0:
-        num = num * (1.0 / lead)
-        den = den * (1.0 / lead)
-    num.flags.writeable = False
-    den.flags.writeable = False
+        num, den = num * (1.0 / lead), den * (1.0 / lead)
+        num.flags.writeable = den.flags.writeable = False
     return num, den
 
 
@@ -84,12 +105,9 @@ class DiscreteTransferFunction:
 
     def __post_init__(self):
         num, den = _monic_pair(self.num, self.den)
-        ts = float(self.ts)
-        if not (math.isfinite(ts) and ts > 0.0):
-            raise ParamError("sample period must be positive and finite")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "ts", _positive("ts", self.ts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +128,8 @@ class ContinuousTransferFunction:
 class TimeSeries:
     """Uniformly sampled real signal; sample k sits at ``t0 + k*dt``.
 
-    Construction rejects NaN/Inf samples; the stored array is read-only.
+    ``t0`` and ``dt`` > 0 are finite real numbers; ``values``, non-empty and
+    finite, is stored as a read-only float64 array; else ParamError.
     """
 
     t0: float
@@ -118,19 +137,11 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ParamError("values must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(values)):
-            raise ParamError("time series rejects NaN/Inf samples")
-        dt = float(self.dt)
-        t0 = float(self.t0)
-        if not (math.isfinite(dt) and dt > 0.0) or not math.isfinite(t0):
-            raise ParamError("need finite t0 and dt > 0")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", t0)
+        if not _finite_real(self.t0):
+            raise ParamError(f"t0 must be finite, got {self.t0!r}")
+        object.__setattr__(self, "values", _vector("values", self.values))
+        object.__setattr__(self, "dt", _positive("dt", self.dt))
+        object.__setattr__(self, "t0", float(self.t0))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -147,14 +158,11 @@ class FrequencyGrid:
     omegas: np.ndarray
 
     def __post_init__(self):
-        omegas = np.array(self.omegas, dtype=float)
-        if omegas.ndim != 1 or omegas.size == 0:
-            raise ParamError("omegas must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(omegas)) or np.any(omegas <= 0.0):
-            raise ParamError("frequencies must be finite and > 0")
+        omegas = _vector("omegas", self.omegas)
+        if np.any(omegas <= 0.0):
+            raise ParamError("frequencies must be > 0")
         if np.any(np.diff(omegas) <= 0.0):
             raise ParamError("frequencies must be strictly increasing")
-        omegas.flags.writeable = False
         object.__setattr__(self, "omegas", omegas)
 
     def __len__(self) -> int:
@@ -163,10 +171,10 @@ class FrequencyGrid:
     @classmethod
     def log_spaced(cls, wmin: float, wmax: float, npoints: int) -> "FrequencyGrid":
         """Logarithmically spaced grid over [wmin, wmax], inclusive."""
-        if not (0.0 < wmin < wmax):
+        wmin, wmax = _positive("wmin", wmin), _positive("wmax", wmax)
+        if not wmin < wmax:
             raise ParamError("need 0 < wmin < wmax")
-        if npoints < 2:
-            raise ParamError("need at least two grid points")
+        npoints = _count("npoints", npoints, 2)
         omegas = np.logspace(math.log10(wmin), math.log10(wmax), npoints)
         # pin the endpoints exactly; logspace only hits them to roundoff
         omegas[0], omegas[-1] = wmin, wmax
@@ -215,10 +223,9 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
 
     Filters the numerator's lag sequence (zero-padded or truncated to
     ``n``) through 1/den(z), so the response starts at t=0 with
-    ``num[0]/den[0]``.
+    ``num[0]/den[0]``.  ``n`` is an integral number >= 1.
     """
-    if n < 1:
-        raise ParamError("need at least one output sample")
+    n = _count("n", n, 1)
     x = np.zeros((n, 1))
     b = g.num[:n]
     x[:len(b), 0] = b
@@ -239,11 +246,7 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).
     """
-    if n < 1:
-        raise ParamError("need at least one output sample")
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParamError("need dt > 0")
+    dt, n = _positive("dt", dt), _count("n", n, 1)
     num = _trim(g.num)
     den = g.den
     order = len(den) - 1

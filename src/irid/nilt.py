@@ -41,7 +41,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import EvaluationError, ParamError
-from .lti import TimeSeries
+from .lti import TimeSeries, _count, _positive
 
 __all__ = ["nilt"]
 
@@ -61,8 +61,6 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
     represents it exactly.
     """
     p = (len(d) - 1) // 2
-    if abs(d[0]) == 0.0:
-        return np.zeros(1, dtype=complex)
     dtype = np.promote_types(d.dtype, np.complex128)
     cf = np.zeros(2 * p + 1, dtype=dtype)
     cf[0] = d[0]
@@ -105,26 +103,11 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
     return F
 
 
-def _count(name: str, x) -> int:
-    """``x`` as an int; raises ParamError unless it is an integral number
-    (an integral float or a numpy integer is accepted, 5.7 or "5" not)."""
-    try:
-        n = int(x)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x:
-        raise ParamError(f"{name} must be an integer, got {x!r}")
-    return n
-
-
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
     """``(tm, m)`` as float and int; raises ParamError unless tm is
     positive and finite and m is a power of two >= 64."""
-    tm = float(tm)
-    if not (math.isfinite(tm) and tm > 0.0):
-        raise ParamError(f"tm must be positive and finite, got {tm!r}")
-    n = _count("m", m)
-    if n < 64 or (n & (n - 1)) != 0:
+    tm, n = _positive("tm", tm), _count("m", m, 64)
+    if n & (n - 1):
         raise ParamError(f"m must be a power of two >= 64, got {m!r}")
     return tm, n
 
@@ -145,9 +128,9 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         rounding; one that returns complex128 there gets a
         double-precision tail.
     tm : float
-        Window end time in seconds, positive and finite.
+        Window end time in seconds, a positive finite real number.
     m : int
-        Number of output samples, a power of two >= 64.
+        Number of output samples, an integral power of two >= 64.
 
     Returns
     -------

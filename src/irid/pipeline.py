@@ -24,10 +24,10 @@ from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                  continuous_freq_response, continuous_impulse,
-                  discrete_freq_response, discrete_impulse,
-                  is_stable_discrete)
-from .nilt import _check_window, _count, nilt
+                  _count, _finite_real, _positive, continuous_freq_response,
+                  continuous_impulse, discrete_freq_response,
+                  discrete_impulse, is_stable_discrete)
+from .nilt import _check_window, nilt
 from .sysid import _check_fit, bilinear_d2c, stmcb_fit
 
 __all__ = [
@@ -63,7 +63,9 @@ class IridRequest:
     meaningless above it.  The fit makes five Steiglitz-McBride passes.
     Every field is checked on construction, with the rules of the stage
     that uses it, so an invalid request raises ParamError before any
-    numerical work.
+    numerical work.  ``m``, ``norder`` and ``npoints`` are integral, ``tm``
+    and ``wmin`` finite real numbers > 0 and ``wmax`` a real number (+inf
+    too) above ``wmin``; a string or a bool is never a number.
     """
 
     params: CfoiParams
@@ -76,27 +78,24 @@ class IridRequest:
 
     def __post_init__(self):
         tm, m = _check_window(self.tm, self.m)
-        if not (0.0 < self.wmin < self.wmax):
+        wmin, wmax = _positive("wmin", self.wmin), self.wmax
+        # wmax may be +inf: it is clamped to the band limit below
+        if not (_finite_real(wmax) or wmax == math.inf) or wmin >= wmax:
             raise ParamError("need 0 < wmin < wmax")
         limit = _band_limit(tm, m)
-        if not self.wmin < limit:
+        if not wmin < limit:
             raise ParamError(f"wmin must be below {NYQUIST_MARGIN:g}x the "
                              f"Nyquist rate, {limit:g} rad/s")
-        norder = _count("norder", self.norder)
-        if norder < 1:
-            raise ParamError(f"norder must be >= 1, got {self.norder!r}")
-        npoints = _count("npoints", self.npoints)
-        if npoints < 2:
-            raise ParamError(f"npoints must be >= 2, got {self.npoints!r}")
+        norder = _count("norder", self.norder, 1)
         _check_fit(m, norder, norder)
+        # the grid irid_fcoi builds, after its Nyquist clamp
+        grid = FrequencyGrid.log_spaced(wmin, min(wmax, limit), self.npoints)
         object.__setattr__(self, "tm", tm)
-        object.__setattr__(self, "wmin", float(self.wmin))
-        object.__setattr__(self, "wmax", float(self.wmax))
+        object.__setattr__(self, "wmin", wmin)
+        object.__setattr__(self, "wmax", float(wmax))
         object.__setattr__(self, "norder", norder)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "npoints", npoints)
-        # the grid irid_fcoi builds, after its Nyquist clamp
-        FrequencyGrid.log_spaced(self.wmin, min(self.wmax, limit), npoints)
+        object.__setattr__(self, "npoints", len(grid))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ same order.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, _allpole)
+                  TimeSeries, _allpole, _count)
 
 __all__ = ["stmcb_fit", "bilinear_d2c"]
 
@@ -27,15 +28,13 @@ __all__ = ["stmcb_fit", "bilinear_d2c"]
 _PASSES = 5
 
 
-def _check_fit(n: int, nb: int, na: int) -> None:
-    """Raise ParamError unless :func:`stmcb_fit` can fit a (nb, na) model
-    to ``n`` samples."""
-    if nb < 0:
-        raise ParamError(f"nb must be >= 0, got {nb!r}")
-    if na < 1:
-        raise ParamError(f"na must be >= 1, got {na!r}")
+def _check_fit(n: int, nb: int, na: int) -> Tuple[int, int]:
+    """``(nb, na)`` as ints; raises ParamError unless :func:`stmcb_fit`
+    can fit a (nb, na) model to ``n`` samples."""
+    nb, na = _count("nb", nb, 0), _count("na", na, 1)
     if n < 3 * (nb + na):
         raise ParamError(f"need at least {3 * (nb + na)} samples, got {n}")
+    return nb, na
 
 
 def _lagged(x: np.ndarray, lags: range, out: np.ndarray) -> np.ndarray:
@@ -52,8 +51,8 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     """Fit a discrete rational model to an impulse response by
     Steiglitz-McBride iteration.
 
-    ``nb`` and ``na`` are the numerator and denominator degrees (nb >= 0,
-    na >= 1); at least 3*(nb + na) samples are needed, else ParamError.
+    ``nb`` >= 0 and ``na`` >= 1 are the integral numerator and denominator
+    degrees; at least 3*(nb + na) samples are needed, else ParamError.
     All-zero data has no model to fit and raises EvaluationError.
 
     Starting from A(z) = 1, each of five passes filters the data and the
@@ -80,7 +79,7 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     """
     y = h.values
     n = len(y)
-    _check_fit(n, nb, na)
+    nb, na = _check_fit(n, nb, na)
     if not np.any(y):
         raise EvaluationError("all-zero data has no model to fit")
     a = np.ones(1)

@@ -18,7 +18,7 @@ LATTICE = [(lam, mu, wgc)
 
 
 class TestParams:
-    @pytest.mark.parametrize("lam", [0.0, 2.0, 2.5, -1.0, math.nan])
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 2.5, -1.0, math.nan, "1.5"])
     def test_lambda_range(self, lam):
         with pytest.raises(ParamError, match=r"\(0, 2\)"):
             CfoiParams(lam, -0.4, 1.0)
@@ -28,7 +28,7 @@ class TestParams:
         with pytest.raises(ParamError):
             CfoiParams(1.5, mu, 1.0)
 
-    @pytest.mark.parametrize("wgc", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("wgc", [0.0, -1.0, math.inf, True])
     def test_wgc_range(self, wgc):
         with pytest.raises(ParamError):
             CfoiParams(1.5, -0.4, wgc)
@@ -186,3 +186,5 @@ class TestAnalyticImpulse:
             cfoi_analytic_impulse(CfoiParams(0.5, 0.0, 1.0), 0.0)
         with pytest.raises(ParamError, match="t must be positive"):
             cfoi_analytic_impulse(CfoiParams(0.5, 0.0, 1.0), -1.0)
+        with pytest.raises(ParamError, match="t must be positive"):
+            cfoi_analytic_impulse(CfoiParams(0.5, 0.0, 1.0), "0.5")

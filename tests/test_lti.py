@@ -22,14 +22,32 @@ def tf_c(num, den):
     return ContinuousTransferFunction(num, den)
 
 
+# scalar arguments are ints, floats or numpy real scalars, and counts are
+# integral: a fraction, a string or a bool raises ParamError
+@pytest.mark.parametrize("call,match", [
+    (lambda: discrete_impulse(tf_d([1], [1, -0.5]), 3.5),
+     "n must be an integer"),
+    (lambda: continuous_impulse(tf_c([1], [1, 1]), 0.1, 2.5),
+     "n must be an integer"),
+    (lambda: FrequencyGrid.log_spaced(0.1, 1.0, 2.5),
+     "npoints must be an integer"),
+    (lambda: TimeSeries(0.0, "0.1", [1.0]), "dt must be positive"),
+    (lambda: tf_d([1], [1, 0.5], True), "ts must be positive"),
+], ids=["discrete-n", "continuous-n", "grid-npoints", "series-dt-str",
+        "ts-bool"])
+def test_scalar_arguments_checked(call, match):
+    with pytest.raises(ParamError, match=match):
+        call()
+
+
 class TestPolynomial:
     """Coefficient vectors: checked by the transfer-function constructors,
     trimmed by continuous_impulse."""
 
     def test_empty_rejected(self):
-        with pytest.raises(ParamError, match="at least one coefficient"):
+        with pytest.raises(ParamError, match="non-empty 1-D"):
             tf_d([], [1.0])
-        with pytest.raises(ParamError, match="at least one coefficient"):
+        with pytest.raises(ParamError, match="non-empty 1-D"):
             tf_c([1.0], [])
 
     def test_non_vector_rejected(self):

@@ -37,7 +37,8 @@ class TestConfig:
         (dict(tm=10.0, m=32), ">= 64"),
         (dict(tm=10.0, m=256.7), "m must be an integer"),
         (dict(tm=10.0, m="256"), "m must be an integer"),
-    ], ids=[f"kw{i}" for i in range(5)])
+        (dict(tm="10", m=256), "tm must be positive"),
+    ], ids=[f"kw{i}" for i in range(6)])
     def test_invalid(self, kw, match):
         def no_call(s):
             raise AssertionError("the transform was evaluated")
@@ -95,6 +96,11 @@ class TestAcceleratedMode:
     def test_constant_transform_stays_finite(self):
         ts = nilt(lambda s: 1.0 + 0j, 2.0, 64)
         assert np.all(np.isfinite(ts.values))
+
+    def test_zero_transform_gives_exact_zeros(self):
+        # an all-zero tail series leaves a one-term continued fraction [0]
+        ts = nilt(lambda s: 0 * s, 1.0, 64)
+        assert np.all(ts.values == 0.0)
 
 
     @pytest.mark.parametrize("mu", [-0.4, -0.2])

@@ -108,9 +108,14 @@ class TestRequestValidation:
         (dict(m=1024.5), "m must be an integer"),
         (dict(m="1024"), "m must be an integer"),
         (dict(npoints=200.9), "npoints must be an integer"),
+        (dict(tm="2"), "tm must be positive"),
+        (dict(wmin="0.01"), "wmin must be positive"),
+        (dict(wmax="100"), "need 0 < wmin < wmax"),
+        (dict(norder=True), "norder must be an integer"),
     ], ids=["samples", "samples32", "wmin-nyquist", "narrow-band",
             "norder-fraction", "samples-fraction", "samples-str",
-            "points-fraction"])
+            "points-fraction", "tm-str", "wmin-str", "wmax-str",
+            "norder-bool"])
     def test_config_rejected_before_any_stage(self, kw, match):
         # the request itself raises, so no stage can be reached
         fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
@@ -119,11 +124,14 @@ class TestRequestValidation:
             IridRequest(**{**fields, **kw})
 
     def test_integral_counts_accepted(self):
-        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
-                          wmin=0.01, wmax=100.0, norder=5.0,
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0),
+                          tm=np.float64(2.0), wmin=np.float64(0.01),
+                          wmax=np.float64(100.0), norder=5.0,
                           m=np.int64(256), npoints=np.int32(60))
         assert (req.norder, req.m, req.npoints) == (5, 256, 60)
         assert all(type(v) is int for v in (req.norder, req.m, req.npoints))
+        assert (req.tm, req.wmin, req.wmax) == (2.0, 0.01, 100.0)
+        assert all(type(v) is float for v in (req.tm, req.wmin, req.wmax))
 
 
 class TestIridFcoi:
@@ -165,11 +173,12 @@ class TestIridFcoi:
         assert again.metrics == small_result.metrics
 
     def test_wmax_clamped_to_nyquist(self):
-        req = IridRequest(params=CfoiParams(1.0, 0.0, 1.0), tm=2.0,
-                          wmin=0.1, wmax=500.0, norder=2, m=64, npoints=20)
-        with pytest.warns(UserWarning, match="clamp"):
-            res = irid_fcoi(req)
-        assert res.f_ref.grid.omegas[-1] <= 0.9 * math.pi / (2.0 / 64)
+        for wmax in (500.0, math.inf):
+            req = IridRequest(params=CfoiParams(1.0, 0.0, 1.0), tm=2.0,
+                              wmin=0.1, wmax=wmax, norder=2, m=64, npoints=20)
+            with pytest.warns(UserWarning, match="clamp"):
+                res = irid_fcoi(req)
+            assert res.f_ref.grid.omegas[-1] <= 0.9 * math.pi / (2.0 / 64)
 
     def test_fit_stage_failure_is_labelled(self, monkeypatch):
         # a valid request cannot ask for too few samples any more, so the

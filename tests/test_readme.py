@@ -1,0 +1,15 @@
+"""The README's Library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    rel_l2 = float(capsys.readouterr().out.split()[0])
+    assert 0.0 < rel_l2 < 1e-3

@@ -44,7 +44,8 @@ class TestFitConfig:
     @pytest.mark.parametrize("kw,match", [
         (dict(nb=-1, na=1), "nb must be >= 0"),
         (dict(nb=0, na=0), "na must be >= 1"),
-    ], ids=["kw0", "kw1"])
+        (dict(nb=2.5, na=1), "nb must be an integer"),
+    ], ids=["kw0", "kw1", "kw2"])
     def test_invalid(self, kw, match):
         h = impulse_of([1.0], [1.0, -0.5], 64)
         with pytest.raises(ParamError, match=match):
