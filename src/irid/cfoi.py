@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParamError
 from .lti import (FrequencyGrid, FrequencyResponseSeries, _finite_real,
-                  _positive)
+                  _positive, _real_array)
 
 __all__ = [
     "CfoiParams",
@@ -83,7 +83,7 @@ def cfoi_freq_response(p: CfoiParams, omega):
     which the test suite checks across the admissible parameter range.
     Array in, array out; a scalar returns a scalar.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = _real_array("omega", omega)
     ok = (omega > 0.0) & np.isfinite(omega)
     if not np.all(ok):
         raise ParamError(f"omega must be positive and finite, "

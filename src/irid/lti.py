@@ -61,10 +61,21 @@ def _count(name: str, x, least: int) -> int:
     return int(x)
 
 
+def _real_array(name: str, x) -> np.ndarray:
+    """``x`` as a float64 array, not copied if it is one; ParamError unless
+    numpy reads it as integers or floats (bools, strings, bytes, complex
+    numbers and objects are not real numbers)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise ParamError(f"{name} must hold real numbers, got dtype "
+                         f"{arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _vector(name: str, x) -> np.ndarray:
     """``x`` as a new read-only float64 array; raises ParamError unless it
-    is a non-empty 1-D sequence of finite numbers."""
-    arr = np.array(x, dtype=float)
+    is a non-empty 1-D sequence of finite real numbers."""
+    arr = np.array(_real_array(name, x))
     if arr.ndim != 1 or arr.size == 0:
         raise ParamError(f"{name} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
@@ -85,7 +96,11 @@ def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
     if lead == 0.0:
         raise ParamError("denominator leading coefficient must be nonzero")
     if lead != 1.0:
-        num, den = num * (1.0 / lead), den * (1.0 / lead)
+        with np.errstate(over="ignore"):
+            num, den = num * (1.0 / lead), den * (1.0 / lead)
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+            raise ParamError("coefficients overflow when divided by the "
+                             "denominator's leading coefficient")
         num.flags.writeable = den.flags.writeable = False
     return num, den
 
@@ -223,13 +238,19 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
 
     Filters the numerator's lag sequence (zero-padded or truncated to
     ``n``) through 1/den(z), so the response starts at t=0 with
-    ``num[0]/den[0]``.  ``n`` is an integral number >= 1.
+    ``num[0]/den[0]``.  ``n`` is an integral number >= 1.  Raises
+    EvaluationError when the response overflows (a pole far outside the
+    unit circle).
     """
     n = _count("n", n, 1)
     x = np.zeros((n, 1))
     b = g.num[:n]
     x[:len(b), 0] = b
-    return TimeSeries(0.0, g.ts, _allpole(g.den, x)[:, 0])
+    vals = _allpole(g.den, x)[:, 0]
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("discrete impulse response overflows; the "
+                              "model has a pole far outside the unit circle")
+    return TimeSeries(0.0, g.ts, vals)
 
 
 def continuous_impulse(g: ContinuousTransferFunction, dt: float,
@@ -240,8 +261,8 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     order one for poles up to the sampling rate, and the companion
     realization (A, B, C) of the strictly proper part of g(sigma/dt) gives
     h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A).  The direct term
-    acts at t = 0 only.  The columns Phi**k @ B are filled by doubling,
-    X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
+    acts at t = 0 only.  The columns Phi**k @ B are filled in place by
+    doubling, X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
 
     Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).
@@ -262,11 +283,15 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     a[np.arange(1, order), np.arange(order - 1)] = 1.0
     with np.errstate(all="ignore"):
         p = expm(a)
-        cols = p[:, :1]
-        while cols.shape[1] < n:
-            cols = np.hstack((cols, p @ cols))
+        cols = np.empty((order, n))
+        cols[:, 0] = p[:, 0]
+        w = 1
+        while w < n:
+            step = min(w, n - w)
+            np.matmul(p, cols[:, :step], out=cols[:, w:w + step])
+            w += step
             p = p @ p
-        vals = rem @ cols[:, :n] / dt
+        vals = rem @ cols / dt
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("continuous impulse response overflows; the "
                               "model has a pole far in the right half-plane")

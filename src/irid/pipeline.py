@@ -140,14 +140,7 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     """
     if a.t0 != b.t0 or a.dt != b.dt or len(a) != len(b):
         raise ParamError("time series grids differ")
-    diff = a.values - b.values
-    err = float(np.linalg.norm(diff))
-    ref = float(np.linalg.norm(a.values))
-    if ref == 0.0:
-        rel = 0.0 if err == 0.0 else math.inf
-    else:
-        rel = err / ref
-    return rel, float(np.max(np.abs(diff)))
+    return _impulse_gap(a.values, b.values)
 
 
 def compare_frequency(a: FrequencyResponseSeries,
@@ -157,22 +150,36 @@ def compare_frequency(a: FrequencyResponseSeries,
     if len(a.grid) != len(b.grid) or not np.array_equal(a.grid.omegas,
                                                         b.grid.omegas):
         raise ParamError("frequency grids differ")
-    if np.min(np.abs(a.response)) < 1e-300 or np.min(np.abs(b.response)) < 1e-300:
+    return _spectrum_gap(_db_phase(a), _db_phase(b))
+
+
+def _impulse_gap(ref: np.ndarray, mod: np.ndarray) -> Tuple[float, float]:
+    """(relative L2 distance, max absolute deviation) of the samples
+    ``mod`` against ``ref``; infinite relative error against a zero
+    reference unless ``mod`` is zero too."""
+    diff = ref - mod
+    err = float(np.linalg.norm(diff))
+    norm = float(np.linalg.norm(ref))
+    if norm == 0.0:
+        rel = 0.0 if err == 0.0 else math.inf
+    else:
+        rel = err / norm
+    return rel, float(np.max(np.abs(diff)))
+
+
+def _db_phase(f: FrequencyResponseSeries) -> Tuple[np.ndarray, np.ndarray]:
+    """(magnitude in dB, unwrapped phase in degrees) of ``f``;
+    EvaluationError if a magnitude underflows the dB scale."""
+    if np.min(np.abs(f.response)) < 1e-300:
         raise EvaluationError("response magnitude underflows the dB scale")
-    mag_err = float(np.max(np.abs(a.magnitude_db() - b.magnitude_db())))
-    phase_err = float(np.max(np.abs(a.phase_deg() - b.phase_deg())))
-    return mag_err, phase_err
+    return f.magnitude_db(), f.phase_deg()
 
 
-def _model_errors(ref_h: TimeSeries, mod_h: TimeSeries,
-                  ref_f: FrequencyResponseSeries,
-                  mod_f: FrequencyResponseSeries) -> ModelErrors:
-    # samples k*dt, k = 1..n, cover [dt, VALIDATED_WINDOW*tm]
-    n = int(VALIDATED_WINDOW * len(ref_h))
-    ref, mod = (TimeSeries(h.t0, h.dt, h.values[:n]) for h in (ref_h, mod_h))
-    rel, mabs = compare_impulse(ref, mod)
-    mag, phase = compare_frequency(ref_f, mod_f)
-    return ModelErrors(rel, mabs, mag, phase)
+def _spectrum_gap(ref: Tuple[np.ndarray, np.ndarray],
+                  mod: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
+    """(max |dB difference|, max |phase difference|) of two
+    :func:`_db_phase` pairs."""
+    return tuple(float(np.max(np.abs(r - m))) for r, m in zip(ref, mod))
 
 
 def irid_fcoi(req: IridRequest) -> IridResult:
@@ -187,9 +194,12 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     grid; attach comparison metrics and a stability flag.
 
     The request was validated on construction.  Stage failures re-raise
-    as PipelineStageError tagged "nilt", "fit" or "conversion" (the
-    bilinear map and the continuous model's impulse response, which
-    overflows for poles far in the right half-plane).
+    as PipelineStageError tagged "nilt", "fit" (the fit and the discrete
+    model's impulse response, which overflows for poles far outside the
+    unit circle) or "conversion" (the bilinear map and the continuous
+    model's impulse response, which overflows for poles far in the right
+    half-plane).  The discrete response is computed after the conversion,
+    so a model whose two responses both overflow reports "conversion".
     """
     p = req.params
     dt = req.tm / req.m
@@ -218,17 +228,30 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     except IridError as exc:
         raise PipelineStageError("conversion", exc) from exc
 
-    h_d = TimeSeries(dt, dt, discrete_impulse(gd, req.m).values / dt)
+    # the fitted model's response, so its overflow is a fit failure.  It
+    # comes after the conversion: allocated before it, its long-lived array
+    # let the allocator return the freed heap top to the OS after every
+    # call, which tripled the page faults per call at m = 16384
+    try:
+        h_d = TimeSeries(dt, dt, discrete_impulse(gd, req.m).values / dt)
+    except IridError as exc:
+        raise PipelineStageError("fit", exc) from exc
 
     grid = FrequencyGrid.log_spaced(req.wmin, wmax, req.npoints)
     f_ref = cfoi_freq_grid(p, grid)
     f_d = discrete_freq_response(gd, grid)
     f_c = continuous_freq_response(gc, grid)
 
-    metrics = ComparisonMetrics(
-        discrete=_model_errors(h_ref, h_d, f_ref, f_d),
-        continuous=_model_errors(h_ref, h_c, f_ref, f_c),
-    )
+    # impulse metrics on samples k*dt, k = 1..n: [dt, VALIDATED_WINDOW*tm]
+    n = int(VALIDATED_WINDOW * req.m)
+    ref_h, ref_f = h_ref.values[:n], _db_phase(f_ref)
+
+    def errors(h: TimeSeries, f: FrequencyResponseSeries) -> ModelErrors:
+        return ModelErrors(*_impulse_gap(ref_h, h.values[:n]),
+                           *_spectrum_gap(ref_f, _db_phase(f)))
+
+    metrics = ComparisonMetrics(discrete=errors(h_d, f_d),
+                                continuous=errors(h_c, f_c))
     stable, _ = is_stable_discrete(gd)
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
                       h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,

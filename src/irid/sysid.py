@@ -12,6 +12,7 @@ same order.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
@@ -67,9 +68,9 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     minimum-norm solution of that k-by-k triangular system with the eps*n
     rank rule, the rule ``np.linalg.lstsq`` applies to the full regression
     matrix.  A rank-deficient (overparameterized) fit therefore gets the
-    same minimum-norm answer as a full-matrix solve.  The first pass
-    filters through 1/1, so it is the equation-error fit.  The last pass's
-    model is returned.
+    same minimum-norm answer as a full-matrix solve.  A(z) = 1 leaves the
+    data as it is, so the first pass uses it unfiltered and is the
+    equation-error fit.  The last pass's model is returned.
 
     Noiseless data from a model inside the (nb, na) class is recovered to
     roundoff; the iteration is then a fixed point.  No stabilization is
@@ -82,7 +83,6 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     nb, na = _check_fit(n, nb, na)
     if not np.any(y):
         raise EvaluationError("all-zero data has no model to fit")
-    a = np.ones(1)
     # columns: the data and the unit impulse
     data = np.zeros((n, 2), order="F")
     data[:, 0] = y
@@ -92,11 +92,15 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     mat = np.empty((n, k + 1), order="F")
     # lstsq's default rank rule for the full n-by-k matrix (n > k)
     rcond = np.finfo(float).eps * n
+    # pass 0 filters through A(z) = 1, which leaves the data as it is
+    filtered = data
     for it in range(_PASSES):
-        hf, xf = _allpole(a, data).T
-        if not (np.all(np.isfinite(hf)) and np.all(np.isfinite(xf))):
-            raise EvaluationError(f"prefiltered data overflowed "
-                                  f"(iteration {it})")
+        if it:
+            filtered = _allpole(a, data)
+            if not np.all(np.isfinite(filtered)):
+                raise EvaluationError(f"prefiltered data overflowed "
+                                      f"(iteration {it})")
+        hf, xf = filtered.T
         # negated after lagging: the -0.0 in row 0 sets the sign of
         # dgeqrf's first reflector, so negating hf first changes last bits
         lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
@@ -115,6 +119,20 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     return DiscreteTransferFunction(b, a, h.dt)
 
 
+@functools.lru_cache(maxsize=16)
+def _bilinear_basis(deg: int) -> np.ndarray:
+    """Read-only (deg + 1)-square array whose row k holds the ascending
+    coefficients in x = s*ts/2 of (1 + x)**k * (1 - x)**(deg - k), the
+    image of z**k once the denominator (1 - x)**deg of the substitution is
+    cleared."""
+    basis = np.array([np.convolve([math.comb(k, j) for j in range(k + 1)],
+                                  [(-1) ** j * math.comb(deg - k, j)
+                                   for j in range(deg - k + 1)])
+                      for k in range(deg + 1)], dtype=float)
+    basis.flags.writeable = False
+    return basis
+
+
 def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     """Continuous model from the exact substitution
     z = (1 + s*ts/2) / (1 - s*ts/2).
@@ -128,14 +146,8 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in g.den):
         raise EvaluationError("discrete denominator has a root at z = -1")
 
-    # row k: ascending coefficients in x = s*ts/2 of
-    # (1 + x)**k * (1 - x)**(deg - k), the image of z**k once the
-    # denominator (1 - x)**deg of the substitution is cleared
     deg = max(len(g.num), len(g.den)) - 1
-    basis = np.array([np.convolve([math.comb(k, j) for j in range(k + 1)],
-                                  [(-1) ** j * math.comb(deg - k, j)
-                                   for j in range(deg - k + 1)])
-                      for k in range(deg + 1)], dtype=float)
+    basis = _bilinear_basis(deg)
     powers = (ts / 2.0) ** np.arange(deg + 1)
 
     def lift(coeffs: np.ndarray) -> np.ndarray:

@@ -91,6 +91,14 @@ class TestFreqResponse:
         with pytest.raises(ParamError, match="omega must be positive"):
             cfoi_freq_response(CfoiParams(1.0, 0.0, 1.0), omega)
 
+    @pytest.mark.parametrize("omega", ["1.0", b"1.0", True, [True, True],
+                                       1.0 + 0j, [1.0, None]],
+                             ids=["str", "bytes", "bool", "bool-list",
+                                  "complex", "object"])
+    def test_non_real_omega_rejected(self, omega):
+        with pytest.raises(ParamError, match="omega must hold real numbers"):
+            cfoi_freq_response(CfoiParams(1.0, 0.0, 1.0), omega)
+
     @pytest.mark.parametrize("lam,mu,wgc", LATTICE)
     def test_agrees_with_direct_evaluation(self, lam, mu, wgc):
         p = CfoiParams(lam, mu, wgc)

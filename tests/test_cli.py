@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import irid.pipeline
 from irid.cli import cli_main
+from irid.lti import DiscreteTransferFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,6 +65,19 @@ def test_unwritable_out_dir_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(blocker) in err
     assert "Traceback" not in err
+
+
+def test_overflowing_discrete_model_exits_1(tmp_path, capsys, monkeypatch):
+    # a fit whose impulse response overflows is a failed run, not invalid
+    # input: a discrete pole at z = 100 overflows within 256 samples
+    def fit(h, nb, na):
+        return DiscreteTransferFunction([1.0, 0.0], [1.0, -100.0], h.dt)
+
+    monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
+    assert run(tmp_path, "--samples", "256") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fit stage failed")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_flag(capsys):

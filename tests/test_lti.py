@@ -40,6 +40,25 @@ def test_scalar_arguments_checked(call, match):
         call()
 
 
+# vector arguments hold ints or floats: numpy must not parse strings or
+# bools into numbers, nor drop an imaginary part
+@pytest.mark.parametrize("call", [
+    lambda: TimeSeries(0.0, 1.0, ["1", "2"]),
+    lambda: TimeSeries(0.0, 1.0, "abc"),
+    lambda: TimeSeries(0.0, 1.0, [b"1", b"2"]),
+    lambda: TimeSeries(0.0, 1.0, [True, False]),
+    lambda: TimeSeries(0.0, 1.0, [1.0 + 0j, 2.0]),
+    lambda: TimeSeries(0.0, 1.0, [1.0, None]),
+    lambda: tf_d(["1"], [1.0]),
+    lambda: tf_c([1.0], [True, True]),
+    lambda: FrequencyGrid(["1", "2"]),
+], ids=["series-str", "series-abc", "series-bytes", "series-bool",
+        "series-complex", "series-object", "num-str", "den-bool", "grid-str"])
+def test_vector_arguments_must_be_real(call):
+    with pytest.raises(ParamError, match="must hold real numbers"):
+        call()
+
+
 class TestPolynomial:
     """Coefficient vectors: checked by the transfer-function constructors,
     trimmed by continuous_impulse."""
@@ -83,6 +102,18 @@ class TestTransferFunctionTypes:
     def test_zero_leading_denominator_rejected(self):
         with pytest.raises(ParamError, match="leading coefficient"):
             tf_d([1.0], [0.0, 1.0])
+
+    # dividing by a subnormal or tiny leading coefficient overflows; no
+    # RuntimeWarning may leak (the suite turns warnings into errors)
+    @pytest.mark.parametrize("make,num,den", [
+        (tf_d, [1.0], [1e-310, 1.0]),
+        (tf_c, [1.0], [1e-310, 1.0]),
+        (tf_d, [1e308, 0.0], [1e-5, 1.0]),
+    ], ids=["discrete-subnormal-lead", "continuous-subnormal-lead",
+            "numerator-overflow"])
+    def test_overflowing_normalization_rejected(self, make, num, den):
+        with pytest.raises(ParamError, match="overflow"):
+            make(num, den)
 
     def test_bad_ts_rejected(self):
         with pytest.raises(ParamError):
@@ -158,6 +189,11 @@ class TestDiscreteImpulse:
     def test_zero_numerator(self):
         h = discrete_impulse(tf_d([0], [1, -0.9]), 3)
         assert list(h.values) == [0, 0, 0]
+
+    def test_overflow_raises(self):
+        # 100**k overflows the double range from k = 155 on
+        with pytest.raises(EvaluationError, match="overflows"):
+            discrete_impulse(tf_d([1.0, 0.0], [1.0, -100.0]), 256)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-100, 100, allow_subnormal=False),
@@ -254,6 +290,15 @@ class TestContinuousImpulse:
     def test_overflow_raises(self):
         with pytest.raises(EvaluationError, match="overflows"):
             continuous_impulse(tf_c([1], [1, -1e4]), 0.1, 64)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_prefix_of_longer_run(self, n):
+        # the doubling fills a partial last block when n is no power of
+        # two; every sample still comes out as in a longer run
+        g = tf_c([0.5, 1.0, -2.0, 3.0], [1.0, 2.5, 4.0, 3.0, 1.5])
+        full = continuous_impulse(g, 0.01, 1024).values
+        np.testing.assert_array_equal(continuous_impulse(g, 0.01, n).values,
+                                      full[:n])
 
 
 class TestFrequencyResponses:

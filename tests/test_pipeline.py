@@ -163,6 +163,20 @@ class TestIridFcoi:
             assert m.mag_max_err_db >= 0
             assert m.phase_max_err_deg >= 0
 
+    def test_metrics_match_public_comparisons(self, small_result):
+        # one definition of the metrics: the impulse metrics on the first
+        # int(0.8*m) samples, [dt, 0.8*tm], and the frequency metrics on
+        # the whole band, bit for bit as the public helpers give them
+        res = small_result
+        n = int(0.8 * len(res.h_ref))
+        ref = TimeSeries(res.h_ref.t0, res.h_ref.dt, res.h_ref.values[:n])
+        for h, f, got in ((res.h_d, res.f_d, res.metrics.discrete),
+                          (res.h_c, res.f_c, res.metrics.continuous)):
+            mod = TimeSeries(h.t0, h.dt, h.values[:n])
+            want = compare_impulse(ref, mod) + compare_frequency(res.f_ref, f)
+            assert (got.impulse_rel_l2, got.impulse_max_abs,
+                    got.mag_max_err_db, got.phase_max_err_deg) == want
+
     def test_deterministic(self, small_result):
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                           wmin=0.01, wmax=40.0, norder=5, m=256, npoints=60)
@@ -210,6 +224,20 @@ class TestIridFcoi:
         want = np.real(np.exp(np.outer(t, poles)) @ residues)
         gap = np.linalg.norm(res.h_c.values - want) / np.linalg.norm(want)
         assert gap <= 1e-9
+
+    def test_discrete_impulse_overflow_is_labelled(self, monkeypatch):
+        # a discrete pole at z = 100: 100**k overflows at k = 155 < m, while
+        # its continuous image is still finite over the window
+        def fit(h, nb, na):
+            return DiscreteTransferFunction([1.0, 0.0], [1.0, -100.0], h.dt)
+
+        monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=1, m=256)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "fit"
+        assert isinstance(err.value.cause, EvaluationError)
 
     def test_continuous_impulse_overflow_is_labelled(self, monkeypatch):
         # a discrete pole at z = -1.01 maps to s = +402/ts, whose response
