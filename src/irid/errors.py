@@ -4,12 +4,13 @@ Four classes, one per builtin family: ``ParamError`` for invalid input
 (arguments, request fields, an empty output path, too little data),
 ``EvaluationError`` for a computation that broke down (a vanishing
 denominator, a degenerate least-squares system, a non-finite value or
-iterate, a pole at z = -1 under the bilinear map, a magnitude below the
-dB scale) and ``PipelineStageError`` for either raised inside a pipeline
-stage.  All derive from ``IridError``.  File output raises the builtin
-OSError, which names the path.  The command line exits 2 on a
-``ParamError``, which request checks raise before any stage runs, and 1
-on any other ``IridError`` or an OSError.
+iterate, a pole at z = -1 or coefficients out of the double range under
+the bilinear map, a magnitude below the dB scale) and
+``PipelineStageError`` for either raised inside a pipeline stage.  All
+derive from ``IridError``.  File output raises the builtin OSError, which
+names the path.  The command line exits 2 on a ``ParamError``, which
+request checks raise before any stage runs, and 1 on any other
+``IridError`` or an OSError.
 """
 
 

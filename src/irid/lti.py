@@ -2,11 +2,9 @@
 
 Coefficient convention used everywhere in this package: coefficient arrays
 are ordered by DESCENDING powers, leading coefficient first, so
-``[1, -3, 2]`` is ``x**2 - 3*x + 2``.  Discrete filtering pairs numerator
-and denominator entries by lag index (entry ``i`` multiplies the
-input/output delayed by ``i`` samples); when numerator and denominator are
-equally long this agrees with reading ``num(z)/den(z)`` as polynomials in
-``z``, which is the only shape the fitting pipeline produces.
+``[1, -3, 2]`` is ``x**2 - 3*x + 2``.  A discrete transfer function stores
+numerator and denominator padded to equal length, so its lag reading
+B(z**-1)/A(z**-1) and its polynomial reading num(z)/den(z) are one function.
 """
 
 from __future__ import annotations
@@ -111,7 +109,11 @@ class DiscreteTransferFunction:
 
     ``num`` and ``den`` are read-only float64 coefficient arrays; the
     denominator is normalized to monic on construction (numerator
-    rescaled to match).
+    rescaled to match), and the shorter array is padded with trailing
+    zeros to the length of the other.  Entry ``i`` of each then
+    multiplies z**-i of the lag reading B(z**-1)/A(z**-1), which is the
+    same rational function as num(z)/den(z).  Leading zeros are delays
+    and are kept.
     """
 
     num: np.ndarray
@@ -120,22 +122,27 @@ class DiscreteTransferFunction:
 
     def __post_init__(self):
         num, den = _monic_pair(self.num, self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        size = max(len(num), len(den))
+        for name, coeffs in (("num", num), ("den", den)):
+            if len(coeffs) < size:
+                coeffs = np.concatenate((coeffs, np.zeros(size - len(coeffs))))
+                coeffs.flags.writeable = False
+            object.__setattr__(self, name, coeffs)
         object.__setattr__(self, "ts", _positive("ts", self.ts))
 
 
 @dataclass(frozen=True, eq=False)
 class ContinuousTransferFunction:
     """Rational function of s; read-only coefficient arrays, denominator
-    normalized to monic."""
+    normalized to monic, numerator stored without leading zeros (the zero
+    polynomial as ``[0.0]``), so each array's degree is its length - 1."""
 
     num: np.ndarray
     den: np.ndarray
 
     def __post_init__(self):
         num, den = _monic_pair(self.num, self.den)
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "num", _trim(num))
         object.__setattr__(self, "den", den)
 
 
@@ -237,8 +244,10 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     """First ``n`` samples of the unit-impulse response of ``g``.
 
     Filters the numerator's lag sequence (zero-padded or truncated to
-    ``n``) through 1/den(z), so the response starts at t=0 with
-    ``num[0]/den[0]``.  ``n`` is an integral number >= 1.  Raises
+    ``n``) through 1/A(z**-1), the lag reading of the monic denominator,
+    so the response starts at t=0 with ``num[0]``.  The stored arrays are
+    equally long, so this is the response of num(z)/den(z) as well.
+    ``n`` is an integral number >= 1.  Raises
     EvaluationError when the response overflows (a pole far outside the
     unit circle).
     """
@@ -268,8 +277,7 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     response overflows (a pole far in the right half-plane).
     """
     dt, n = _positive("dt", dt), _count("n", n, 1)
-    num = _trim(g.num)
-    den = g.den
+    num, den = g.num, g.den
     order = len(den) - 1
     if len(num) > len(den):
         raise ParamError("impulse response needs a proper transfer function")
@@ -311,7 +319,9 @@ def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,
 
 def discrete_freq_response(g: DiscreteTransferFunction,
                            grid: FrequencyGrid) -> FrequencyResponseSeries:
-    """Evaluate num(z)/den(z) at z = exp(j*omega*ts) over the grid.
+    """Evaluate num(z)/den(z) at z = exp(j*omega*ts) over the grid: the
+    DTFT of :func:`discrete_impulse`, since the stored arrays are equally
+    long.
 
     Frequencies above the Nyquist rate are evaluated anyway, with a warning.
     """
@@ -335,8 +345,6 @@ def is_stable_discrete(g: DiscreteTransferFunction) -> Tuple[bool, float]:
     Returns (stable, margin) with margin = 1 - max root modulus; a
     constant denominator has no poles and reports (True, 1.0).
     """
-    if len(g.den) < 2:
-        return True, 1.0
     # the monic denominator needs no trimming or checks before np.roots
-    margin = 1.0 - float(np.max(np.abs(np.roots(g.den))))
+    margin = 1.0 - float(np.max(np.abs(np.roots(g.den)), initial=0.0))
     return margin > 0.0, margin

@@ -195,11 +195,12 @@ def irid_fcoi(req: IridRequest) -> IridResult:
 
     The request was validated on construction.  Stage failures re-raise
     as PipelineStageError tagged "nilt", "fit" (the fit and the discrete
-    model's impulse response, which overflows for poles far outside the
-    unit circle) or "conversion" (the bilinear map and the continuous
-    model's impulse response, which overflows for poles far in the right
-    half-plane).  The discrete response is computed after the conversion,
-    so a model whose two responses both overflow reports "conversion".
+    model's impulse response, which overflows, before or after its rescale
+    by 1/dt, for poles far outside the unit circle) or "conversion" (the
+    bilinear map and the continuous model's impulse response, which
+    overflows for poles far in the right half-plane).  The discrete
+    response is computed after the conversion, so a model whose two
+    responses both overflow reports "conversion".
     """
     p = req.params
     dt = req.tm / req.m
@@ -233,7 +234,12 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     # let the allocator return the freed heap top to the OS after every
     # call, which tripled the page faults per call at m = 16384
     try:
-        h_d = TimeSeries(dt, dt, discrete_impulse(gd, req.m).values / dt)
+        with np.errstate(over="ignore"):
+            vals = discrete_impulse(gd, req.m).values / dt
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError("discrete impulse response overflows when "
+                                  "rescaled by 1/dt")
+        h_d = TimeSeries(dt, dt, vals)
     except IridError as exc:
         raise PipelineStageError("fit", exc) from exc
 

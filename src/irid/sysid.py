@@ -137,22 +137,28 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     """Continuous model from the exact substitution
     z = (1 + s*ts/2) / (1 - s*ts/2).
 
-    The resulting rational function satisfies Gc(s) == Gd(z(s)) pointwise
-    up to roundoff wherever both sides are defined.  A denominator root at
-    z = -1 maps a pole to infinity and is rejected.
+    ``g.num`` and ``g.den`` are stored equally long, so both are read as
+    polynomials in z of one degree, the model order.  The resulting
+    rational function satisfies Gc(s) == Gd(z(s)) pointwise up to roundoff
+    wherever both sides are defined.  A denominator root at z = -1 maps a
+    pole to infinity and is rejected.  EvaluationError also when
+    (ts/2)**order, the scale of the leading coefficients, is not a finite,
+    normal double: the continuous coefficients are then out of range.
     """
     ts = g.ts
     den_at_minus1 = np.polyval(g.den, -1.0)
     if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in g.den):
         raise EvaluationError("discrete denominator has a root at z = -1")
 
-    deg = max(len(g.num), len(g.den)) - 1
-    basis = _bilinear_basis(deg)
-    powers = (ts / 2.0) ** np.arange(deg + 1)
-
-    def lift(coeffs: np.ndarray) -> np.ndarray:
-        # coeffs[i] multiplies z**(d - i)
-        d = len(coeffs) - 1
-        return (coeffs @ basis[d::-1] * powers)[::-1]
-
-    return ContinuousTransferFunction(lift(g.num), lift(g.den))
+    deg = len(g.den) - 1
+    with np.errstate(over="ignore"):
+        powers = (ts / 2.0) ** np.arange(deg + 1)
+    if not np.finfo(float).tiny <= powers[-1] < math.inf:
+        raise EvaluationError(f"(ts/2)**{deg} = {powers[-1]:g} is not a "
+                              f"normal double; the continuous model's "
+                              f"coefficients are out of range")
+    # row i of the reversed basis is the image of z**(deg - i), which
+    # coefficient i multiplies
+    basis = _bilinear_basis(deg)[::-1]
+    return ContinuousTransferFunction((g.num @ basis * powers)[::-1],
+                                      (g.den @ basis * powers)[::-1])

@@ -60,8 +60,8 @@ def test_vector_arguments_must_be_real(call):
 
 
 class TestPolynomial:
-    """Coefficient vectors: checked by the transfer-function constructors,
-    trimmed by continuous_impulse."""
+    """Coefficient vectors: checked by the transfer-function constructors;
+    the continuous numerator is stored trimmed."""
 
     def test_empty_rejected(self):
         with pytest.raises(ParamError, match="non-empty 1-D"):
@@ -122,6 +122,22 @@ class TestTransferFunctionTypes:
     def test_continuous_monic(self):
         g = tf_c([3.0], [3.0, 6.0])
         assert g.den.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("num,den,num_stored,den_stored", [
+        ([1.0], [1.0, -0.5], [1.0, 0.0], [1.0, -0.5]),
+        ([1.0, 2.0, 3.0], [1.0], [1.0, 2.0, 3.0], [1.0, 0.0, 0.0]),
+        ([0.5, 0.2], [1.0, -1.1, 0.3], [0.5, 0.2, 0.0], [1.0, -1.1, 0.3]),
+    ], ids=["short-num", "fir", "fitted-shape"])
+    def test_discrete_stored_equal_length(self, num, den, num_stored,
+                                          den_stored):
+        g = tf_d(num, den)
+        assert g.num.tolist() == num_stored
+        assert g.den.tolist() == den_stored
+        assert not (g.num.flags.writeable or g.den.flags.writeable)
+
+    def test_continuous_numerator_stored_trimmed(self):
+        assert tf_c([0.0, 0.0, 1.0], [1.0, 1.0]).num.tolist() == [1.0]
+        assert tf_c([0.0, 0.0, 0.0], [1.0, 1.0]).num.tolist() == [0.0]
 
     def test_coefficients_are_frozen_copies(self):
         num = np.array([1.0, 2.0])
@@ -323,6 +339,23 @@ class TestFrequencyResponses:
             z = np.exp(1j * w * g.ts)
             want = np.polyval(g.num, z) / np.polyval(g.den, z)
             assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("num,den", [
+        ([1.0], [1.0, -0.5]),
+        ([1.0, 2.0, 3.0], [1.0]),
+        ([0.5, 0.2], [1.0, -1.1, 0.3]),
+    ], ids=["short-num", "fir", "fitted-shape"])
+    def test_is_dtft_of_impulse_response(self, num, den):
+        # one reading for every shape: the response on the unit circle is
+        # sum_k h[k] z**-k of the model's own impulse response (poles at
+        # most 0.6 in modulus, so 200 samples leave a tail below 1e-40)
+        g = tf_d(num, den, ts=0.5)
+        grid = FrequencyGrid.log_spaced(0.01, 6.0, 50)
+        h = discrete_impulse(g, 200).values
+        z = np.exp(1j * grid.omegas * g.ts)
+        want = np.power.outer(z, -np.arange(200)) @ h
+        np.testing.assert_allclose(discrete_freq_response(g, grid).response,
+                                   want, rtol=1e-12)
 
     def test_warns_above_nyquist(self):
         g = tf_d([1], [1, -0.5], ts=1.0)

@@ -239,6 +239,33 @@ class TestIridFcoi:
         assert err.value.stage == "fit"
         assert isinstance(err.value.cause, EvaluationError)
 
+    def test_rescaled_discrete_impulse_overflow_is_labelled(self,
+                                                            monkeypatch):
+        # a pole at z = 10**(307/255): the response is finite, peaking at
+        # 1e307 at k = m - 1, and overflows only in the rescale by
+        # 1/dt = 128; no RuntimeWarning may leak (warnings are errors)
+        def fit(h, nb, na):
+            return DiscreteTransferFunction([1.0, 0.0],
+                                            [1.0, -10.0 ** (307 / 255)], h.dt)
+
+        monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=1, m=256)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "fit"
+        assert isinstance(err.value.cause, EvaluationError)
+
+    def test_bilinear_underflow_is_labelled(self):
+        # an accepted request whose continuous model is out of the double
+        # range: (ts/2)**120 = 2**-1200 underflows to zero
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=120, m=1024)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "conversion"
+        assert isinstance(err.value.cause, EvaluationError)
+
     def test_continuous_impulse_overflow_is_labelled(self, monkeypatch):
         # a discrete pole at z = -1.01 maps to s = +402/ts, whose response
         # overflows long before t = tm

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from irid.errors import EvaluationError, ParamError
 from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
-                      discrete_impulse)
+                      discrete_impulse, is_stable_discrete)
 from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
 
 
@@ -58,7 +58,8 @@ class TestStmcb:
         h = impulse_of(num, den, 200)
         g = stmcb_fit(h, 1, 2)
         assert np.max(np.abs(regenerate(g, 200) - h.values)) <= 1e-8
-        assert g.num == pytest.approx(num, abs=1e-8)
+        # the numerator is stored padded to the denominator's length
+        assert g.num == pytest.approx([1.0, 0.4, 0.0], abs=1e-8)
         assert g.den == pytest.approx(den, abs=1e-8)
 
     def test_fir_truth_with_one_pole(self):
@@ -200,6 +201,47 @@ class TestBilinear:
             want = np.polyval(g.num, z) / np.polyval(g.den, z)
             got = np.polyval(gc.num, s) / np.polyval(gc.den, s)
             assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_fir_poles_in_left_half_plane(self):
+        # 1 + 2/z + 3/z**2 has a double pole at z = 0, which maps to
+        # s = -2/ts; the continuous model is (2s**2 - 80s + 2400)/(s + 20)**2
+        g = DiscreteTransferFunction([1.0, 2.0, 3.0], [1.0], 0.1)
+        gc = bilinear_d2c(g)
+        np.testing.assert_allclose(gc.den, [1.0, 40.0, 400.0], rtol=1e-13)
+        np.testing.assert_allclose(gc.num, [2.0, -80.0, 2400.0], rtol=1e-13)
+        np.testing.assert_allclose(np.roots(gc.den), [-20.0, -20.0],
+                                   rtol=1e-6)
+
+    def test_stability_agrees_with_continuous_poles(self):
+        # the bilinear map sends the open unit disc onto the open left
+        # half-plane, so for models of every numerator and denominator
+        # length the discrete stability flag says whether every pole of the
+        # continuous image has Re < 0; margins within 1e-6 of the unit
+        # circle are left out as roundoff-dominated
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(400):
+            k = rng.integers(1, 6)
+            poles = rng.uniform(0.1, 1.3, k) * rng.choice([-1.0, 1.0], k)
+            num = rng.normal(size=rng.integers(1, 9))
+            g = DiscreteTransferFunction(num, np.poly(poles), 0.1)
+            stable, margin = is_stable_discrete(g)
+            if abs(margin) < 1e-6:
+                continue
+            continuous_stable = bool(np.all(np.roots(bilinear_d2c(g).den).real
+                                            < 0.0))
+            assert stable == continuous_stable, (num, poles)
+            checked += 1
+        assert checked >= 390
+
+    @pytest.mark.parametrize("deg", [103, 120], ids=["subnormal", "zero"])
+    def test_scale_below_normal_range_raises(self, deg):
+        # (ts/2)**deg = 2**(-10*deg) is subnormal or zero: the continuous
+        # coefficients cannot be represented
+        z = np.r_[1.0, np.zeros(deg)]
+        g = DiscreteTransferFunction(z, z, 2.0 / 1024)
+        with pytest.raises(EvaluationError, match="not a normal double"):
+            bilinear_d2c(g)
 
     def test_pole_at_minus_one_rejected(self):
         g = DiscreteTransferFunction([1.0], [1.0, 1.0], 0.5)
