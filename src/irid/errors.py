@@ -1,11 +1,7 @@
 """Exception types shared across the package.
 
-Four classes, one per builtin family: ``ParamError`` for invalid input
-(arguments, request fields, an empty output path, too little data),
-``EvaluationError`` for a computation that broke down (a vanishing
-denominator, a degenerate least-squares system, a non-finite value or
-iterate, a pole at z = -1 or coefficients out of the double range under
-the bilinear map, a magnitude below the dB scale) and
+Four classes, one per builtin family: ``ParamError`` for invalid input,
+``EvaluationError`` for a computation that broke down and
 ``PipelineStageError`` for either raised inside a pipeline stage.  All
 derive from ``IridError``.  File output raises the builtin OSError, which
 names the path.  The command line exits 2 on a ``ParamError``, which
@@ -20,17 +16,21 @@ class IridError(Exception):
 
 class ParamError(IridError, ValueError):
     """Invalid argument or request field, an argument outside an
-    operation's domain, or too few samples for a fit."""
+    operation's domain, an empty output path or too few samples."""
 
 
 class EvaluationError(IridError, ArithmeticError):
-    """A computation broke down: a denominator vanished, a system was
-    singular, or a value or iterate came out NaN or Inf."""
+    """A computation broke down: a vanishing denominator, all-zero data to
+    fit, a pole at z = -1 or coefficients out of the double range under
+    the bilinear map, a magnitude below the dB scale, or a computed array
+    with a NaN or Inf in it.  The last is always raised by
+    ``irid.lti._all_finite``: the message ends "(sample k)", k the first
+    bad flat index."""
 
 
 class PipelineStageError(IridError, RuntimeError):
-    """Wraps an error from one pipeline stage ("nilt", "fit" or
-    "conversion") so callers can tell where a run failed."""
+    """Wraps an error from one pipeline stage ("nilt", "fit",
+    "conversion" or "compare") so callers can tell where a run failed."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"{stage} stage failed: {cause}")

@@ -82,6 +82,16 @@ def _vector(name: str, x) -> np.ndarray:
     return arr
 
 
+def _all_finite(what: str, x: np.ndarray) -> np.ndarray:
+    """``x`` unchanged, or EvaluationError("<what> (sample k)") at its
+    first non-finite entry, k the flat index.  Numpy arithmetic whose
+    result this checks runs with floating-point warnings off."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise EvaluationError(f"{what} (sample {int(np.argmin(finite))})")
+    return x
+
+
 def _trim(c: np.ndarray) -> np.ndarray:
     """Strip leading zeros; the zero polynomial stays as ``[0.0]``."""
     nz = np.flatnonzero(c)
@@ -247,19 +257,17 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     ``n``) through 1/A(z**-1), the lag reading of the monic denominator,
     so the response starts at t=0 with ``num[0]``.  The stored arrays are
     equally long, so this is the response of num(z)/den(z) as well.
-    ``n`` is an integral number >= 1.  Raises
-    EvaluationError when the response overflows (a pole far outside the
-    unit circle).
+    ``n`` is an integral number >= 1.  Raises EvaluationError when the
+    response overflows (a pole far outside the unit circle).
     """
     n = _count("n", n, 1)
     x = np.zeros((n, 1))
     b = g.num[:n]
     x[:len(b), 0] = b
     vals = _allpole(g.den, x)[:, 0]
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("discrete impulse response overflows; the "
-                              "model has a pole far outside the unit circle")
-    return TimeSeries(0.0, g.ts, vals)
+    return TimeSeries(0.0, g.ts, _all_finite(
+        "discrete impulse response overflows; the model has a pole far "
+        "outside the unit circle", vals))
 
 
 def continuous_impulse(g: ContinuousTransferFunction, dt: float,
@@ -284,12 +292,12 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     if order == 0:
         return TimeSeries(dt, dt, np.zeros(n))
     num = np.concatenate((np.zeros(len(den) - len(num)), num))
-    scale = dt ** np.arange(1, order + 1)
-    rem = (num[1:] - num[0] * den[1:]) * scale
-    a = np.zeros((order, order))
-    a[0] = -den[1:] * scale
-    a[np.arange(1, order), np.arange(order - 1)] = 1.0
     with np.errstate(all="ignore"):
+        scale = dt ** np.arange(1, order + 1)
+        rem = (num[1:] - num[0] * den[1:]) * scale
+        a = np.zeros((order, order))
+        a[0] = -den[1:] * scale
+        a[np.arange(1, order), np.arange(order - 1)] = 1.0
         p = expm(a)
         cols = np.empty((order, n))
         cols[:, 0] = p[:, 0]
@@ -300,10 +308,9 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
             w += step
             p = p @ p
         vals = rem @ cols / dt
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("continuous impulse response overflows; the "
-                              "model has a pole far in the right half-plane")
-    return TimeSeries(dt, dt, vals)
+    return TimeSeries(dt, dt, _all_finite(
+        "continuous impulse response overflows; the model has a pole far "
+        "in the right half-plane", vals))
 
 
 def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,

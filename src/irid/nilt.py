@@ -40,8 +40,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import EvaluationError, ParamError
-from .lti import TimeSeries, _count, _positive
+from .errors import ParamError
+from .lti import TimeSeries, _all_finite, _count, _positive
 
 __all__ = ["nilt"]
 
@@ -64,15 +64,14 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
     dtype = np.promote_types(d.dtype, np.complex128)
     cf = np.zeros(2 * p + 1, dtype=dtype)
     cf[0] = d[0]
-    # rhombus rules, one q column and one e column at a time
-    with np.errstate(all="ignore"):
-        q = (d[1:] / d[:-1]).astype(dtype)
-        e = np.zeros(len(q), dtype=dtype)
-        for r in range(1, p + 1):
-            e = q[1:] - q[:-1] + e[1:len(q)]
-            cf[2 * r - 1], cf[2 * r] = -q[0], -e[0]
-            q = q[1:-1] * e[1:] / e[:-1]
-        cf = cf.astype(complex)
+    # rhombus rules, one q and one e column at a time, under nilt's errstate
+    q = (d[1:] / d[:-1]).astype(dtype)
+    e = np.zeros(len(q), dtype=dtype)
+    for r in range(1, p + 1):
+        e = q[1:] - q[:-1] + e[1:len(q)]
+        cf[2 * r - 1], cf[2 * r] = -q[0], -e[0]
+        q = q[1:-1] * e[1:] / e[:-1]
+    cf = cf.astype(complex)
     bad = ~np.isfinite(cf)
     if bad.any():
         cf = cf[: int(np.argmax(bad))]
@@ -88,19 +87,6 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
     res = cf[0] / (1.0 + out)
     # isolated continued-fraction poles fall back to a zero tail estimate
     return np.where(np.isfinite(res), res, 0.0)
-
-
-def _evaluate(f: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
-              first: int) -> np.ndarray:
-    """``f`` on the line ``s`` (sample indices from ``first``), broadcast
-    to its shape; raises EvaluationError at the first non-finite value."""
-    F = np.broadcast_to(f(s), s.shape)
-    finite = np.isfinite(F)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise EvaluationError(f"transform returned a non-finite value at "
-                              f"s = {complex(s[bad]):g} (sample {first + bad})")
-    return F
 
 
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
@@ -138,8 +124,8 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
     Raises
     ------
-    ParamError for an invalid ``tm`` or ``m``; EvaluationError if ``f``
-    returns NaN/Inf anywhere on the line.
+    ParamError for an invalid ``tm`` or ``m``; EvaluationError, naming the
+    first bad sample, if ``f`` returns NaN/Inf or a sample overflows.
     """
     tm, m = _check_window(tm, m)
     T = 2.0 * tm
@@ -151,29 +137,32 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
     s = c + 1j * dw * np.arange(N)
     s_tail = c + 1j * dw * np.arange(N, N + _QD_TERMS).astype(np.longdouble)
-    F = _evaluate(f, s, 0)
-    F_tail = _evaluate(f, s_tail, N)
-    peak = max(float(np.max(np.abs(F))), float(np.max(np.abs(F_tail))))
+    with np.errstate(all="ignore"):
+        F = _all_finite("transform is not finite on the line",
+                        np.broadcast_to(f(s), s.shape))
+        F_tail = _all_finite("transform is not finite on the qd tail",
+                             np.broadcast_to(f(s_tail), s_tail.shape))
+        peak = max(float(np.max(np.abs(F))), float(np.max(np.abs(F_tail))))
 
-    # initial-value split: fit s*F(s) ~ f0 + f1/s on two line samples and
-    # peel off f0/(s + 1/tm); skipped when the estimate is wildly out of
-    # scale (improper transforms), where it would only add noise.
-    sa, sb = s[N - 2], s[m - 1]
-    va, vb = sa * F[N - 2], sb * F[m - 1]
-    f1 = (va - vb) / (1.0 / sa - 1.0 / sb)
-    r = float((va - f1 / sa).real)
-    beta = 1.0 / tm
-    if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
-        r = 0.0
-    if r != 0.0:
-        F = F - r / (s + beta)
-        F_tail = F_tail - r / (s_tail + beta)
+        # initial-value split: fit s*F(s) ~ f0 + f1/s on two line samples and
+        # peel off f0/(s + 1/tm); skipped when the estimate is wildly out of
+        # scale (improper transforms), where it would only add noise.
+        sa, sb = s[N - 2], s[m - 1]
+        va, vb = sa * F[N - 2], sb * F[m - 1]
+        f1 = (va - vb) / (1.0 / sa - 1.0 / sb)
+        r = float((va - f1 / sa).real)
+        beta = 1.0 / tm
+        if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
+            r = 0.0
+        if r != 0.0:
+            F = F - r / (s + beta)
+            F_tail = F_tail - r / (s_tail + beta)
 
-    # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
-    # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-    z = np.exp(2j * np.pi * np.arange(1, m + 1) / N)
-    core = (np.fft.ifft(F) * N)[1:m + 1] + _qd_eval(_qd_coeffs(F_tail), z)
-    vals = (np.exp(c * t) / T) * (2.0 * np.real(core) - F[0].real)
-    if r != 0.0:
-        vals = vals + r * np.exp(-beta * t)
-    return TimeSeries(dt, dt, vals)
+        # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
+        # z^N = 1 at every sample point z = exp(2j*pi*k/N)
+        z = np.exp(2j * np.pi * np.arange(1, m + 1) / N)
+        core = np.fft.ifft(F)[1:m + 1] * N + _qd_eval(_qd_coeffs(F_tail), z)
+        vals = (np.exp(c * t) / T) * (2.0 * np.real(core) - F[0].real)
+        if r != 0.0:
+            vals = vals + r * np.exp(-beta * t)
+    return TimeSeries(dt, dt, _all_finite("inverted samples overflow", vals))

@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                  _count, _finite_real, _positive, continuous_freq_response,
-                  continuous_impulse, discrete_freq_response,
-                  discrete_impulse, is_stable_discrete)
+                  _all_finite, _count, _finite_real, _positive,
+                  continuous_freq_response, continuous_impulse,
+                  discrete_freq_response, discrete_impulse,
+                  is_stable_discrete)
 from .nilt import _check_window, nilt
 from .sysid import _check_fit, bilinear_d2c, stmcb_fit
 
@@ -39,6 +41,7 @@ __all__ = [
     "compare_impulse",
     "compare_frequency",
     "write_outputs",
+    "format_summary",
 ]
 
 # fraction of the window over which impulse metrics are computed; the
@@ -156,15 +159,18 @@ def compare_frequency(a: FrequencyResponseSeries,
 def _impulse_gap(ref: np.ndarray, mod: np.ndarray) -> Tuple[float, float]:
     """(relative L2 distance, max absolute deviation) of the samples
     ``mod`` against ``ref``; infinite relative error against a zero
-    reference unless ``mod`` is zero too."""
+    reference unless ``mod`` is zero too.  Peaks above 1 are scaled below
+    it by a power of two before the norms square them: exact, and it
+    cancels in the quotient."""
     diff = ref - mod
-    err = float(np.linalg.norm(diff))
-    norm = float(np.linalg.norm(ref))
+    peak = float(np.max(np.abs(diff)))
+    top = math.frexp(max(peak, float(np.max(np.abs(ref)))))[1]
+    scale = math.ldexp(1.0, -max(top, 0))
+    err = float(np.linalg.norm(diff * scale))
+    norm = float(np.linalg.norm(ref * scale))
     if norm == 0.0:
-        rel = 0.0 if err == 0.0 else math.inf
-    else:
-        rel = err / norm
-    return rel, float(np.max(np.abs(diff)))
+        return (0.0 if err == 0.0 else math.inf), peak
+    return err / norm, peak
 
 
 def _db_phase(f: FrequencyResponseSeries) -> Tuple[np.ndarray, np.ndarray]:
@@ -182,6 +188,15 @@ def _spectrum_gap(ref: Tuple[np.ndarray, np.ndarray],
     return tuple(float(np.max(np.abs(r - m))) for r, m in zip(ref, mod))
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise an IridError from the block as PipelineStageError(name)."""
+    try:
+        yield
+    except IridError as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
 def irid_fcoi(req: IridRequest) -> IridResult:
     """Run the discretization pipeline for one integrator.
 
@@ -193,14 +208,14 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     a state-space realization) and all three frequency responses on a log
     grid; attach comparison metrics and a stability flag.
 
-    The request was validated on construction.  Stage failures re-raise
-    as PipelineStageError tagged "nilt", "fit" (the fit and the discrete
-    model's impulse response, which overflows, before or after its rescale
-    by 1/dt, for poles far outside the unit circle) or "conversion" (the
-    bilinear map and the continuous model's impulse response, which
-    overflows for poles far in the right half-plane).  The discrete
-    response is computed after the conversion, so a model whose two
-    responses both overflow reports "conversion".
+    The request was validated on construction.  A run returns finite
+    metrics or raises PipelineStageError tagged "nilt", "fit" (the fit and
+    the discrete model's impulse response, which overflows, before or
+    after its rescale by 1/dt, for poles far outside the unit circle),
+    "conversion" (the bilinear map and the continuous model's impulse
+    response, which overflows for poles far in the right half-plane and
+    is computed first) or "compare" (frequency responses and metrics).
+    Nothing warns but the clamp.
     """
     p = req.params
     dt = req.tm / req.m
@@ -212,52 +227,42 @@ def irid_fcoi(req: IridRequest) -> IridResult:
                       stacklevel=2)
         wmax = nyq
 
-    try:
+    with _stage("nilt"):
         h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
-    except IridError as exc:
-        raise PipelineStageError("nilt", exc) from exc
 
     scaled = TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values)
-    try:
+    with _stage("fit"):
         gd = stmcb_fit(scaled, req.norder, req.norder)
-    except IridError as exc:
-        raise PipelineStageError("fit", exc) from exc
 
-    try:
+    with _stage("conversion"):
         gc = bilinear_d2c(gd)
         h_c = continuous_impulse(gc, dt, req.m)
-    except IridError as exc:
-        raise PipelineStageError("conversion", exc) from exc
 
     # the fitted model's response, so its overflow is a fit failure.  It
     # comes after the conversion: allocated before it, its long-lived array
     # let the allocator return the freed heap top to the OS after every
     # call, which tripled the page faults per call at m = 16384
-    try:
-        with np.errstate(over="ignore"):
-            vals = discrete_impulse(gd, req.m).values / dt
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("discrete impulse response overflows when "
-                                  "rescaled by 1/dt")
-        h_d = TimeSeries(dt, dt, vals)
-    except IridError as exc:
-        raise PipelineStageError("fit", exc) from exc
+    with _stage("fit"), np.errstate(over="ignore"):
+        vals = discrete_impulse(gd, req.m).values / dt
+        h_d = TimeSeries(dt, dt, _all_finite(
+            "discrete impulse response overflows when rescaled by 1/dt", vals))
 
-    grid = FrequencyGrid.log_spaced(req.wmin, wmax, req.npoints)
-    f_ref = cfoi_freq_grid(p, grid)
-    f_d = discrete_freq_response(gd, grid)
-    f_c = continuous_freq_response(gc, grid)
+    with _stage("compare"):
+        grid = FrequencyGrid.log_spaced(req.wmin, wmax, req.npoints)
+        f_ref = cfoi_freq_grid(p, grid)
+        f_d = discrete_freq_response(gd, grid)
+        f_c = continuous_freq_response(gc, grid)
 
-    # impulse metrics on samples k*dt, k = 1..n: [dt, VALIDATED_WINDOW*tm]
-    n = int(VALIDATED_WINDOW * req.m)
-    ref_h, ref_f = h_ref.values[:n], _db_phase(f_ref)
+        # impulse metrics on samples k*dt, k = 1..n: [dt, VALIDATED_WINDOW*tm]
+        n = int(VALIDATED_WINDOW * req.m)
+        ref_h, ref_f = h_ref.values[:n], _db_phase(f_ref)
 
-    def errors(h: TimeSeries, f: FrequencyResponseSeries) -> ModelErrors:
-        return ModelErrors(*_impulse_gap(ref_h, h.values[:n]),
-                           *_spectrum_gap(ref_f, _db_phase(f)))
+        def errors(h: TimeSeries, f: FrequencyResponseSeries) -> ModelErrors:
+            return ModelErrors(*_impulse_gap(ref_h, h.values[:n]),
+                               *_spectrum_gap(ref_f, _db_phase(f)))
 
-    metrics = ComparisonMetrics(discrete=errors(h_d, f_d),
-                                continuous=errors(h_c, f_c))
+        metrics = ComparisonMetrics(discrete=errors(h_d, f_d),
+                                    continuous=errors(h_c, f_c))
     stable, _ = is_stable_discrete(gd)
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
                       h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,

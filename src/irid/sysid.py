@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgeqrf
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, _allpole, _count)
+                  TimeSeries, _all_finite, _allpole, _count)
 
 __all__ = ["stmcb_fit", "bilinear_d2c"]
 
@@ -96,10 +96,8 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     filtered = data
     for it in range(_PASSES):
         if it:
-            filtered = _allpole(a, data)
-            if not np.all(np.isfinite(filtered)):
-                raise EvaluationError(f"prefiltered data overflowed "
-                                      f"(iteration {it})")
+            filtered = _all_finite(f"prefiltered data overflowed "
+                                   f"(iteration {it})", _allpole(a, data))
         hf, xf = filtered.T
         # negated after lagging: the -0.0 in row 0 sets the sign of
         # dgeqrf's first reflector, so negating hf first changes last bits
@@ -109,11 +107,12 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
         mat[:, k] = hf
         # R of the regression and (Q^T h_f)[:k] in one Householder QR
         qr, _, _, _ = dgeqrf(mat, overwrite_a=1)
-        sol, _, _, _ = np.linalg.lstsq(np.triu(qr[:k, :k]), qr[:k, k],
-                                       rcond=rcond)
-        if not np.all(np.isfinite(sol)):
-            raise EvaluationError(f"least-squares solution is non-finite "
-                                  f"(iteration {it})")
+        # an overflowed factor would reach LAPACK's rescaling in lstsq
+        r = _all_finite(f"least-squares factor is non-finite (iteration "
+                        f"{it})", qr[:k, :k + 1])
+        sol, _, _, _ = np.linalg.lstsq(np.triu(r[:, :k]), r[:, k], rcond=rcond)
+        _all_finite(f"least-squares solution is non-finite (iteration {it})",
+                    sol)
         a = np.concatenate(([1.0], sol[:na]))
         b = sol[na:]
     return DiscreteTransferFunction(b, a, h.dt)

@@ -80,6 +80,16 @@ def test_overflowing_discrete_model_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_transform_exits_1_with_one_line(tmp_path, capfd):
+    # wgc**lambda overflows the transform on the Bromwich line: one error
+    # line, no traceback or warning
+    assert run(tmp_path, "--wgc", "1e300") == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: nilt stage failed")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_flag(capsys):
     assert cli_main(["--lambda", "1.5"]) == 2
 

@@ -307,6 +307,12 @@ class TestContinuousImpulse:
         with pytest.raises(EvaluationError, match="overflows"):
             continuous_impulse(tf_c([1], [1, -1e4]), 0.1, 64)
 
+    def test_overflowing_scale_raises_without_warning(self):
+        # dt**2 overflows while the realization is scaled; the response
+        # check reports it, and no RuntimeWarning comes first
+        with pytest.raises(EvaluationError, match=r"overflows.*\(sample 0\)"):
+            continuous_impulse(tf_c([1], [1, 1, 1]), 1e200, 4)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 1000])
     def test_prefix_of_longer_run(self, n):
         # the doubling fills a partial last block when n is no power of

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from irid.cfoi import CfoiParams, cfoi_analytic_impulse, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
 from irid.nilt import nilt
 
@@ -181,3 +183,22 @@ class TestErrors:
 
         with pytest.raises(EvaluationError, match=r"\(sample 9\)"):
             nilt(spiky, 1.0, 64)
+
+
+class TestCfoiOracle:
+    def test_m256_lattice_bound(self):
+        # the 135 integrators of the benchmark's domain_sweep lattice at
+        # m = 256 against the closed-form impulse response on [dt, 0.8*tm].
+        # The worst gap, 2.0e-5 at lambda = 0.1, mu = -0.95, sits in the
+        # first samples next to the t**(lambda - 1) singularity
+        gaps = []
+        for lam, mu, wgc, tm in itertools.product(
+                (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
+                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0)):
+            p = CfoiParams(lam, mu, wgc)
+            ts = nilt(lambda s: cfoi_transfer(p, s), tm, 256)
+            n = int(0.8 * 256)
+            want = [cfoi_analytic_impulse(p, t) for t in ts.times[:n]]
+            gaps.append(rel_l2(ts.values[:n], np.array(want)))
+        assert len(gaps) == 135
+        assert max(gaps) <= 2.5e-5

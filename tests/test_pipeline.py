@@ -2,17 +2,20 @@ import itertools
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import irid.pipeline
 from irid.cfoi import CfoiParams
 from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries)
-from irid.pipeline import (IridRequest, compare_frequency, compare_impulse,
-                           irid_fcoi, write_outputs)
+from irid.pipeline import (IridRequest, _band_limit, compare_frequency,
+                           compare_impulse, irid_fcoi, write_outputs)
 from irid.sysid import stmcb_fit
 
 
@@ -40,6 +43,14 @@ class TestCompareImpulse:
         rel, mabs = compare_impulse(a, b)
         assert rel == pytest.approx(math.sqrt(2))
         assert mabs == pytest.approx(1.0)
+
+    def test_huge_samples_do_not_overflow_the_norm(self):
+        # squaring 1e200 overflows; the scaled norms stay exact
+        a = TimeSeries(0.0, 1.0, 1e200 * np.linspace(-1.0, 3.0, 50))
+        b = TimeSeries(0.0, 1.0, 2.0 * a.values)
+        rel, mabs = compare_impulse(a, b)
+        assert rel == 1.0
+        assert mabs == 3e200
 
     def test_grid_mismatch(self):
         a = TimeSeries(0.0, 1.0, [1.0, 2.0])
@@ -289,6 +300,64 @@ class TestIridFcoi:
                           wmin=0.01, wmax=100.0, norder=5)
         res = irid_fcoi(req)
         assert res.metrics.discrete.impulse_rel_l2 <= 0.05
+
+
+def finite_metrics(res) -> bool:
+    metrics = asdict(res.metrics)
+    return all(math.isfinite(v) for errors in metrics.values()
+               for v in errors.values())
+
+
+class TestBreakdownContract:
+    """A run returns finite metrics or raises a stage-labelled
+    EvaluationError, and warns only about the clamp (warnings are errors
+    in this suite).  The requests are accepted ones at the edge of the
+    double range."""
+
+    def request(self, lam, mu, wgc):
+        return IridRequest(params=CfoiParams(lam, mu, wgc), tm=2.0,
+                           wmin=0.01, wmax=100.0, norder=5, m=256)
+
+    def test_huge_reference_gives_finite_metrics(self):
+        # h_ref peaks near 1e285; squaring it in the norm used to overflow
+        assert finite_metrics(irid_fcoi(self.request(1.9, 0.0, 1e150)))
+
+    @pytest.mark.parametrize("lam,mu,wgc,stage", [
+        (1.95, -0.5, 2e158, "nilt"),     # inverted samples overflow
+        (1.0, 0.0, 1e-300, "compare"),   # magnitudes below the dB scale
+        (1.9, 0.0, 1e161, "fit"),        # iteration 1's QR factor overflows
+    ], ids=["nilt", "compare", "fit"])
+    def test_breakdown_is_stage_labelled(self, lam, mu, wgc, stage):
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(self.request(lam, mu, wgc))
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, EvaluationError)
+
+    # generation only: a failing request is reported as drawn, since
+    # shrinking it would rerun the pipeline for minutes
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None, phases=[Phase.generate])
+    @given(lam=st.floats(0.01, 1.99), mu=st.floats(-0.99, 0.0),
+           log_wgc=st.floats(-300.0, 300.0), log_tm=st.floats(-6.0, 6.0),
+           log_m=st.integers(6, 10), norder=st.integers(1, 8),
+           log_band=st.floats(-6.0, -1.0), open_band=st.booleans())
+    def test_random_accepted_requests(self, lam, mu, log_wgc, log_tm, log_m,
+                                      norder, log_band, open_band):
+        # m >= 64 always holds the 6*norder <= 48 samples a fit needs
+        m, tm = 2 ** log_m, 10.0 ** log_tm
+        wmin = _band_limit(tm, m) * 10.0 ** log_band
+        req = IridRequest(params=CfoiParams(lam, mu, 10.0 ** log_wgc),
+                          tm=tm, wmin=wmin,
+                          wmax=math.inf if open_band else 100.0 * wmin,
+                          norder=norder, m=m, npoints=20)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
+            try:
+                res = irid_fcoi(req)
+            except PipelineStageError as err:
+                assert isinstance(err.cause, EvaluationError), err
+                return
+        assert finite_metrics(res)
 
 
 class TestFitQualitySweep:

@@ -4,9 +4,11 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irid.cfoi import CfoiParams, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
 from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
                       discrete_impulse, is_stable_discrete)
+from irid.nilt import nilt
 from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
 
 
@@ -162,6 +164,18 @@ class TestStmcb:
         with pytest.raises(EvaluationError,
                            match=r"data overflowed \(iteration 1\)"):
             stmcb_fit(h, 0, 1)
+
+    def test_overflowing_factor_raises_before_lapack(self, capfd):
+        # the dt-scaled reference of lambda = 1.9, wgc = 1e161 peaks at
+        # 1.2e304: the prefiltered data stays finite, its QR factor does
+        # not, and handing that to lstsq made LAPACK print to stderr and
+        # numpy raise LinAlgError
+        p = CfoiParams(1.9, 0.0, 1e161)
+        ref = nilt(lambda s: cfoi_transfer(p, s), 2.0, 256)
+        h = TimeSeries(ref.t0, ref.dt, ref.dt * ref.values)
+        with pytest.raises(EvaluationError, match=r"\(iteration 1\)"):
+            stmcb_fit(h, 5, 5)
+        assert capfd.readouterr().err == ""
 
 
 class TestBilinear:
