@@ -84,9 +84,8 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     for i in range(len(cf) - 1, 0, -1):
         out = cf[i] * z / (1.0 + out)
-    res = cf[0] / (1.0 + out)
-    # isolated continued-fraction poles fall back to a zero tail estimate
-    return np.where(np.isfinite(res), res, 0.0)
+    # a continued-fraction pole at a sample point is a breakdown
+    return _all_finite("qd tail estimate is not finite", cf[0] / (1.0 + out))
 
 
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
@@ -125,7 +124,8 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     Raises
     ------
     ParamError for an invalid ``tm`` or ``m``; EvaluationError, naming the
-    first bad sample, if ``f`` returns NaN/Inf or a sample overflows.
+    first bad sample, if ``f`` returns NaN/Inf, the qd tail has a pole at
+    a sample point or a sample overflows.
     """
     tm, m = _check_window(tm, m)
     T = 2.0 * tm

@@ -56,6 +56,12 @@ def _band_limit(tm: float, m: int) -> float:
     return NYQUIST_MARGIN * math.pi / (tm / m)
 
 
+def _band_grid(req: "IridRequest") -> FrequencyGrid:
+    """The request's log-spaced grid, wmax clamped to the band limit."""
+    return FrequencyGrid.log_spaced(
+        req.wmin, min(req.wmax, _band_limit(req.tm, req.m)), req.npoints)
+
+
 @dataclass(frozen=True)
 class IridRequest:
     """One discretization job.
@@ -91,14 +97,12 @@ class IridRequest:
                              f"Nyquist rate, {limit:g} rad/s")
         norder = _count("norder", self.norder, 1)
         _check_fit(m, norder, norder)
-        # the grid irid_fcoi builds, after its Nyquist clamp
-        grid = FrequencyGrid.log_spaced(wmin, min(wmax, limit), self.npoints)
         object.__setattr__(self, "tm", tm)
         object.__setattr__(self, "wmin", wmin)
         object.__setattr__(self, "wmax", float(wmax))
         object.__setattr__(self, "norder", norder)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "npoints", len(grid))
+        object.__setattr__(self, "npoints", len(_band_grid(self)))
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,17 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
 def compare_frequency(a: FrequencyResponseSeries,
                       b: FrequencyResponseSeries) -> Tuple[float, float]:
     """(max |magnitude difference| in dB, max |phase difference| in
-    degrees, phases unwrapped along the grid) of b against a."""
+    degrees) of b against a on their shared grid, the phase difference
+    np.angle(b) - np.angle(a) taken per point and wrapped to [-180, 180);
+    EvaluationError if a magnitude underflows the dB scale."""
     if len(a.grid) != len(b.grid) or not np.array_equal(a.grid.omegas,
                                                         b.grid.omegas):
         raise ParamError("frequency grids differ")
-    return _spectrum_gap(_db_phase(a), _db_phase(b))
+    if min(np.min(np.abs(a.response)), np.min(np.abs(b.response))) < 1e-300:
+        raise EvaluationError("response magnitude underflows the dB scale")
+    turn = np.angle(b.response) - np.angle(a.response) + math.pi
+    return (float(np.max(np.abs(a.magnitude_db() - b.magnitude_db()))),
+            float(np.degrees(np.max(np.abs(turn % (2 * math.pi) - math.pi)))))
 
 
 def _impulse_gap(ref: np.ndarray, mod: np.ndarray) -> Tuple[float, float]:
@@ -171,21 +181,6 @@ def _impulse_gap(ref: np.ndarray, mod: np.ndarray) -> Tuple[float, float]:
     if norm == 0.0:
         return (0.0 if err == 0.0 else math.inf), peak
     return err / norm, peak
-
-
-def _db_phase(f: FrequencyResponseSeries) -> Tuple[np.ndarray, np.ndarray]:
-    """(magnitude in dB, unwrapped phase in degrees) of ``f``;
-    EvaluationError if a magnitude underflows the dB scale."""
-    if np.min(np.abs(f.response)) < 1e-300:
-        raise EvaluationError("response magnitude underflows the dB scale")
-    return f.magnitude_db(), f.phase_deg()
-
-
-def _spectrum_gap(ref: Tuple[np.ndarray, np.ndarray],
-                  mod: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
-    """(max |dB difference|, max |phase difference|) of two
-    :func:`_db_phase` pairs."""
-    return tuple(float(np.max(np.abs(r - m))) for r, m in zip(ref, mod))
 
 
 @contextmanager
@@ -206,7 +201,9 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     discrete one by its difference equation, rescaled back by 1/dt so all
     three share one amplitude convention; the continuous one exactly, from
     a state-space realization) and all three frequency responses on a log
-    grid; attach comparison metrics and a stability flag.
+    grid, its wmax clamped to 0.9x the Nyquist rate; score both models by
+    :func:`compare_impulse` on [dt, 0.8*tm] and by
+    :func:`compare_frequency`; attach a stability flag.
 
     The request was validated on construction.  A run returns finite
     metrics or raises PipelineStageError tagged "nilt", "fit" (the fit and
@@ -214,18 +211,16 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     after its rescale by 1/dt, for poles far outside the unit circle),
     "conversion" (the bilinear map and the continuous model's impulse
     response, which overflows for poles far in the right half-plane and
-    is computed first) or "compare" (frequency responses and metrics).
-    Nothing warns but the clamp.
+    is computed first) or "compare" (frequency responses and metrics; the
+    grid is built before the first stage).  Nothing warns but the clamp.
     """
     p = req.params
     dt = req.tm / req.m
 
-    wmax = req.wmax
-    nyq = _band_limit(req.tm, req.m)
-    if wmax > nyq:
-        warnings.warn(f"wmax={wmax:g} rad/s exceeds {nyq:g}; clamping to it",
-                      stacklevel=2)
-        wmax = nyq
+    grid = _band_grid(req)
+    if req.wmax > grid.omegas[-1]:
+        warnings.warn(f"wmax={req.wmax:g} rad/s exceeds "
+                      f"{grid.omegas[-1]:g}; clamping to it", stacklevel=2)
 
     with _stage("nilt"):
         h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
@@ -248,18 +243,17 @@ def irid_fcoi(req: IridRequest) -> IridResult:
             "discrete impulse response overflows when rescaled by 1/dt", vals))
 
     with _stage("compare"):
-        grid = FrequencyGrid.log_spaced(req.wmin, wmax, req.npoints)
         f_ref = cfoi_freq_grid(p, grid)
         f_d = discrete_freq_response(gd, grid)
         f_c = continuous_freq_response(gc, grid)
 
         # impulse metrics on samples k*dt, k = 1..n: [dt, VALIDATED_WINDOW*tm]
         n = int(VALIDATED_WINDOW * req.m)
-        ref_h, ref_f = h_ref.values[:n], _db_phase(f_ref)
+        ref_h = h_ref.values[:n]
 
         def errors(h: TimeSeries, f: FrequencyResponseSeries) -> ModelErrors:
             return ModelErrors(*_impulse_gap(ref_h, h.values[:n]),
-                               *_spectrum_gap(ref_f, _db_phase(f)))
+                               *compare_frequency(f_ref, f))
 
         metrics = ComparisonMetrics(discrete=errors(h_d, f_d),
                                     continuous=errors(h_c, f_c))

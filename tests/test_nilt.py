@@ -6,7 +6,7 @@ import pytest
 
 from irid.cfoi import CfoiParams, cfoi_analytic_impulse, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
-from irid.nilt import nilt
+from irid.nilt import _qd_eval, nilt
 
 
 def rel_l2(got, want):
@@ -183,6 +183,13 @@ class TestErrors:
 
         with pytest.raises(EvaluationError, match=r"\(sample 9\)"):
             nilt(spiky, 1.0, 64)
+
+    def test_qd_tail_pole_at_sample_point(self):
+        # 1/(1 - z) has its pole at z = 1: no tail estimate stands in for it
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError,
+                                                      match="qd tail"):
+            _qd_eval(np.array([1.0, -1.0], dtype=complex),
+                     np.array([1.0 + 0j]))
 
 
 class TestCfoiOracle:

@@ -13,7 +13,7 @@ import irid.pipeline
 from irid.cfoi import CfoiParams
 from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
-                      FrequencyResponseSeries, TimeSeries)
+                      FrequencyResponseSeries, TimeSeries, is_stable_discrete)
 from irid.pipeline import (IridRequest, _band_limit, compare_frequency,
                            compare_impulse, irid_fcoi, write_outputs)
 from irid.sysid import stmcb_fit
@@ -92,6 +92,13 @@ class TestCompareFrequency:
         a = FrequencyResponseSeries(self.grid(), [1.0, 0.0, 1.0])
         with pytest.raises(EvaluationError, match="underflows the dB scale"):
             compare_frequency(a, a)
+
+    def test_phase_gap_taken_per_point(self):
+        # 179 and -179 degrees sit 2 degrees apart across the branch cut
+        grid = FrequencyGrid([1.0])
+        a = FrequencyResponseSeries(grid, [np.exp(1j * np.radians(179.0))])
+        b = FrequencyResponseSeries(grid, [np.exp(-1j * np.radians(179.0))])
+        assert compare_frequency(a, b)[1] == pytest.approx(2.0)
 
 
 class TestRequestValidation:
@@ -196,6 +203,21 @@ class TestIridFcoi:
         assert np.array_equal(again.h_d.values, small_result.h_d.values)
         assert np.array_equal(again.gd.den, small_result.gd.den)
         assert again.metrics == small_result.metrics
+
+    def test_phase_error_is_the_largest_point_gap(self):
+        # a close impulse fit whose phase at wmin is +151.6 deg against the
+        # exact -177.0 deg: curves unwrapped each from its own start read
+        # 392.8 deg, while no point is more than 44.2 deg off
+        req = IridRequest(params=CfoiParams(0.1, -0.5, 10.0), tm=0.5,
+                          wmin=0.01, wmax=100.0, norder=8, m=256)
+        res = irid_fcoi(req)
+        assert res.metrics.discrete.impulse_rel_l2 <= 1e-4
+        for f, got in ((res.f_d, res.metrics.discrete),
+                       (res.f_c, res.metrics.continuous)):
+            gap = np.angle(f.response / res.f_ref.response)
+            assert got.phase_max_err_deg <= 180.0
+            assert got.phase_max_err_deg == pytest.approx(
+                np.degrees(np.max(np.abs(gap))), abs=1e-9)
 
     def test_wmax_clamped_to_nyquist(self):
         for wmax in (500.0, math.inf):
@@ -311,8 +333,9 @@ def finite_metrics(res) -> bool:
 class TestBreakdownContract:
     """A run returns finite metrics or raises a stage-labelled
     EvaluationError, and warns only about the clamp (warnings are errors
-    in this suite).  The requests are accepted ones at the edge of the
-    double range."""
+    in this suite); its stability flag says whether every continuous pole
+    has Re < 0.  The requests are accepted ones at the edge of the double
+    range."""
 
     def request(self, lam, mu, wgc):
         return IridRequest(params=CfoiParams(lam, mu, wgc), tm=2.0,
@@ -358,6 +381,10 @@ class TestBreakdownContract:
                 assert isinstance(err.cause, EvaluationError), err
                 return
         assert finite_metrics(res)
+        # the bilinear map sends the unit disc onto the left half-plane;
+        # margins within 1e-6 of the unit circle are roundoff-dominated
+        if abs(is_stable_discrete(res.gd)[1]) >= 1e-6:
+            assert res.stable == bool(np.all(np.roots(res.gc.den).real < 0.0))
 
 
 class TestFitQualitySweep:
