@@ -72,8 +72,15 @@ def cfoi_transfer(p: CfoiParams, s):
         s = s.astype(np.result_type(s, 0j))
     if np.any(s == 0):
         raise ParamError("transfer function is singular at s = 0")
-    log_w = np.log(p.wgc / s)
-    return (np.exp(p.lam * log_w) * np.cos(p.mu * log_w))[()]
+    # the formula's own operations in its order, in two new buffers:
+    # L = log(wgc/s) becomes cos(mu*L), lam*L becomes exp(lam*L), then G
+    log_w = np.divide(p.wgc, s, out=np.empty_like(s))
+    np.log(log_w, out=log_w)
+    g = np.multiply(p.lam, log_w, out=np.empty_like(s))
+    np.exp(g, out=g)
+    np.multiply(p.mu, log_w, out=log_w)
+    np.cos(log_w, out=log_w)
+    return np.multiply(g, log_w, out=g)[()]
 
 
 def cfoi_freq_response(p: CfoiParams, omega):

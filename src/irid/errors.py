@@ -21,11 +21,11 @@ class ParamError(IridError, ValueError):
 
 class EvaluationError(IridError, ArithmeticError):
     """A computation broke down: a vanishing denominator, all-zero data to
-    fit, a pole at z = -1 or coefficients out of the double range under
-    the bilinear map, a magnitude below the dB scale, or a computed array
-    with a NaN or Inf in it.  The last is always raised by
-    ``irid.lti._all_finite``: the message ends "(sample k)", k the first
-    bad flat index."""
+    fit, a least-squares solve that LAPACK reports as failed, a pole at
+    z = -1 or coefficients out of the double range under the bilinear
+    map, a magnitude below the dB scale, or a computed array with a NaN
+    or Inf in it.  The last is always raised by ``irid.lti._all_finite``:
+    the message ends "(sample k)", k the first bad flat index."""
 
 
 class PipelineStageError(IridError, RuntimeError):

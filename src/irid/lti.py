@@ -13,7 +13,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -235,18 +235,30 @@ class FrequencyResponseSeries:
         return np.degrees(np.unwrap(np.angle(self.response)))
 
 
-def _allpole(den: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _allpole(den: np.ndarray, x: np.ndarray,
+             out: Optional[np.ndarray] = None,
+             band: Optional[np.ndarray] = None) -> np.ndarray:
     """The columns of ``x`` (shape (n, k)) filtered through 1/den(z) from
     a zero state; ``den`` is monic.
 
     This is forward substitution with the n-by-n unit lower-triangular
     banded Toeplitz matrix whose i-th subdiagonal holds den[i]: LAPACK
-    tbtrs, no pivoting.  The band is passed in Fortran order, so it is
-    not copied again on the way in.
+    tbtrs, no pivoting, solving in place.  The result is written into
+    ``out`` (``x`` is copied there first unless ``out`` is ``x``) or into
+    a new array; ``band``, if given, is reused for the matrix.  Both are
+    Fortran-order float64, (n, k) and (len(den), n), so LAPACK reads and
+    writes them without a copy; a caller filtering once per pass passes
+    the same two buffers every time.  ``x`` is modified only as ``out``.
     """
     n = x.shape[0]
-    band = np.tile(den, (n, 1)).T
-    y, _ = dtbtrs(band, x, uplo="L", diag="U")
+    if out is None:
+        out = np.array(x, dtype=float, order="F")
+    elif out is not x:
+        out[...] = x
+    if band is None:
+        band = np.empty((len(den), n), order="F")
+    band[...] = den[:, None]
+    y, _ = dtbtrs(band, out, uplo="L", diag="U", overwrite_b=1)
     return y
 
 
@@ -264,7 +276,7 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     x = np.zeros((n, 1))
     b = g.num[:n]
     x[:len(b), 0] = b
-    vals = _allpole(g.den, x)[:, 0]
+    vals = _allpole(g.den, x, out=x)[:, 0]
     return TimeSeries(0.0, g.ts, _all_finite(
         "discrete impulse response overflows; the model has a pole far "
         "outside the unit circle", vals))

@@ -81,11 +81,17 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
 def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
     if len(cf) == 0:
         return np.zeros_like(z)
+    # every level in the same two buffers: out <- cf[i]*z / (1 + out)
     out = np.zeros_like(z)
+    num = np.empty_like(z)
     for i in range(len(cf) - 1, 0, -1):
-        out = cf[i] * z / (1.0 + out)
+        np.add(1.0, out, out=out)
+        np.multiply(cf[i], z, out=num)
+        np.divide(num, out, out=out)
+    np.add(1.0, out, out=out)
     # a continued-fraction pole at a sample point is a breakdown
-    return _all_finite("qd tail estimate is not finite", cf[0] / (1.0 + out))
+    return _all_finite("qd tail estimate is not finite",
+                       np.divide(cf[0], out, out=out))
 
 
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
@@ -135,7 +141,9 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     dt = tm / m
     t = np.arange(1, m + 1) * dt
 
-    s = c + 1j * dw * np.arange(N)
+    s = np.arange(N, dtype=complex)
+    np.multiply(1j * dw, s, out=s)
+    np.add(c, s, out=s)
     s_tail = c + 1j * dw * np.arange(N, N + _QD_TERMS).astype(np.longdouble)
     with np.errstate(all="ignore"):
         F = _all_finite("transform is not finite on the line",
@@ -155,14 +163,33 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
             r = 0.0
         if r != 0.0:
-            F = F - r / (s + beta)
+            # into a new buffer: F may be the transform's own array
+            split = np.add(s, beta)
+            np.divide(r, split, out=split)
+            F = np.subtract(F, split, out=split)
             F_tail = F_tail - r / (s_tail + beta)
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-        z = np.exp(2j * np.pi * np.arange(1, m + 1) / N)
-        core = np.fft.ifft(F)[1:m + 1] * N + _qd_eval(_qd_coeffs(F_tail), z)
-        vals = (np.exp(c * t) / T) * (2.0 * np.real(core) - F[0].real)
+        z = np.arange(1, m + 1, dtype=complex)
+        np.multiply(2j * np.pi, z, out=z)
+        np.divide(z, N, out=z)
+        np.exp(z, out=z)
+        core = np.fft.ifft(F)[1:m + 1]
+        np.multiply(core, N, out=core)
+        np.add(core, _qd_eval(_qd_coeffs(F_tail), z), out=core)
+        # vals = (exp(c*t)/T) * (2*Re(core) - Re(F_0)), in place
+        vals = np.multiply(c, t)
+        np.exp(vals, out=vals)
+        np.divide(vals, T, out=vals)
+        re = core.real
+        np.multiply(2.0, re, out=re)
+        np.subtract(re, F[0].real, out=re)
+        np.multiply(vals, re, out=vals)
         if r != 0.0:
-            vals = vals + r * np.exp(-beta * t)
+            # t is not needed after this
+            np.multiply(-beta, t, out=t)
+            np.exp(t, out=t)
+            np.multiply(r, t, out=t)
+            np.add(vals, t, out=vals)
     return TimeSeries(dt, dt, _all_finite("inverted samples overflow", vals))

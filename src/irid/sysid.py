@@ -5,7 +5,8 @@ least squares on data filtered through the previous pass's all-pole filter
 1/A(z).  It starts from A(z) = 1, so its first pass is the plain
 equation-error fit.  Each pass solves its least-squares problem by one
 Householder QR of [regression | data], then a minimum-norm solve of the
-small triangular factor R with the eps*n rank rule.  A bilinear (Tustin)
+small triangular factor R with the eps*n rank rule, by LAPACK gelsd called
+directly with one workspace query per fit.  A bilinear (Tustin)
 substitution converts the fitted discrete model to a continuous one of the
 same order.
 """
@@ -17,7 +18,7 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
@@ -58,9 +59,10 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
 
     Starting from A(z) = 1, each of five passes filters the data and the
     unit impulse together, as two columns of one triangular solve, through
-    1/A(z) of the previous pass (zero initial state), then solves one joint
-    least-squares problem for all numerator coefficients and the trailing
-    denominator coefficients (a0 pinned at one), minimizing
+    1/A(z) of the previous pass (zero initial state; the band and the two
+    filtered columns are buffers allocated once per fit), then solves one
+    joint least-squares problem for all numerator coefficients and the
+    trailing denominator coefficients (a0 pinned at one), minimizing
     ||A(z)*h_f - B(z)*delta_f|| over all samples.  The solve is one
     Householder QR (LAPACK geqrf) of the n-by-(k + 1) matrix
     [regression | data], k = na + nb + 1, which leaves R in its top k-by-k
@@ -68,7 +70,11 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     minimum-norm solution of that k-by-k triangular system with the eps*n
     rank rule, the rule ``np.linalg.lstsq`` applies to the full regression
     matrix.  A rank-deficient (overparameterized) fit therefore gets the
-    same minimum-norm answer as a full-matrix solve.  A(z) = 1 leaves the
+    same minimum-norm answer as a full-matrix solve.  That solve calls
+    LAPACK gelsd (the SVD routine lstsq wraps) directly, with its
+    workspace sized by one query per fit; a solve LAPACK reports as failed
+    (gelsd's SVD did not converge) raises EvaluationError naming the
+    iteration, as does a non-finite factor or solution.  A(z) = 1 leaves the
     data as it is, so the first pass uses it unfiltered and is the
     equation-error fit.  The last pass's model is returned.
 
@@ -90,14 +96,22 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     k = na + nb + 1
     # [-lagged h_f | lagged delta_f | h_f], rewritten each pass
     mat = np.empty((n, k + 1), order="F")
+    # filter buffers refilled each pass: data through 1/A(z), and the band
+    work = np.empty((n, 2), order="F")
+    band = np.empty((na + 1, n), order="F")
     # lstsq's default rank rule for the full n-by-k matrix (n > k)
     rcond = np.finfo(float).eps * n
+    # one workspace query for all passes' k-by-k solves
+    lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
+    lwork = int(lwork)
+    below = np.tri(k, k, -1, dtype=bool)
     # pass 0 filters through A(z) = 1, which leaves the data as it is
     filtered = data
     for it in range(_PASSES):
         if it:
-            filtered = _all_finite(f"prefiltered data overflowed "
-                                   f"(iteration {it})", _allpole(a, data))
+            filtered = _all_finite(
+                f"prefiltered data overflowed (iteration {it})",
+                _allpole(a, data, out=work, band=band))
         hf, xf = filtered.T
         # negated after lagging: the -0.0 in row 0 sets the sign of
         # dgeqrf's first reflector, so negating hf first changes last bits
@@ -107,14 +121,20 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
         mat[:, k] = hf
         # R of the regression and (Q^T h_f)[:k] in one Householder QR
         qr, _, _, _ = dgeqrf(mat, overwrite_a=1)
-        # an overflowed factor would reach LAPACK's rescaling in lstsq
+        # an overflowed factor would reach LAPACK's rescaling in gelsd
         r = _all_finite(f"least-squares factor is non-finite (iteration "
                         f"{it})", qr[:k, :k + 1])
-        sol, _, _, _ = np.linalg.lstsq(np.triu(r[:, :k]), r[:, k], rcond=rcond)
+        # R is the upper triangle; dgeqrf left its reflectors below it
+        r[:, :k][below] = 0.0
+        sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
+                                 cond=rcond)
+        if info != 0:
+            raise EvaluationError(f"least-squares solve failed, LAPACK "
+                                  f"gelsd info {info} (iteration {it})")
         _all_finite(f"least-squares solution is non-finite (iteration {it})",
                     sol)
-        a = np.concatenate(([1.0], sol[:na]))
-        b = sol[na:]
+        a = np.concatenate(([1.0], sol[:na, 0]))
+        b = sol[na:, 0]
     return DiscreteTransferFunction(b, a, h.dt)
 
 

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,25 @@ class TestTransfer:
     def test_real_for_positive_real_s(self):
         p = CfoiParams(1.5, -0.4, 2.0)
         assert abs(cfoi_transfer(p, 3.0).imag) < 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_bit_equal_to_the_formula(self, dtype):
+        # the in-place evaluation does the formula's own operations, in
+        # its own order and dtype: a Bromwich line and a qd tail array
+        p = CfoiParams(1.5, -0.4, 2.0)
+        s = (0.9 + 1j * np.linspace(0.0, 500.0, 257)).astype(dtype)
+        s_before = s.copy()
+        L = np.log(p.wgc / s)
+        want = np.exp(p.lam * L) * np.cos(p.mu * L)
+        got = cfoi_transfer(p, s)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(s, s_before)
+
+    @pytest.mark.parametrize("s", [2.0, 1.0 + 2.0j])
+    def test_scalar_in_scalar_out(self, s):
+        got = cfoi_transfer(CfoiParams(1.5, -0.4, 1.0), s)
+        assert isinstance(got, np.complexfloating)
 
 
 class TestFreqResponse:

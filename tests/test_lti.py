@@ -278,6 +278,19 @@ class TestAllPole:
                 err = np.linalg.norm(y[:, col] - want) / np.linalg.norm(want)
                 assert err <= 1e-13, (col, err)
 
+    def test_filters_into_reused_buffers(self):
+        # the fit's passes hand in the same two Fortran-order buffers:
+        # LAPACK solves in place, x is left alone, the bits are unchanged
+        den = allpole_den(5, 0.9)
+        x = np.random.default_rng(1).standard_normal((300, 2))
+        x_before = x.copy()
+        out = np.empty((300, 2), order="F")
+        band = np.empty((6, 300), order="F")
+        for _ in range(2):
+            assert _allpole(den, x, out=out, band=band) is out
+        assert np.array_equal(out, _allpole(den, x))
+        assert np.array_equal(x, x_before)
+
 
 class TestContinuousImpulse:
     @pytest.mark.parametrize("num,den,h", [

@@ -99,6 +99,24 @@ class TestAcceleratedMode:
         ts = nilt(lambda s: 1.0 + 0j, 2.0, 64)
         assert np.all(np.isfinite(ts.values))
 
+    def test_transform_output_is_not_written(self):
+        # a transform may hand back an array it keeps: nilt builds the
+        # split, the ifft input and the reconstruction in its own buffers
+        kept, copies = {}, {}
+
+        def shared(s):
+            if s.dtype not in kept:
+                kept[s.dtype] = 1.0 / (s + 1.0)
+                copies[s.dtype] = kept[s.dtype].copy()
+            return kept[s.dtype]
+
+        first = nilt(shared, 2.0, 64)
+        second = nilt(shared, 2.0, 64)
+        assert len(kept) == 2
+        for dtype, arr in kept.items():
+            assert np.array_equal(arr, copies[dtype]), dtype
+        assert np.array_equal(first.values, second.values)
+
     def test_zero_transform_gives_exact_zeros(self):
         # an all-zero tail series leaves a one-term continued fraction [0]
         ts = nilt(lambda s: 0 * s, 1.0, 64)

@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irid.sysid
 from irid.cfoi import CfoiParams, cfoi_transfer
-from irid.errors import EvaluationError, ParamError
+from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
                       discrete_impulse, is_stable_discrete)
 from irid.nilt import nilt
+from irid.pipeline import IridRequest, irid_fcoi
 from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
 
 
@@ -20,6 +24,17 @@ def impulse_of(num, den, n, ts=1.0):
 
 def regenerate(g: DiscreteTransferFunction, n: int) -> np.ndarray:
     return discrete_impulse(g, n).values
+
+
+def gelsd_failing_at(fail: int):
+    """LAPACK's dgelsd, but reporting info = 1 (an SVD that did not
+    converge) on the call of pass ``fail``."""
+    real, passes = irid.sysid.dgelsd, itertools.count()
+
+    def gelsd(*args, **kwargs):
+        x, s, rank, info = real(*args, **kwargs)
+        return x, s, rank, 1 if next(passes) == fail else info
+    return gelsd
 
 
 def full_matrix_stmcb(h: TimeSeries, nb: int, na: int):
@@ -176,6 +191,23 @@ class TestStmcb:
         with pytest.raises(EvaluationError, match=r"\(iteration 1\)"):
             stmcb_fit(h, 5, 5)
         assert capfd.readouterr().err == ""
+
+    def test_failed_solve_names_its_iteration(self, monkeypatch):
+        monkeypatch.setattr(irid.sysid, "dgelsd", gelsd_failing_at(2))
+        h = impulse_of([1.0, 0.4], [1.0, -0.9, 0.2], 200)
+        with pytest.raises(EvaluationError,
+                           match=r"gelsd info 1 \(iteration 2\)"):
+            stmcb_fit(h, 1, 2)
+
+    def test_failed_solve_is_a_fit_stage_error(self, monkeypatch):
+        monkeypatch.setattr(irid.sysid, "dgelsd", gelsd_failing_at(0))
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=256)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "fit"
+        assert isinstance(err.value.cause, EvaluationError)
+        assert "(iteration 0)" in str(err.value.cause)
 
 
 class TestBilinear:
