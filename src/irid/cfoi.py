@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .lti import (FrequencyGrid, FrequencyResponseSeries, _finite_real,
-                  _positive, _real_array)
+from .lti import (FrequencyGrid, FrequencyResponseSeries, _all_finite,
+                  _finite_real, _number_array, _positive)
 
 __all__ = [
     "CfoiParams",
@@ -83,25 +83,35 @@ def cfoi_transfer(p: CfoiParams, s):
     return np.multiply(g, log_w, out=g)[()]
 
 
+def _positive_points(name: str, x) -> np.ndarray:
+    """``x`` as a float64 array (see ``irid.lti._number_array``);
+    ParamError unless every entry is positive and finite."""
+    x = _number_array(name, x)
+    ok = (x > 0.0) & np.isfinite(x)
+    if not np.all(ok):
+        raise ParamError(f"{name} must be positive and finite, "
+                         f"got {float(x[~ok][0])!r}")
+    return x
+
+
 def cfoi_freq_response(p: CfoiParams, omega):
     """G(j*omega) from the expanded real/imaginary parts.
 
     Independent of :func:`cfoi_transfer`; the two must agree to roundoff,
     which the test suite checks across the admissible parameter range.
-    Array in, array out; a scalar returns a scalar.
+    Array in, array out; a scalar returns a scalar.  EvaluationError when
+    a value is out of the double range.
     """
-    omega = _real_array("omega", omega)
-    ok = (omega > 0.0) & np.isfinite(omega)
-    if not np.all(ok):
-        raise ParamError(f"omega must be positive and finite, "
-                          f"got {float(omega[~ok][0])!r}")
-    x = p.mu * np.log(p.wgc / omega)
-    a = math.cosh(p.mu * math.pi / 2.0) * np.cos(x)
-    b = math.sinh(p.mu * math.pi / 2.0) * np.sin(x)
-    c = math.cos(p.lam * math.pi / 2.0)
-    d = math.sin(p.lam * math.pi / 2.0)
-    pref = (p.wgc / omega) ** p.lam
-    return (pref * (a * c + b * d) + 1j * (pref * (b * c - a * d)))[()]
+    omega = _positive_points("omega", omega)
+    with np.errstate(all="ignore"):
+        x = p.mu * np.log(p.wgc / omega)
+        a = math.cosh(p.mu * math.pi / 2.0) * np.cos(x)
+        b = math.sinh(p.mu * math.pi / 2.0) * np.sin(x)
+        c = math.cos(p.lam * math.pi / 2.0)
+        d = math.sin(p.lam * math.pi / 2.0)
+        pref = (p.wgc / omega) ** p.lam
+        g = pref * (a * c + b * d) + 1j * (pref * (b * c - a * d))
+    return _all_finite("integrator frequency response is not finite", g)[()]
 
 
 def cfoi_freq_grid(p: CfoiParams, grid: FrequencyGrid) -> FrequencyResponseSeries:
@@ -140,15 +150,20 @@ def gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * series
 
 
-def cfoi_analytic_impulse(p: CfoiParams, t: float) -> float:
+def cfoi_analytic_impulse(p: CfoiParams, t):
     """Exact impulse response h(t) = Re[wgc**nu * t**(nu-1) / gamma(nu)]
     with nu = lam + j*mu.
 
     Serves as an independent oracle for the numerical inversion; for
     ``mu = 0`` it reduces to ``wgc**lam * t**(lam-1) / gamma(lam)``.
-    Singular at t = 0 when lam < 1, hence t must be positive and finite.
+    Array in, array out, gamma(nu) evaluated once per call; a scalar
+    returns a float, computed in Python's complex arithmetic, which rounds
+    differently from numpy's by up to ~1e-13 relative.  Singular at t = 0
+    when lam < 1, hence every t must be positive and finite, else
+    ParamError; a scalar t follows the scalar rule, so a string or a bool
+    is not a number.
     """
-    t = _positive("t", t)
+    t = _positive("t", t) if np.ndim(t) == 0 else _positive_points("t", t)
     nu = complex(p.lam, p.mu)
     val = p.wgc ** nu * t ** (nu - 1.0) / gamma_complex(nu)
     return val.real

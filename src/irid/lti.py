@@ -59,21 +59,24 @@ def _count(name: str, x, least: int) -> int:
     return int(x)
 
 
-def _real_array(name: str, x) -> np.ndarray:
-    """``x`` as a float64 array, not copied if it is one; ParamError unless
-    numpy reads it as integers or floats (bools, strings, bytes, complex
-    numbers and objects are not real numbers)."""
+def _number_array(name: str, x, dtype=float) -> np.ndarray:
+    """``x`` as a ``dtype`` array, float or complex, not copied if it is
+    one; ParamError unless numpy reads it as integers or floats, or also
+    as complex numbers for a complex ``dtype`` (bools, strings, bytes and
+    objects are never numbers, and complex numbers are not real ones)."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
-        raise ParamError(f"{name} must hold real numbers, got dtype "
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kind = "complex" if dtype is complex else "real"
+        raise ParamError(f"{name} must hold {kind} numbers, got dtype "
                          f"{arr.dtype}")
-    return arr.astype(float, copy=False)
+    return arr.astype(dtype, copy=False)
 
 
-def _vector(name: str, x) -> np.ndarray:
-    """``x`` as a new read-only float64 array; raises ParamError unless it
-    is a non-empty 1-D sequence of finite real numbers."""
-    arr = np.array(_real_array(name, x))
+def _vector(name: str, x, dtype=float) -> np.ndarray:
+    """``x`` as a new read-only ``dtype`` array (see :func:`_number_array`);
+    raises ParamError unless it is a non-empty 1-D sequence of finite
+    numbers."""
+    arr = np.array(_number_array(name, x, dtype))
     if arr.ndim != 1 or arr.size == 0:
         raise ParamError(f"{name} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
@@ -215,16 +218,17 @@ class FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyResponseSeries:
-    """Complex response sampled on a FrequencyGrid."""
+    """Complex response sampled on a FrequencyGrid: ints, floats or
+    complex numbers, all finite, one per grid point, stored as a read-only
+    complex128 array; else ParamError."""
 
     grid: FrequencyGrid
     response: np.ndarray
 
     def __post_init__(self):
-        response = np.array(self.response, dtype=complex)
-        if response.shape != (len(self.grid),):
+        response = _vector("response", self.response, complex)
+        if len(response) != len(self.grid):
             raise ParamError("response length must match the grid")
-        response.flags.writeable = False
         object.__setattr__(self, "response", response)
 
     def magnitude_db(self) -> np.ndarray:
@@ -327,13 +331,16 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
 
 def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,
                        grid: FrequencyGrid) -> FrequencyResponseSeries:
-    nv = np.polyval(num, points)
-    dv = np.polyval(den, points)
-    small = np.abs(dv) < 1e-300
+    with np.errstate(all="ignore"):
+        nv = np.polyval(num, points)
+        dv = np.polyval(den, points)
+        small = np.abs(dv) < 1e-300
+        ratio = nv / dv
     if np.any(small):
         w = grid.omegas[np.argmax(small)]
         raise EvaluationError(f"denominator vanishes near omega={w:g} rad/s")
-    return FrequencyResponseSeries(grid, nv / dv)
+    return FrequencyResponseSeries(grid, _all_finite(
+        "frequency response is not finite", ratio))
 
 
 def discrete_freq_response(g: DiscreteTransferFunction,

@@ -195,24 +195,24 @@ def _stage(name: str) -> Iterator[None]:
 def irid_fcoi(req: IridRequest) -> IridResult:
     """Run the discretization pipeline for one integrator.
 
-    Steps: numerically invert the exact transfer function on (0, tm];
-    scale by dt and fit a (norder, norder) discrete model; bilinear-convert
-    it to a continuous model; compute both models' impulse responses (the
-    discrete one by its difference equation, rescaled back by 1/dt so all
-    three share one amplitude convention; the continuous one exactly, from
-    a state-space realization) and all three frequency responses on a log
-    grid, its wmax clamped to 0.9x the Nyquist rate; score both models by
-    :func:`compare_impulse` on [dt, 0.8*tm] and by
-    :func:`compare_frequency`; attach a stability flag.
+    Four stages, each run once and in this order: "nilt" numerically
+    inverts the exact transfer function on (0, tm]; "fit" scales that by
+    dt, fits a (norder, norder) discrete model, computes its impulse
+    response by its difference equation, rescaled back by 1/dt so all
+    three responses share one amplitude convention, and its stability
+    flag; "conversion" bilinear-converts it to a continuous model and
+    computes that model's impulse response exactly, from a state-space
+    realization; "compare" computes all three frequency responses on a
+    log grid, its wmax clamped to 0.9x the Nyquist rate, and scores both
+    models by :func:`compare_impulse` on [dt, 0.8*tm] and by
+    :func:`compare_frequency`.
 
     The request was validated on construction.  A run returns finite
-    metrics or raises PipelineStageError tagged "nilt", "fit" (the fit and
-    the discrete model's impulse response, which overflows, before or
-    after its rescale by 1/dt, for poles far outside the unit circle),
-    "conversion" (the bilinear map and the continuous model's impulse
-    response, which overflows for poles far in the right half-plane and
-    is computed first) or "compare" (frequency responses and metrics; the
-    grid is built before the first stage).  Nothing warns but the clamp.
+    metrics or raises PipelineStageError tagged with the stage that broke
+    down first; an impulse response overflows in "fit" for discrete poles
+    far outside the unit circle and in "conversion" for continuous poles
+    far in the right half-plane.  Only the grid and the clamp warning come
+    before the first stage, and nothing warns but the clamp.
     """
     p = req.params
     dt = req.tm / req.m
@@ -225,22 +225,18 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     with _stage("nilt"):
         h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
 
-    scaled = TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values)
     with _stage("fit"):
-        gd = stmcb_fit(scaled, req.norder, req.norder)
+        gd = stmcb_fit(TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values),
+                       req.norder, req.norder)
+        with np.errstate(over="ignore"):
+            vals = discrete_impulse(gd, req.m).values / dt
+        h_d = TimeSeries(dt, dt, _all_finite(
+            "discrete impulse response overflows when rescaled by 1/dt", vals))
+        stable, _ = is_stable_discrete(gd)
 
     with _stage("conversion"):
         gc = bilinear_d2c(gd)
         h_c = continuous_impulse(gc, dt, req.m)
-
-    # the fitted model's response, so its overflow is a fit failure.  It
-    # comes after the conversion: allocated before it, its long-lived array
-    # let the allocator return the freed heap top to the OS after every
-    # call, which tripled the page faults per call at m = 16384
-    with _stage("fit"), np.errstate(over="ignore"):
-        vals = discrete_impulse(gd, req.m).values / dt
-        h_d = TimeSeries(dt, dt, _all_finite(
-            "discrete impulse response overflows when rescaled by 1/dt", vals))
 
     with _stage("compare"):
         f_ref = cfoi_freq_grid(p, grid)
@@ -257,7 +253,6 @@ def irid_fcoi(req: IridRequest) -> IridResult:
 
         metrics = ComparisonMetrics(discrete=errors(h_d, f_d),
                                     continuous=errors(h_c, f_c))
-    stable, _ = is_stable_discrete(gd)
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
                       h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,
                       metrics=metrics, stable=stable)

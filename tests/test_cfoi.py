@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from irid.cfoi import (CfoiParams, cfoi_analytic_impulse, cfoi_freq_grid,
                        cfoi_freq_response, cfoi_transfer, gamma_complex)
-from irid.errors import ParamError
+from irid.errors import EvaluationError, ParamError
 from irid.lti import FrequencyGrid
 
 LATTICE = [(lam, mu, wgc)
@@ -105,6 +105,11 @@ class TestFreqResponse:
         got = cfoi_freq_response(CfoiParams(1.5, -0.4, 1.0), 1.0)
         assert got == pytest.approx(complex(-0.8513368287303915,
                                             -0.8513368287303915), rel=1e-12)
+
+    def test_overflow_raises_without_warning(self):
+        # (wgc/omega)**lam = 1e165**1.9 is out of the double range
+        with pytest.raises(EvaluationError, match="not finite"):
+            cfoi_freq_response(CfoiParams(1.9, 0.0, 1e160), 1e-5)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_domain_error(self, omega):
@@ -208,6 +213,20 @@ class TestAnalyticImpulse:
         mpmath.mp.dps = 30
         want = (1 / mpmath.gamma(mpmath.mpc(1.5, -0.4))).real
         assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_array_in_array_out(self):
+        # one expression over the array; numpy's complex power rounds
+        # differently from Python's, which the point-by-point calls use
+        p = CfoiParams(1.5, -0.4, 1.0)
+        t = np.geomspace(1e-6, 1e3, 1000)
+        got = cfoi_analytic_impulse(p, t)
+        assert got.shape == t.shape
+        want = [cfoi_analytic_impulse(p, float(x)) for x in t]
+        np.testing.assert_allclose(got, want, rtol=1000 * np.finfo(float).eps,
+                                   atol=0.0)
+        assert isinstance(cfoi_analytic_impulse(p, 1.0), float)
+        with pytest.raises(ParamError, match="t must be positive"):
+            cfoi_analytic_impulse(p, [1.0, 0.0])
 
     def test_domain_error(self):
         with pytest.raises(ParamError, match="t must be positive"):

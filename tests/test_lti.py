@@ -191,6 +191,18 @@ class TestFrequencyGrid:
         with pytest.raises(ParamError):
             FrequencyResponseSeries(FrequencyGrid([1.0, 2.0]), [1 + 0j])
 
+    # a response holds ints, floats or complex numbers, all finite
+    @pytest.mark.parametrize("response,match", [
+        ([None, None], "must hold complex numbers"),
+        (["1", "2"], "must hold complex numbers"),
+        ([True, False], "must hold complex numbers"),
+        ([1.0, math.nan], "must be finite"),
+        ([1.0, complex(0.0, math.inf)], "must be finite"),
+    ], ids=["object", "str", "bool", "nan", "inf"])
+    def test_response_must_hold_finite_numbers(self, response, match):
+        with pytest.raises(ParamError, match=match):
+            FrequencyResponseSeries(FrequencyGrid([1.0, 2.0]), response)
+
 
 class TestDiscreteImpulse:
     def test_geometric_recursion(self):
@@ -398,6 +410,16 @@ class TestFrequencyResponses:
         g = tf_c([1], [1, 0, 1])  # poles at +-j
         with pytest.raises(EvaluationError, match="denominator vanishes"):
             continuous_freq_response(g, FrequencyGrid([0.5, 1.0]))
+
+    # |num/dv| ~ 1e305/1e-5 at the lowest frequency: the quotient overflows
+    @pytest.mark.parametrize("response", [
+        lambda grid: discrete_freq_response(
+            tf_d([1e305, 0], [1, -(1 - 1e-5)], 0.01), grid),
+        lambda grid: continuous_freq_response(tf_c([1e305], [1, 1e-5]), grid),
+    ], ids=["discrete", "continuous"])
+    def test_overflow_raises_without_warning(self, response):
+        with pytest.raises(EvaluationError, match=r"not finite \(sample 0\)"):
+            response(FrequencyGrid.log_spaced(1e-6, 1.0, 5))
 
     def test_magnitude_and_phase_views(self):
         grid = FrequencyGrid([1.0, 2.0])

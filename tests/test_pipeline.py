@@ -312,6 +312,34 @@ class TestIridFcoi:
             irid_fcoi(req)
         assert err.value.stage == "conversion"
 
+    def test_first_failing_stage_is_labelled(self, monkeypatch):
+        # discrete poles at z = -1.01 and z = 100: the discrete response
+        # overflows at sample 155, and the continuous image of z = -1.01,
+        # s = +402/ts, already at sample 1; the fit stage runs first
+        def fit(h, nb, na):
+            return DiscreteTransferFunction([1.0, 0.0, 0.0],
+                                            np.poly([-1.01, 100.0]), h.dt)
+
+        monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=2, m=256)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "fit"
+        assert "(sample 155)" in str(err.value.cause)
+
+    def test_stability_flag_is_part_of_the_fit(self, monkeypatch):
+        def broken(g):
+            raise EvaluationError("no roots")
+
+        monkeypatch.setattr(irid.pipeline, "is_stable_discrete", broken)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=10.0, norder=2, m=64, npoints=20)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "fit"
+        assert isinstance(err.value.cause, EvaluationError)
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("mu", [-0.2, -0.4])
     @pytest.mark.parametrize("wgc", [0.5, 1.0])
@@ -354,6 +382,17 @@ class TestBreakdownContract:
         with pytest.raises(PipelineStageError) as err:
             irid_fcoi(self.request(lam, mu, wgc))
         assert err.value.stage == stage
+        assert isinstance(err.value.cause, EvaluationError)
+
+    def test_overflowing_frequency_response_is_labelled(self):
+        # (wgc/wmin)**1.9 ~ 4e162**1.9 is out of the double range: the
+        # comparison raises instead of reporting inf/nan metrics
+        wmin = 1e-6 * _band_limit(2.0, 64)
+        req = IridRequest(params=CfoiParams(1.9, 0.0, 3.6e158), tm=2.0,
+                          wmin=wmin, wmax=10.0, norder=2, m=64, npoints=20)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == "compare"
         assert isinstance(err.value.cause, EvaluationError)
 
     # generation only: a failing request is reported as drawn, since
