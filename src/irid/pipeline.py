@@ -258,14 +258,11 @@ def irid_fcoi(req: IridRequest) -> IridResult:
                       metrics=metrics, stable=stable)
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    return repr(float(x))
-
-
 def _csv(header: str, columns: List[np.ndarray]) -> str:
-    rows = (",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
-    return header + "\n" + "".join(rows)
+    """One row per sample, each value the shortest decimal that round-trips
+    the double exactly."""
+    cells = [map(repr, col.tolist()) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 _SVG_COLORS = ("#555555", "#c02020", "#2040c0")
@@ -306,9 +303,10 @@ def _svg_chart(x: np.ndarray, curves: List[np.ndarray], labels: List[str],
         parts.append(f'<text x="{pad - 6}" y="{sy(v) + 4:.1f}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{lab}</text>')
+    px = sx(xv).tolist()
     for i, (curve, label) in enumerate(zip(curves, labels)):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xv, curve))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px, sy(curve).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.2"/>')
         parts.append(f'<text x="{width - pad - 150}" y="{pad + 16 * i + 12}" '
@@ -343,31 +341,28 @@ def write_outputs(res: IridResult, out_dir: Union[str, Path],
             "continuous": asdict(res.metrics.continuous),
         },
     }
+    h = [res.h_ref.values, res.h_d.values, res.h_c.values]
+    db = [f.magnitude_db() for f in (res.f_ref, res.f_d, res.f_c)]
     texts = {
         "impulse.csv": _csv("t,h_cfoi,h_discrete,h_continuous",
-                            [res.h_ref.times, res.h_ref.values,
-                             res.h_d.values, res.h_c.values]),
+                            [res.h_ref.times, *h]),
         "freq.csv": _csv("omega_rad_s,mag_db_cfoi,phase_deg_cfoi,"
                          "mag_db_discrete,phase_deg_discrete,"
                          "mag_db_continuous,phase_deg_continuous",
                          [res.f_ref.grid.omegas,
-                          res.f_ref.magnitude_db(), res.f_ref.phase_deg(),
-                          res.f_d.magnitude_db(), res.f_d.phase_deg(),
-                          res.f_c.magnitude_db(), res.f_c.phase_deg()]),
+                          db[0], res.f_ref.phase_deg(),
+                          db[1], res.f_d.phase_deg(),
+                          db[2], res.f_c.phase_deg()]),
         "coeffs.json": json.dumps(coeffs, indent=2) + "\n",
         "summary.txt": format_summary(res) + "\n",
     }
     if svg:
         labels = ["exact", "discrete", "continuous"]
-        texts["impulse.svg"] = _svg_chart(
-            res.h_ref.times,
-            [res.h_ref.values, res.h_d.values, res.h_c.values],
-            labels, "impulse responses")
-        texts["freq.svg"] = _svg_chart(
-            res.f_ref.grid.omegas,
-            [res.f_ref.magnitude_db(), res.f_d.magnitude_db(),
-             res.f_c.magnitude_db()],
-            labels, "magnitude (dB) vs log10 omega", logx=True)
+        texts["impulse.svg"] = _svg_chart(res.h_ref.times, h, labels,
+                                          "impulse responses")
+        texts["freq.svg"] = _svg_chart(res.f_ref.grid.omegas, db, labels,
+                                       "magnitude (dB) vs log10 omega",
+                                       logx=True)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -226,3 +227,38 @@ class TestCfoiOracle:
             gaps.append(rel_l2(ts.values[:n], want))
         assert len(gaps) == 135
         assert max(gaps) <= 2.5e-5
+
+
+class TestDoubleTailOracle:
+    def test_m256_lattice_bound(self, monkeypatch):
+        # TestCfoiOracle's lattice with the qd tail rounded to double, as
+        # on platforms whose np.longdouble is float64 (Windows, macOS
+        # arm64): max 1.76e-4, median 3.2e-7 and 33 of 135 integrators over
+        # 2.5e-5, where the extended tail gives 2.0e-5 and none over
+        class DoubleLongdouble:
+            longdouble = np.float64
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        # the package attribute irid.nilt is the function, not the module
+        monkeypatch.setattr(sys.modules["irid.nilt"], "np",
+                            DoubleLongdouble())
+        dtypes = set()
+        gaps = []
+        for lam, mu, wgc, tm in itertools.product(
+                (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
+                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0)):
+            p = CfoiParams(lam, mu, wgc)
+
+            def f(s):
+                dtypes.add(s.dtype)
+                return cfoi_transfer(p, s)
+
+            ts = nilt(f, tm, 256)
+            n = int(0.8 * 256)
+            want = cfoi_analytic_impulse(p, ts.times[:n])
+            gaps.append(rel_l2(ts.values[:n], want))
+        assert dtypes == {np.dtype(np.complex128)}
+        assert len(gaps) == 135
+        assert max(gaps) <= 2.0e-4

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict
 
@@ -480,3 +481,67 @@ class TestWriteOutputs:
     def test_empty_dir_rejected(self, small_result):
         with pytest.raises(ParamError, match="empty output directory"):
             write_outputs(small_result, "")
+
+    def test_csv_roundtrip_bitwise(self, small_result, tmp_path):
+        write_outputs(small_result, tmp_path / "rt", svg=False)
+
+        def columns(name):
+            lines = (tmp_path / "rt" / name).read_text().splitlines()[1:]
+            rows = [[float(v) for v in line.split(",")] for line in lines]
+            return np.array(rows).T
+
+        r = small_result
+        want = [r.h_ref.times, r.h_ref.values, r.h_d.values, r.h_c.values]
+        for got, col in zip(columns("impulse.csv"), want, strict=True):
+            assert np.array_equal(got, col)
+        want = [r.f_ref.grid.omegas]
+        for f in (r.f_ref, r.f_d, r.f_c):
+            want += [f.magnitude_db(), f.phase_deg()]
+        for got, col in zip(columns("freq.csv"), want, strict=True):
+            assert np.array_equal(got, col)
+
+    @staticmethod
+    def reference_points(x, curves, logx=False):
+        # each polyline point formatted one at a time over the chart's range
+        width, height, pad = 720, 420, 50
+        xv = np.log10(x) if logx else x
+        ys = np.concatenate(curves)
+        x0, x1 = float(np.min(xv)), float(np.max(xv))
+        y0, y1 = float(np.min(ys)), float(np.max(ys))
+        if x1 == x0:
+            x1 = x0 + 1.0
+        if y1 == y0:
+            y1 = y0 + 1.0
+
+        def sx(v):
+            return pad + (v - x0) / (x1 - x0) * (width - 2 * pad)
+
+        def sy(v):
+            return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad)
+
+        return [" ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xv, c))
+                for c in curves]
+
+    @staticmethod
+    def polylines(text):
+        return re.findall(r'<polyline points="([^"]*)"', text)
+
+    def test_svg_points(self, small_result, tmp_path):
+        write_outputs(small_result, tmp_path / "svg")
+        r = small_result
+        impulse = (tmp_path / "svg" / "impulse.svg").read_text()
+        assert self.polylines(impulse) == self.reference_points(
+            r.h_ref.times, [r.h_ref.values, r.h_d.values, r.h_c.values])
+        freq = (tmp_path / "svg" / "freq.svg").read_text()
+        assert self.polylines(freq) == self.reference_points(
+            r.f_ref.grid.omegas,
+            [f.magnitude_db() for f in (r.f_ref, r.f_d, r.f_c)], logx=True)
+
+    def test_svg_points_constant_curve(self):
+        # min == max: the y range is widened to [y0, y0 + 1]
+        x = np.linspace(0.5, 3.0, 40)
+        curves = [np.full(40, -2.5)]
+        text = irid.pipeline._svg_chart(x, curves, ["flat"], "flat")
+        points = self.polylines(text)
+        assert points == self.reference_points(x, curves)
+        assert points[0].split()[0] == "50.00,370.00"
