@@ -13,7 +13,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -239,30 +239,19 @@ class FrequencyResponseSeries:
         return np.degrees(np.unwrap(np.angle(self.response)))
 
 
-def _allpole(den: np.ndarray, x: np.ndarray,
-             out: Optional[np.ndarray] = None,
-             band: Optional[np.ndarray] = None) -> np.ndarray:
-    """The columns of ``x`` (shape (n, k)) filtered through 1/den(z) from
-    a zero state; ``den`` is monic.
+def _allpole(den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The columns of ``x`` filtered through 1/den(z) from a zero state, in
+    place; ``den`` is monic and ``x`` a Fortran-order float64 (n, k) array,
+    which is returned.
 
     This is forward substitution with the n-by-n unit lower-triangular
     banded Toeplitz matrix whose i-th subdiagonal holds den[i]: LAPACK
-    tbtrs, no pivoting, solving in place.  The result is written into
-    ``out`` (``x`` is copied there first unless ``out`` is ``x``) or into
-    a new array; ``band``, if given, is reused for the matrix.  Both are
-    Fortran-order float64, (n, k) and (len(den), n), so LAPACK reads and
-    writes them without a copy; a caller filtering once per pass passes
-    the same two buffers every time.  ``x`` is modified only as ``out``.
+    tbtrs, no pivoting, solving in place.  Any other layout or dtype would
+    be solved in a copy, leaving ``x`` as it was.
     """
-    n = x.shape[0]
-    if out is None:
-        out = np.array(x, dtype=float, order="F")
-    elif out is not x:
-        out[...] = x
-    if band is None:
-        band = np.empty((len(den), n), order="F")
+    band = np.empty((len(den), x.shape[0]), order="F")
     band[...] = den[:, None]
-    y, _ = dtbtrs(band, out, uplo="L", diag="U", overwrite_b=1)
+    y, _ = dtbtrs(band, x, uplo="L", diag="U", overwrite_b=1)
     return y
 
 
@@ -280,7 +269,7 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     x = np.zeros((n, 1))
     b = g.num[:n]
     x[:len(b), 0] = b
-    vals = _allpole(g.den, x, out=x)[:, 0]
+    vals = _allpole(g.den, x)[:, 0]
     return TimeSeries(0.0, g.ts, _all_finite(
         "discrete impulse response overflows; the model has a pole far "
         "outside the unit circle", vals))

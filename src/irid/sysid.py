@@ -59,8 +59,8 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
 
     Starting from A(z) = 1, each of five passes filters the data and the
     unit impulse together, as two columns of one triangular solve, through
-    1/A(z) of the previous pass (zero initial state; the band and the two
-    filtered columns are buffers allocated once per fit), then solves one
+    1/A(z) of the previous pass (zero initial state; one two-column work
+    array, allocated once per fit, is refilled each pass), then solves one
     joint least-squares problem for all numerator coefficients and the
     trailing denominator coefficients (a0 pinned at one), minimizing
     ||A(z)*h_f - B(z)*delta_f|| over all samples.  The solve is one
@@ -78,6 +78,14 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     data as it is, so the first pass uses it unfiltered and is the
     equation-error fit.  The last pass's model is returned.
 
+    The fit is equivariant under power-of-two scaling: it fits the data
+    times 2**-e, e the ``math.frexp`` exponent of its peak, so that the
+    rank rule weighs data and unit impulse alike at every scale, and
+    returns the numerator times 2**e.  Powers of two are exact, so data
+    times 2**k fits to the same denominator and the numerator times 2**k,
+    bit for bit; a numerator that overflows when scaled back raises
+    EvaluationError.
+
     Noiseless data from a model inside the (nb, na) class is recovered to
     roundoff; the iteration is then a fixed point.  No stabilization is
     applied: data that grows without bound fits to a model with poles
@@ -89,16 +97,18 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     nb, na = _check_fit(n, nb, na)
     if not np.any(y):
         raise EvaluationError("all-zero data has no model to fit")
-    # columns: the data and the unit impulse
+    # the data scaled by 2**-e to peak in [0.5, 1): the rank rule then
+    # weighs it against the unit impulse the same way at every scale
+    _, e = math.frexp(float(np.max(np.abs(y))))
+    # columns: the scaled data and the unit impulse
     data = np.zeros((n, 2), order="F")
-    data[:, 0] = y
+    data[:, 0] = np.ldexp(y, -e)
     data[0, 1] = 1.0
     k = na + nb + 1
     # [-lagged h_f | lagged delta_f | h_f], rewritten each pass
     mat = np.empty((n, k + 1), order="F")
-    # filter buffers refilled each pass: data through 1/A(z), and the band
+    # refilled from data each pass, then filtered through 1/A(z) in place
     work = np.empty((n, 2), order="F")
-    band = np.empty((na + 1, n), order="F")
     # lstsq's default rank rule for the full n-by-k matrix (n > k)
     rcond = np.finfo(float).eps * n
     # one workspace query for all passes' k-by-k solves
@@ -109,9 +119,10 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     filtered = data
     for it in range(_PASSES):
         if it:
+            work[...] = data
             filtered = _all_finite(
                 f"prefiltered data overflowed (iteration {it})",
-                _allpole(a, data, out=work, band=band))
+                _allpole(a, work))
         hf, xf = filtered.T
         # negated after lagging: the -0.0 in row 0 sets the sign of
         # dgeqrf's first reflector, so negating hf first changes last bits
@@ -135,7 +146,11 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                     sol)
         a = np.concatenate(([1.0], sol[:na, 0]))
         b = sol[na:, 0]
-    return DiscreteTransferFunction(b, a, h.dt)
+    with np.errstate(all="ignore"):
+        b = np.ldexp(b, e)
+    return DiscreteTransferFunction(_all_finite(
+        "fitted numerator overflows when scaled back to the data", b), a,
+        h.dt)
 
 
 @functools.lru_cache(maxsize=16)
@@ -162,11 +177,15 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     wherever both sides are defined.  A denominator root at z = -1 maps a
     pole to infinity and is rejected.  EvaluationError also when
     (ts/2)**order, the scale of the leading coefficients, is not a finite,
-    normal double: the continuous coefficients are then out of range.
+    normal double, or when a continuous coefficient, or its quotient by the
+    leading denominator coefficient, is not finite: the continuous
+    model's coefficients are then out of range.
     """
     ts = g.ts
-    den_at_minus1 = np.polyval(g.den, -1.0)
-    if abs(den_at_minus1) <= 1e-12 * sum(abs(c) for c in g.den):
+    with np.errstate(all="ignore"):
+        den_at_minus1 = np.polyval(g.den, -1.0)
+        den_size = sum(abs(c) for c in g.den)
+    if abs(den_at_minus1) <= 1e-12 * den_size:
         raise EvaluationError("discrete denominator has a root at z = -1")
 
     deg = len(g.den) - 1
@@ -179,5 +198,11 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     # row i of the reversed basis is the image of z**(deg - i), which
     # coefficient i multiplies
     basis = _bilinear_basis(deg)[::-1]
-    return ContinuousTransferFunction((g.num @ basis * powers)[::-1],
-                                      (g.den @ basis * powers)[::-1])
+    with np.errstate(all="ignore"):
+        num = (g.num @ basis * powers)[::-1]
+        den = (g.den @ basis * powers)[::-1]
+        # the quotients the monic continuous model stores
+        monic = np.concatenate((num, den)) * (1.0 / den[0])
+    _all_finite("continuous model coefficients are out of the double range",
+                monic)
+    return ContinuousTransferFunction(num, den)

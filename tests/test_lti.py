@@ -154,6 +154,11 @@ class TestTimeSeries:
         with pytest.raises(ParamError):
             TimeSeries(0.0, 0.1, [1.0, math.inf])
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, "0", True])
+    def test_rejects_bad_t0(self, t0):
+        with pytest.raises(ParamError, match="t0 must be finite"):
+            TimeSeries(t0, 0.1, [1.0, 2.0])
+
     def test_times(self):
         ts = TimeSeries(0.5, 0.25, [1.0, 2.0, 3.0])
         assert ts.times == pytest.approx([0.5, 0.75, 1.0])
@@ -283,25 +288,22 @@ class TestAllPole:
         data[0] = np.random.default_rng(n).standard_normal(n)
         data[1, 0] = 1.0
         for x in (data[:1].T, data.T):
-            y = _allpole(den, x)
+            y = _allpole(den, x.copy(order="F"))
             assert y.shape == x.shape
             for col in range(x.shape[1]):
                 want = scipy.signal.lfilter([1.0], den, x[:, col])
                 err = np.linalg.norm(y[:, col] - want) / np.linalg.norm(want)
                 assert err <= 1e-13, (col, err)
 
-    def test_filters_into_reused_buffers(self):
-        # the fit's passes hand in the same two Fortran-order buffers:
-        # LAPACK solves in place, x is left alone, the bits are unchanged
+    def test_filters_in_place(self):
+        # the fit refills one Fortran-order array and filters it in place:
+        # LAPACK writes into x and returns it, with the bits of a fresh copy
         den = allpole_den(5, 0.9)
-        x = np.random.default_rng(1).standard_normal((300, 2))
-        x_before = x.copy()
-        out = np.empty((300, 2), order="F")
-        band = np.empty((6, 300), order="F")
-        for _ in range(2):
-            assert _allpole(den, x, out=out, band=band) is out
-        assert np.array_equal(out, _allpole(den, x))
-        assert np.array_equal(x, x_before)
+        rng = np.random.default_rng(1)
+        x = np.asfortranarray(rng.standard_normal((300, 2)))
+        fresh = x.copy(order="F")
+        assert _allpole(den, x) is x
+        assert np.array_equal(x, _allpole(den, fresh))
 
 
 class TestContinuousImpulse:

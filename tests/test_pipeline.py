@@ -352,6 +352,22 @@ class TestIridFcoi:
         res = irid_fcoi(req)
         assert res.metrics.discrete.impulse_rel_l2 <= 0.05
 
+    @staticmethod
+    def discrete_error(lam, mu, wgc):
+        req = IridRequest(params=CfoiParams(lam, mu, wgc), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=256)
+        return irid_fcoi(req).metrics.discrete.impulse_rel_l2
+
+    def test_fit_at_large_crossover(self):
+        # the fit scales its data by a power of two, so h_ref ~ 1e9 no
+        # longer loses the numerator to the rank rule (rel L2 2268 before)
+        assert self.discrete_error(1.5, -0.4, 1e6) < 1e-4
+
+    def test_fit_error_does_not_depend_on_crossover(self):
+        # for mu = 0, wgc only scales h_ref, by wgc**lam
+        errs = [self.discrete_error(1.5, 0.0, w) for w in (1e-8, 1.0, 1e10)]
+        assert max(errs) <= 1.01 * min(errs)
+
 
 def finite_metrics(res) -> bool:
     metrics = asdict(res.metrics)
@@ -377,8 +393,9 @@ class TestBreakdownContract:
     @pytest.mark.parametrize("lam,mu,wgc,stage", [
         (1.95, -0.5, 2e158, "nilt"),     # inverted samples overflow
         (1.0, 0.0, 1e-300, "compare"),   # magnitudes below the dB scale
-        (1.9, 0.0, 1e161, "fit"),        # iteration 1's QR factor overflows
-    ], ids=["nilt", "compare", "fit"])
+        (1.5, 0.0, 1e-250, "fit"),       # the reference underflows to zero
+        (1.9, 0.0, 1e161, "conversion"),  # continuous coefficients overflow
+    ], ids=["nilt", "compare", "fit", "conversion"])
     def test_breakdown_is_stage_labelled(self, lam, mu, wgc, stage):
         with pytest.raises(PipelineStageError) as err:
             irid_fcoi(self.request(lam, mu, wgc))
@@ -536,6 +553,22 @@ class TestWriteOutputs:
         assert self.polylines(freq) == self.reference_points(
             r.f_ref.grid.omegas,
             [f.magnitude_db() for f in (r.f_ref, r.f_d, r.f_c)], logx=True)
+
+    def test_svg_points_single_point_range(self, tmp_path):
+        # log10 of both band ends rounds to 3.0: the x range is widened to
+        # [x0, x0 + 1], and every coordinate stays finite
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=1.0,
+                          wmin=1000.0, wmax=math.nextafter(1000.0, math.inf),
+                          norder=5, m=1024, npoints=2)
+        r = irid_fcoi(req)
+        write_outputs(r, tmp_path)
+        points = self.polylines((tmp_path / "freq.svg").read_text())
+        assert points == self.reference_points(
+            r.f_ref.grid.omegas,
+            [f.magnitude_db() for f in (r.f_ref, r.f_d, r.f_c)], logx=True)
+        coords = [float(v) for line in points for v in re.split("[ ,]", line)]
+        assert len(coords) == 12 and all(map(math.isfinite, coords))
+        assert coords[0] == coords[2] == 50.0
 
     def test_svg_points_constant_curve(self):
         # min == max: the y range is widened to [y0, y0 + 1]

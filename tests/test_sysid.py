@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irid.sysid
-from irid.cfoi import CfoiParams, cfoi_transfer
+from irid.cfoi import CfoiParams
 from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
                       discrete_impulse, is_stable_discrete)
-from irid.nilt import nilt
 from irid.pipeline import IridRequest, irid_fcoi
 from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
 
@@ -38,23 +38,25 @@ def gelsd_failing_at(fail: int):
 
 
 def full_matrix_stmcb(h: TimeSeries, nb: int, na: int):
-    """Reference fit: five passes, each solving with np.linalg.lstsq on the
-    whole n-by-(na + nb + 1) regression matrix."""
+    """Reference fit: the data scaled to peak in [0.5, 1) as the fit scales
+    it, then five passes, each solving with np.linalg.lstsq on the whole
+    n-by-(na + nb + 1) regression matrix."""
     n = len(h.values)
+    _, e = math.frexp(np.max(np.abs(h.values)))
     data = np.zeros((n, 2), order="F")
-    data[:, 0] = h.values
+    data[:, 0] = np.ldexp(h.values, -e)
     data[0, 1] = 1.0
     mat = np.empty((n, na + nb + 1), order="F")
     a = np.ones(1)
     for _ in range(5):
-        hf, xf = _allpole(a, data).T
+        hf, xf = _allpole(a, data.copy(order="F")).T
         lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
         np.negative(lagged_hf, out=lagged_hf)
         _lagged(xf, range(0, nb + 1), out=mat[:, na:])
         sol, _, _, _ = np.linalg.lstsq(mat, hf, rcond=None)
         a = np.concatenate(([1.0], sol[:na]))
         b = sol[na:]
-    return DiscreteTransferFunction(b, a, h.dt)
+    return DiscreteTransferFunction(np.ldexp(b, e), a, h.dt)
 
 
 class TestFitConfig:
@@ -171,25 +173,41 @@ class TestStmcb:
         with pytest.raises(EvaluationError, match="all-zero"):
             stmcb_fit(h, 1, 2)
 
+    def test_power_of_two_equivariance(self):
+        # the fit scales its data to peak in [0.5, 1) by a power of two, so
+        # 2**k times the data fits to the same bits, numerator times 2**k
+        base = impulse_of([1.0, 0.4], [1.0, -0.9, 0.2], 120)
+        g0 = stmcb_fit(base, 1, 2)
+        for k in range(-900, 901, 50):
+            g = stmcb_fit(TimeSeries(0.0, 1.0, np.ldexp(base.values, k)), 1, 2)
+            assert np.array_equal(g.den, g0.den), k
+            assert np.array_equal(g.num, np.ldexp(g0.num, k)), k
+
+    def test_numerator_overflow_when_scaled_back(self):
+        # the data peaks at 1.1e308 and the numerator it fits, b1 = 2e308,
+        # is out of the double range
+        h = impulse_of([1.0, 2.0], [1.0, 0.9], 60)
+        with pytest.raises(EvaluationError, match="numerator overflows"):
+            stmcb_fit(TimeSeries(0.0, 1.0, 1e308 * h.values), 1, 1)
+
     def test_non_finite_iterate_reports_index(self):
-        # finite data growing to 1e307: the first (unfiltered) pass fits a
-        # pole near 1.6e5, which makes the second prefilter pass overflow
+        # finite data growing from 1e-300 to 1e300: the first (unfiltered)
+        # pass fits a pole near 1.4e10, which makes the second prefilter
+        # pass overflow
         n = 60
-        h = TimeSeries(0.0, 1.0, 10.0 ** (307 / (n - 1) * np.arange(n)))
+        h = TimeSeries(0.0, 1.0, 10.0 ** (600 / (n - 1) * np.arange(n) - 300))
         with pytest.raises(EvaluationError,
                            match=r"data overflowed \(iteration 1\)"):
             stmcb_fit(h, 0, 1)
 
     def test_overflowing_factor_raises_before_lapack(self, capfd):
-        # the dt-scaled reference of lambda = 1.9, wgc = 1e161 peaks at
-        # 1.2e304: the prefiltered data stays finite, its QR factor does
-        # not, and handing that to lstsq made LAPACK print to stderr and
-        # numpy raise LinAlgError
-        p = CfoiParams(1.9, 0.0, 1e161)
-        ref = nilt(lambda s: cfoi_transfer(p, s), 2.0, 256)
-        h = TimeSeries(ref.t0, ref.dt, ref.dt * ref.values)
+        # 1.1**k up to 1.1e308: the first pass fits the pole 1.1, the
+        # prefiltered unit impulse stays finite, the norm of its column,
+        # and so the QR factor, does not; handing that to lstsq made LAPACK
+        # print to stderr and numpy raise LinAlgError
+        h = TimeSeries(0.0, 1.0, 1.1 ** np.arange(7443))
         with pytest.raises(EvaluationError, match=r"\(iteration 1\)"):
-            stmcb_fit(h, 5, 5)
+            stmcb_fit(h, 0, 1)
         assert capfd.readouterr().err == ""
 
     def test_failed_solve_names_its_iteration(self, monkeypatch):
@@ -288,6 +306,17 @@ class TestBilinear:
         g = DiscreteTransferFunction(z, z, 2.0 / 1024)
         with pytest.raises(EvaluationError, match="not a normal double"):
             bilinear_d2c(g)
+
+    @pytest.mark.parametrize("num,den,ts", [
+        ([1e308, 1e308], [1.0, 0.9], 1.0),    # 2e308 in the matmul
+        ([1e300, 1e300], [1.0, 0.9], 1e-9),   # 4e310 once made monic
+        ([1.0], [1.0, 1e308, 1e308], 1.0),    # sum(|den|) in the z = -1 test
+    ], ids=["coefficient", "quotient", "root-test"])
+    def test_out_of_range_coefficients_raise(self, num, den, ts):
+        # a computed overflow is a breakdown, not invalid input, and warns
+        # nothing (warnings are errors in this suite)
+        with pytest.raises(EvaluationError):
+            bilinear_d2c(DiscreteTransferFunction(num, den, ts))
 
     def test_pole_at_minus_one_rejected(self):
         g = DiscreteTransferFunction([1.0], [1.0, 1.0], 0.5)
