@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,16 @@ def cfoi_transfer(p: CfoiParams, s):
     Array in, array out, in the input's complex dtype (real input is
     promoted to the matching complex type), so an extended-precision line
     is evaluated in extended precision; a scalar returns a scalar.
+    ParamError unless every s is a finite, nonzero int, float or complex
+    number (a bool, a string, bytes or None is not a number).
     """
     s = np.asarray(s)
+    if s.dtype.kind not in "iufc":
+        raise ParamError(f"s must hold numbers, got dtype {s.dtype}")
     if not np.iscomplexobj(s):
         s = s.astype(np.result_type(s, 0j))
+    if not np.all(np.isfinite(s)):
+        raise ParamError("s must be finite")
     if np.any(s == 0):
         raise ParamError("transfer function is singular at s = 0")
     # the formula's own operations in its order, in two new buffers:
@@ -136,7 +143,13 @@ _LANCZOS_C = (
 
 def gamma_complex(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos; reflection for
-    Re(z) < 0.5).  Poles at the non-positive integers raise ParamError."""
+    Re(z) < 0.5).  Poles at the non-positive integers raise ParamError,
+    as does a z that is not a finite int, float or complex number (a
+    bool, a string, bytes or None is not a number)."""
+    if not (isinstance(z, numbers.Complex) and not isinstance(z, bool)
+            and cmath.isfinite(z)):
+        raise ParamError(f"gamma argument must be a finite number, "
+                         f"got {z!r}")
     z = complex(z)
     if z.real < 0.5:
         if z.imag == 0.0 and z.real == int(z.real):

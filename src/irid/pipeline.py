@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, List, Tuple, Union
 
@@ -56,20 +56,16 @@ def _band_limit(tm: float, m: int) -> float:
     return NYQUIST_MARGIN * math.pi / (tm / m)
 
 
-def _band_grid(req: "IridRequest") -> FrequencyGrid:
-    """The request's log-spaced grid, wmax clamped to the band limit."""
-    return FrequencyGrid.log_spaced(
-        req.wmin, min(req.wmax, _band_limit(req.tm, req.m)), req.npoints)
-
-
 @dataclass(frozen=True)
 class IridRequest:
     """One discretization job.
 
     The sample period is always derived as dt = tm/m.  The frequency band
-    [wmin, wmax] must start below 0.9x the Nyquist rate; ``irid_fcoi``
-    clamps wmax to that limit (with a warning) since the discrete model is
-    meaningless above it.  The fit makes five Steiglitz-McBride passes.
+    [wmin, wmax] must start below 0.9x the Nyquist rate; ``grid``, built
+    on construction, is its log-spaced grid with wmax clamped to that
+    limit, since the discrete model is meaningless above it, and
+    ``irid_fcoi`` warns when the clamp cuts wmax.  The fit makes five
+    Steiglitz-McBride passes.
     Every field is checked on construction, with the rules of the stage
     that uses it, so an invalid request raises ParamError before any
     numerical work.  ``m``, ``norder`` and ``npoints`` are integral, ``tm``
@@ -84,8 +80,13 @@ class IridRequest:
     norder: int
     m: int = 1024
     npoints: int = 200
+    # derived: the band grid, wmax clamped to the band limit
+    grid: FrequencyGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.params, CfoiParams):
+            raise ParamError(f"params must be a CfoiParams, got "
+                             f"{self.params!r}")
         tm, m = _check_window(self.tm, self.m)
         wmin, wmax = _positive("wmin", self.wmin), self.wmax
         # wmax may be +inf: it is clamped to the band limit below
@@ -102,7 +103,9 @@ class IridRequest:
         object.__setattr__(self, "wmax", float(wmax))
         object.__setattr__(self, "norder", norder)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "npoints", len(_band_grid(self)))
+        grid = FrequencyGrid.log_spaced(wmin, min(wmax, limit), self.npoints)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "npoints", len(grid))
 
 
 @dataclass(frozen=True)
@@ -211,19 +214,23 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     metrics or raises PipelineStageError tagged with the stage that broke
     down first; an impulse response overflows in "fit" for discrete poles
     far outside the unit circle and in "conversion" for continuous poles
-    far in the right half-plane.  Only the grid and the clamp warning come
-    before the first stage, and nothing warns but the clamp.
+    far in the right half-plane.  Only the clamp warning comes before the
+    first stage, and nothing warns but the clamp.
     """
     p = req.params
     dt = req.tm / req.m
 
-    grid = _band_grid(req)
+    grid = req.grid
     if req.wmax > grid.omegas[-1]:
         warnings.warn(f"wmax={req.wmax:g} rad/s exceeds "
                       f"{grid.omegas[-1]:g}; clamping to it", stacklevel=2)
 
     with _stage("nilt"):
         h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
+        # G is nowhere zero, so an all-zero reference is an underflow
+        if not np.any(h_ref.values):
+            raise EvaluationError("the reference underflows to zero at "
+                                  "every sample")
 
     with _stage("fit"):
         gd = stmcb_fit(TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values),

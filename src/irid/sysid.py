@@ -3,7 +3,8 @@
 The Steiglitz-McBride iteration fits numerator and denominator by linear
 least squares on data filtered through the previous pass's all-pole filter
 1/A(z).  It starts from A(z) = 1, so its first pass is the plain
-equation-error fit.  Each pass solves its least-squares problem by one
+equation-error fit, and it returns the iterate with the least output
+error.  Each pass solves its least-squares problem by one
 Householder QR of [regression | data], then a minimum-norm solve of the
 small triangular factor R with the eps*n rank rule, by LAPACK gelsd called
 directly with one workspace query per fit.  A bilinear (Tustin)
@@ -49,6 +50,18 @@ def _lagged(x: np.ndarray, lags: range, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _keep(best: tuple, resp: np.ndarray, y: np.ndarray, a: np.ndarray,
+          b: np.ndarray) -> tuple:
+    """``(error, a, b)`` of the iterate b/a, whose impulse response is
+    ``resp``, if its squared output error ||y - resp||**2 is below
+    ``best[0]``; else ``best``.  ``resp`` is overwritten by y - resp.  A
+    non-finite error is never kept, so callers compute ``resp`` and call
+    this with floating-point warnings off."""
+    diff = np.subtract(y, resp, out=resp)
+    err = diff @ diff
+    return (err, a, b) if err < best[0] else best
+
+
 def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     """Fit a discrete rational model to an impulse response by
     Steiglitz-McBride iteration.
@@ -76,7 +89,18 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     (gelsd's SVD did not converge) raises EvaluationError naming the
     iteration, as does a non-finite factor or solution.  A(z) = 1 leaves the
     data as it is, so the first pass uses it unfiltered and is the
-    equation-error fit.  The last pass's model is returned.
+    equation-error fit.
+
+    Of the five iterates, the one with the least output error
+    ||h - impulse response of B(z)/A(z)||, over all samples, is returned;
+    a tie keeps the earlier pass.  The iteration need not converge, and
+    its last iterate can be worse than one it has already passed.  No
+    extra solve is needed: each pass filters the unit impulse through
+    the previous iterate's 1/A(z), so the lags of that column times the
+    iterate's numerator are its impulse response.  Only the last iterate
+    takes one more single-column filter pass, of its numerator.  A
+    non-finite output error is never kept; EvaluationError when no
+    iterate has a finite one.
 
     The fit is equivariant under power-of-two scaling: it fits the data
     times 2**-e, e the ``math.frexp`` exponent of its peak, so that the
@@ -115,6 +139,8 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
     lwork = int(lwork)
     below = np.tri(k, k, -1, dtype=bool)
+    # the iterate with the least output error so far: (error, a, b)
+    best = (math.inf, None, None)
     # pass 0 filters through A(z) = 1, which leaves the data as it is
     filtered = data
     for it in range(_PASSES):
@@ -130,6 +156,13 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
         np.negative(lagged_hf, out=lagged_hf)
         _lagged(xf, range(0, nb + 1), out=mat[:, na:k])
         mat[:, k] = hf
+        if it:
+            # xf is the unit impulse through the last iterate's 1/A(z), so
+            # its lags times b are that iterate's impulse response, formed
+            # in work[:, 0], which hf no longer needs
+            with np.errstate(all="ignore"):
+                resp = np.matmul(mat[:, na:k], b, out=work[:, 0])
+                best = _keep(best, resp, data[:, 0], a, b)
         # R of the regression and (Q^T h_f)[:k] in one Householder QR
         qr, _, _, _ = dgeqrf(mat, overwrite_a=1)
         # an overflowed factor would reach LAPACK's rescaling in gelsd
@@ -146,7 +179,14 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                     sol)
         a = np.concatenate(([1.0], sol[:na, 0]))
         b = sol[na:, 0]
+    # the last iterate's impulse response: its numerator through 1/A(z)
+    resp = work[:, :1]
+    resp[...] = 0.0
+    resp[:nb + 1, 0] = b
     with np.errstate(all="ignore"):
+        err, a, b = _keep(best, _allpole(a, resp)[:, 0], data[:, 0], a, b)
+        if not err < math.inf:
+            raise EvaluationError("no iterate has a finite output error")
         b = np.ldexp(b, e)
     return DiscreteTransferFunction(_all_finite(
         "fitted numerator overflows when scaled back to the data", b), a,

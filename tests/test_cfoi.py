@@ -72,6 +72,23 @@ class TestTransfer:
         p = CfoiParams(1.5, -0.4, 2.0)
         assert abs(cfoi_transfer(p, 3.0).imag) < 1e-15
 
+    @pytest.mark.parametrize("s,match", [
+        (True, "s must hold numbers"),
+        ([True, True], "s must hold numbers"),
+        ("1", "s must hold numbers"),
+        (b"1", "s must hold numbers"),
+        (None, "s must hold numbers"),
+        (math.nan, "s must be finite"),
+        (math.inf, "s must be finite"),
+        ([1.0 + 1.0j, complex(1.0, math.inf)], "s must be finite"),
+        (np.array([1.0, math.nan], dtype=np.clongdouble), "s must be finite"),
+    ], ids=["bool", "bool-list", "str", "bytes", "none", "nan", "inf",
+            "complex-inf", "clongdouble-nan"])
+    def test_non_number_rejected(self, s, match):
+        # raised before any arithmetic, so nothing warns
+        with pytest.raises(ParamError, match=match):
+            cfoi_transfer(CfoiParams(1.5, -0.4, 1.0), s)
+
     @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
     def test_bit_equal_to_the_formula(self, dtype):
         # the in-place evaluation does the formula's own operations, in
@@ -188,6 +205,14 @@ class TestGamma:
         lhs = gamma_complex(z) * gamma_complex(1.0 - z)
         rhs = math.pi / cmath.sin(math.pi * z)
         assert cmath.isclose(lhs, rhs, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("z", [True, "2", b"1", None, math.nan,
+                                   complex(math.inf, 0.0)],
+                             ids=["bool", "str", "bytes", "none", "nan",
+                                  "inf"])
+    def test_non_number_rejected(self, z):
+        with pytest.raises(ParamError, match="must be a finite number"):
+            gamma_complex(z)
 
     def test_pole_raises(self):
         with pytest.raises(ParamError, match="gamma pole at z = 0"):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irid.sysid
-from irid.cfoi import CfoiParams
+from irid.cfoi import CfoiParams, cfoi_transfer
 from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
                       discrete_impulse, is_stable_discrete)
+from irid.nilt import nilt
 from irid.pipeline import IridRequest, irid_fcoi
 from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
 
@@ -209,6 +210,38 @@ class TestStmcb:
         with pytest.raises(EvaluationError, match=r"\(iteration 1\)"):
             stmcb_fit(h, 0, 1)
         assert capfd.readouterr().err == ""
+
+    def test_keeps_the_iterate_with_least_output_error(self, monkeypatch):
+        # the README command's data: its five iterates' output errors are
+        # 0.14, 4.2e-5, 1.1e-3, 3.4e-4 and 3.4e-4 of the data's norm, so
+        # the second is kept.  With j passes the fit keeps the best of the
+        # first j iterates, so the output error cannot rise with j, and a
+        # later, worse iterate is dropped.
+        tm, m = 2.0, 1024
+        ref = nilt(lambda s: cfoi_transfer(CfoiParams(1.5, -0.4, 1.0), s),
+                   tm, m)
+        h = TimeSeries(ref.t0, ref.dt, (tm / m) * ref.values)
+        fits, errors = [], []
+        for passes in range(1, 6):
+            monkeypatch.setattr(irid.sysid, "_PASSES", passes)
+            g = stmcb_fit(h, 5, 5)
+            fits.append(g)
+            errors.append(np.linalg.norm(h.values - regenerate(g, m)))
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 1e-3 * errors[0]
+        for g in fits[2:]:
+            assert np.array_equal(g.den, fits[1].den)
+            assert np.array_equal(g.num, fits[1].num)
+
+    def test_no_finite_output_error_raises(self, monkeypatch):
+        # one pass over data growing from 1e-300 to 1e300 fits a pole near
+        # 1.4e10, whose impulse response overflows: no iterate to keep
+        monkeypatch.setattr(irid.sysid, "_PASSES", 1)
+        n = 60
+        h = TimeSeries(0.0, 1.0, 10.0 ** (600 / (n - 1) * np.arange(n) - 300))
+        with pytest.raises(EvaluationError,
+                           match="no iterate has a finite output error"):
+            stmcb_fit(h, 0, 1)
 
     def test_failed_solve_names_its_iteration(self, monkeypatch):
         monkeypatch.setattr(irid.sysid, "dgelsd", gelsd_failing_at(2))
