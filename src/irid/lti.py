@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -36,10 +37,11 @@ __all__ = [
 
 
 def _finite_real(x) -> bool:
-    """Whether ``x`` is a finite int, float or numpy real scalar; a bool, a
-    string or bytes is not a number."""
+    """Whether ``x`` is an int, float or numpy real scalar in the double
+    range, so ``float(x)`` is finite; a bool, a string or bytes is not a
+    number."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and -math.inf < x < math.inf)
+            and -sys.float_info.max <= x <= sys.float_info.max)
 
 
 def _positive(name: str, x) -> float:

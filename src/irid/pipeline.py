@@ -172,15 +172,16 @@ def compare_frequency(a: FrequencyResponseSeries,
 def _impulse_gap(ref: np.ndarray, mod: np.ndarray) -> Tuple[float, float]:
     """(relative L2 distance, max absolute deviation) of the samples
     ``mod`` against ``ref``; infinite relative error against a zero
-    reference unless ``mod`` is zero too.  Peaks above 1 are scaled below
-    it by a power of two before the norms square them: exact, and it
-    cancels in the quotient."""
+    reference unless ``mod`` is zero too.  Both are scaled by the power
+    of two that brings the larger peak into [0.5, 1) before the norms
+    square them, so neither overflows nor underflows to zero: exact, and
+    it cancels in the quotient."""
     diff = ref - mod
     peak = float(np.max(np.abs(diff)))
     top = math.frexp(max(peak, float(np.max(np.abs(ref)))))[1]
-    scale = math.ldexp(1.0, -max(top, 0))
-    err = float(np.linalg.norm(diff * scale))
-    norm = float(np.linalg.norm(ref * scale))
+    # np.ldexp, since 2.0**-top overflows for a subnormal peak
+    err = float(np.linalg.norm(np.ldexp(diff, -top)))
+    norm = float(np.linalg.norm(np.ldexp(ref, -top)))
     if norm == 0.0:
         return (0.0 if err == 0.0 else math.inf), peak
     return err / norm, peak

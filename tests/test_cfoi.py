@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -91,10 +92,11 @@ class TestTransfer:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
     def test_bit_equal_to_the_formula(self, dtype):
-        # the in-place evaluation does the formula's own operations, in
-        # its own order and dtype: a Bromwich line and a qd tail array
+        # below 256 points the in-place evaluation does the formula's own
+        # operations, in its own order and dtype: nilt's 17-point qd tail
+        # array, whose rounding the continued fraction amplifies
         p = CfoiParams(1.5, -0.4, 2.0)
-        s = (0.9 + 1j * np.linspace(0.0, 500.0, 257)).astype(dtype)
+        s = (0.9 + 1j * np.linspace(500.0, 520.0, 17)).astype(dtype)
         s_before = s.copy()
         L = np.log(p.wgc / s)
         want = np.exp(p.lam * L) * np.cos(p.mu * L)
@@ -102,6 +104,60 @@ class TestTransfer:
         assert got.dtype == dtype
         assert np.array_equal(got, want)
         assert np.array_equal(s, s_before)
+
+    def test_real_form_on_bromwich_lines(self):
+        # from 256 points on, G is evaluated in real arithmetic; on the
+        # 512-point lines nilt builds at m = 256 for the 135 integrators of
+        # TestCfoiOracle it agrees with the formula in clongdouble to
+        # 4.2e-15 relative, as the direct complex128 form does
+        worst = 0.0
+        for lam, mu, wgc, tm in itertools.product(
+                (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
+                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0)):
+            p = CfoiParams(lam, mu, wgc)
+            T = 2.0 * tm
+            s = -math.log(1e-8) / T + 2j * math.pi / T * np.arange(512)
+            s_before = s.copy()
+            got = cfoi_transfer(p, s)
+            assert got.dtype == np.complex128
+            assert np.array_equal(s, s_before)
+            L = np.log(p.wgc / s.astype(np.clongdouble))
+            want = np.exp(p.lam * L) * np.cos(p.mu * L)
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("s,rtol", [
+        ((0.9 + 1j * np.linspace(0.0, 500.0, 300)).astype(np.complex64), 1e-5),
+        ((0.9 + 1j * np.linspace(0.0, 500.0, 300)).astype(np.clongdouble),
+         1e-17),
+        (np.linspace(0.5, 10.0, 300), 1e-14),
+    ], ids=["complex64", "clongdouble", "float64"])
+    def test_real_form_keeps_the_dtype(self, s, rtol):
+        # real input is promoted to the matching complex type, as before
+        p = CfoiParams(1.5, -0.4, 2.0)
+        got = cfoi_transfer(p, s)
+        assert got.dtype == np.result_type(s, 1j)
+        L = np.log(p.wgc / s.astype(np.clongdouble))
+        want = np.exp(p.lam * L) * np.cos(p.mu * L)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= rtol
+        # a 0-d array takes the direct form and returns a scalar
+        zero_d = np.asarray(s[7])
+        assert np.ndim(cfoi_transfer(p, zero_d)) == 0
+        assert cfoi_transfer(p, zero_d) == cfoi_transfer(p, s[7:8])[0]
+
+    def test_real_form_on_the_negative_real_axis(self):
+        # the real form keeps conjugate symmetry on the branch cut: -2 - 0j
+        # gets the conjugate of -2 + 0j, where the direct form's complex
+        # division gives both the value of -2 + 0j
+        p = CfoiParams(1.5, -0.4, 1.0)
+        s = np.full(256, 1.0 + 1j)
+        s[:2] = complex(-2.0, 0.0), complex(-2.0, -0.0)
+        above, below = cfoi_transfer(p, s)[:2]
+        direct = cfoi_transfer(p, s[:2])
+        assert direct[0] == direct[1]
+        assert above == pytest.approx(direct[0], rel=1e-15)
+        assert below == above.conjugate()
+        assert above.imag != 0.0
 
     @pytest.mark.parametrize("s", [2.0, 1.0 + 2.0j])
     def test_scalar_in_scalar_out(self, s):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import irid.pipeline
 import irid.sysid
-from irid.cfoi import CfoiParams
+from irid.cfoi import CfoiParams, gamma_complex
 from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
@@ -54,6 +54,16 @@ class TestCompareImpulse:
         rel, mabs = compare_impulse(a, b)
         assert rel == 1.0
         assert mabs == 3e200
+
+    @pytest.mark.parametrize("size", [1e-162, 1e-300, 5e-323])
+    def test_tiny_samples_do_not_underflow_the_norm(self, size):
+        # squaring 1e-162 underflows to zero, down to the subnormals; the
+        # norms are scaled up by a power of two, which stays exact
+        a = TimeSeries(0.0, 1.0, size * np.array([1.0, -3.0, 2.0]))
+        b = TimeSeries(0.0, 1.0, a.values * [1.0, 1.0, 0.0])
+        rel, mabs = compare_impulse(a, b)
+        assert rel == pytest.approx(2.0 / math.sqrt(14.0), rel=1e-15)
+        assert mabs == a.values[2]
 
     def test_grid_mismatch(self):
         a = TimeSeries(0.0, 1.0, [1.0, 2.0])
@@ -146,6 +156,21 @@ class TestRequestValidation:
                       wmin=0.01, wmax=100.0, norder=5)
         with pytest.raises(ParamError, match=match):
             IridRequest(**{**fields, **kw})
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: CfoiParams(1.5, -0.4, 10**400), "wgc must be positive"),
+        (lambda: IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                             wmin=0.01, wmax=10**400, norder=5),
+         "need 0 < wmin < wmax"),
+        (lambda: IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                             wmin=0.01, wmax=100.0, norder=5, m=2**1100),
+         "m must be an integer"),
+        (lambda: gamma_complex(10**400), "must be a finite number"),
+    ], ids=["wgc", "wmax", "m", "gamma"])
+    def test_int_beyond_the_double_range_rejected(self, make, match):
+        # float() of such an int raises OverflowError, not a ParamError
+        with pytest.raises(ParamError, match=match):
+            make()
 
     def test_integral_counts_accepted(self):
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0),
@@ -394,6 +419,24 @@ class TestBreakdownContract:
     def test_huge_reference_gives_finite_metrics(self):
         # h_ref peaks near 1e285; squaring it in the norm used to overflow
         assert finite_metrics(irid_fcoi(self.request(1.9, 0.0, 1e150)))
+
+    def test_tiny_reference_gives_its_own_gap(self):
+        # h_ref peaks near 1.5e-162, so its square underflows to zero; the
+        # relative L2 used to read 0.0 (inf before that) from 0/0
+        req = IridRequest(params=CfoiParams(0.7406857630463517,
+                                            -0.678407528283172,
+                                            1.0447727400146482e-221),
+                          tm=8.245572853291526e-06, wmin=420.15,
+                          wmax=42014.7, norder=1, m=128, npoints=20)
+        res = irid_fcoi(req)
+        n = int(0.8 * 128)
+        ref = 1e160 * res.h_ref.values[:n]
+        for h, got in ((res.h_d, res.metrics.discrete),
+                       (res.h_c, res.metrics.continuous)):
+            want = (np.linalg.norm(ref - 1e160 * h.values[:n])
+                    / np.linalg.norm(ref))
+            assert got.impulse_rel_l2 == pytest.approx(want, rel=1e-12)
+            assert got.impulse_rel_l2 > 0.5
 
     @pytest.mark.parametrize("lam,mu,wgc,stage", [
         (1.95, -0.5, 2e158, "nilt"),     # inverted samples overflow

@@ -213,7 +213,7 @@ class TestStmcb:
 
     def test_keeps_the_iterate_with_least_output_error(self, monkeypatch):
         # the README command's data: its five iterates' output errors are
-        # 0.14, 4.2e-5, 1.1e-3, 3.4e-4 and 3.4e-4 of the data's norm, so
+        # 0.14, 4.3e-5, 1.1e-3, 3.4e-4 and 3.4e-4 of the data's norm, so
         # the second is kept.  With j passes the fit keeps the best of the
         # first j iterates, so the output error cannot rise with j, and a
         # later, worse iterate is dropped.
