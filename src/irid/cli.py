@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--norder", type=int, default=5,
                         help="model order (default 5)")
     parser.add_argument("--samples", type=int, default=1024, metavar="M",
-                        help="inversion sample count, power of two "
-                             "(default 1024)")
+                        help="inversion sample count, a power of two "
+                             "from 64 to 1048576 (default 1024)")
     parser.add_argument("--points", type=int, default=200,
                         help="frequency grid size (default 200)")
     parser.add_argument("--out-dir", default="out",

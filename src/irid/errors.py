@@ -25,7 +25,8 @@ class EvaluationError(IridError, ArithmeticError):
     iterates has a finite output error, a least-squares solve that LAPACK
     reports as failed, a pole at z = -1 or coefficients out of the double
     range under the bilinear map, a magnitude below the dB scale, or a
-    computed array with a NaN or Inf in it.  The last is always raised
+    computed array with a NaN or Inf in it, among them a qd tail whose
+    first value is beyond the double range.  The last is always raised
     by ``irid.lti._all_finite``: the message ends "(sample k)", k the
     first bad flat index."""
 

@@ -104,17 +104,20 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 
 def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
+    """``num`` and ``den`` as new read-only float64 arrays, both divided by
+    ``den[0]``.  One correctly rounded division per coefficient, so the
+    stored ``den[0]`` is exactly 1.0 and a pair already monic keeps its
+    bits.  ParamError for a zero ``den[0]`` or a quotient that overflows."""
     num, den = _vector("num", num), _vector("den", den)
     lead = den[0]
     if lead == 0.0:
         raise ParamError("denominator leading coefficient must be nonzero")
-    if lead != 1.0:
-        with np.errstate(over="ignore"):
-            num, den = num * (1.0 / lead), den * (1.0 / lead)
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-            raise ParamError("coefficients overflow when divided by the "
-                             "denominator's leading coefficient")
-        num.flags.writeable = den.flags.writeable = False
+    with np.errstate(over="ignore"):
+        num, den = num / lead, den / lead
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise ParamError("coefficients overflow when divided by the "
+                         "denominator's leading coefficient")
+    num.flags.writeable = den.flags.writeable = False
     return num, den
 
 
@@ -122,10 +125,10 @@ def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
 class DiscreteTransferFunction:
     """Rational function of z with sample period ``ts``.
 
-    ``num`` and ``den`` are read-only float64 coefficient arrays; the
-    denominator is normalized to monic on construction (numerator
-    rescaled to match), and the shorter array is padded with trailing
-    zeros to the length of the other.  Entry ``i`` of each then
+    ``num`` and ``den`` are read-only float64 coefficient arrays, both
+    divided by the denominator's leading coefficient on construction, so
+    ``den[0]`` is exactly 1.0; the shorter array is then padded with
+    trailing zeros to the length of the other.  Entry ``i`` of each then
     multiplies z**-i of the lag reading B(z**-1)/A(z**-1), which is the
     same rational function as num(z)/den(z).  Leading zeros are delays
     and are kept.
@@ -148,8 +151,9 @@ class DiscreteTransferFunction:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousTransferFunction:
-    """Rational function of s; read-only coefficient arrays, denominator
-    normalized to monic, numerator stored without leading zeros (the zero
+    """Rational function of s; read-only coefficient arrays, both divided
+    by the denominator's leading coefficient, so ``den[0]`` is exactly
+    1.0, and the numerator stored without leading zeros (the zero
     polynomial as ``[0.0]``), so each array's degree is its length - 1."""
 
     num: np.ndarray

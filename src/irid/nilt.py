@@ -47,6 +47,9 @@ __all__ = ["nilt"]
 
 _REL_ERR = 1e-8  # target aliasing error; sets the damping c
 _QD_TERMS = 17  # 2*P + 1 extra line samples for the continued fraction
+# largest sample count: at m = 2**20 the fit's regression matrix alone
+# takes about 150 MB at norder 8
+_MAX_M = 2 ** 20
 
 
 def _qd_coeffs(d: np.ndarray) -> np.ndarray:
@@ -58,7 +61,8 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
     they are returned as complex128.  The fraction is truncated at the
     first non-finite entry: the qd recursion breaks down exactly when the
     series is rational of lower order, in which case the prefix already
-    represents it exactly.
+    represents it exactly.  A leading coefficient ``d[0]`` beyond the
+    double range leaves no fraction and raises EvaluationError.
     """
     p = (len(d) - 1) // 2
     dtype = np.promote_types(d.dtype, np.complex128)
@@ -72,6 +76,7 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
         cf[2 * r - 1], cf[2 * r] = -q[0], -e[0]
         q = q[1:-1] * e[1:] / e[:-1]
     cf = cf.astype(complex)
+    _all_finite("qd tail is out of the double range", cf[:1])
     bad = ~np.isfinite(cf)
     if bad.any():
         cf = cf[: int(np.argmax(bad))]
@@ -79,8 +84,6 @@ def _qd_coeffs(d: np.ndarray) -> np.ndarray:
 
 
 def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if len(cf) == 0:
-        return np.zeros_like(z)
     # bottom up, out <- cf[i]*z / (1 + out), with out carried as the ratio
     # p/q in three buffers: p <- cf[i]*z*q and q <- q + p, so there is one
     # complex division, at the end.  cf[1:] are scale-free ratios, and the
@@ -104,10 +107,11 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
     """``(tm, m)`` as float and int; raises ParamError unless tm is
-    positive and finite and m is a power of two >= 64."""
+    positive and finite and m is a power of two from 64 to 2**20."""
     tm, n = _positive("tm", tm), _count("m", m, 64)
-    if n & (n - 1):
-        raise ParamError(f"m must be a power of two >= 64, got {m!r}")
+    if n > _MAX_M or n & (n - 1):
+        raise ParamError(f"m must be a power of two from 64 to {_MAX_M}, "
+                         f"got {m!r}")
     return tm, n
 
 
@@ -129,7 +133,8 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     tm : float
         Window end time in seconds, a positive finite real number.
     m : int
-        Number of output samples, an integral power of two >= 64.
+        Number of output samples, an integral power of two from 64 to
+        2**20 (1048576).
 
     Returns
     -------
@@ -138,8 +143,8 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     Raises
     ------
     ParamError for an invalid ``tm`` or ``m``; EvaluationError, naming the
-    first bad sample, if ``f`` returns NaN/Inf, the qd tail has a pole at
-    a sample point or a sample overflows.
+    first bad sample, if ``f`` returns NaN/Inf, the qd tail is out of the
+    double range or has a pole at a sample point, or a sample overflows.
     """
     tm, m = _check_window(tm, m)
     T = 2.0 * tm

@@ -68,9 +68,10 @@ class IridRequest:
     Steiglitz-McBride passes.
     Every field is checked on construction, with the rules of the stage
     that uses it, so an invalid request raises ParamError before any
-    numerical work.  ``m``, ``norder`` and ``npoints`` are integral, ``tm``
-    and ``wmin`` finite real numbers > 0 and ``wmax`` a real number (+inf
-    too) above ``wmin``; a string or a bool is never a number.
+    numerical work.  ``m``, ``norder`` and ``npoints`` are integral, ``m``
+    a power of two from 64 to 2**20, ``tm`` and ``wmin`` finite real
+    numbers > 0 and ``wmax`` a real number (+inf too) above ``wmin``; a
+    string or a bool is never a number.
     """
 
     params: CfoiParams

@@ -242,7 +242,7 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
         num = (g.num @ basis * powers)[::-1]
         den = (g.den @ basis * powers)[::-1]
         # the quotients the monic continuous model stores
-        monic = np.concatenate((num, den)) * (1.0 / den[0])
+        monic = np.concatenate((num, den)) / den[0]
     _all_finite("continuous model coefficients are out of the double range",
                 monic)
     return ContinuousTransferFunction(num, den)

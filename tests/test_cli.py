@@ -48,8 +48,9 @@ def test_no_svg_flag(tmp_path):
     (("--wgc", "0"), "wgc must be positive"),
     (("--norder", "11", "--samples", "64"), "need at least 66 samples"),
     (("--out-dir", ""), "empty output directory path"),
+    (("--samples", "2097152"), "power of two from 64 to 1048576"),
 ], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
-        "norder11", "out-dir-empty"])
+        "norder11", "out-dir-empty", "samples2**21"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err

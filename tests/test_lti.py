@@ -98,6 +98,10 @@ class TestTransferFunctionTypes:
         assert g.den.dtype == g.num.dtype == np.float64
         assert g.den.tolist() == [1.0, 0.0]
         assert g.num.tolist() == [1.0, 2.0]
+        # 49 * (1/49) rounds to 0.9999999999999999; 49/49 is exactly 1
+        g = tf_d([1.0], [49.0, 1.0])
+        assert g.den.tolist() == [1.0, 1.0 / 49.0]
+        assert g.num.tolist() == [1.0 / 49.0, 0.0]
 
     def test_zero_leading_denominator_rejected(self):
         with pytest.raises(ParamError, match="leading coefficient"):
@@ -122,6 +126,9 @@ class TestTransferFunctionTypes:
     def test_continuous_monic(self):
         g = tf_c([3.0], [3.0, 6.0])
         assert g.den.tolist() == [1.0, 2.0]
+        g = tf_c([1.0], [49.0, 1.0])
+        assert g.den.tolist() == [1.0, 1.0 / 49.0]
+        assert g.num.tolist() == [1.0 / 49.0]
 
     @pytest.mark.parametrize("num,den,num_stored,den_stored", [
         ([1.0], [1.0, -0.5], [1.0, 0.0], [1.0, -0.5]),

@@ -41,7 +41,9 @@ class TestConfig:
         (dict(tm=10.0, m=256.7), "m must be an integer"),
         (dict(tm=10.0, m="256"), "m must be an integer"),
         (dict(tm="10", m=256), "tm must be positive"),
-    ], ids=[f"kw{i}" for i in range(6)])
+        (dict(tm=10.0, m=2**21), "power of two from 64 to 1048576"),
+        (dict(tm=10.0, m=2**200), "power of two from 64 to 1048576"),
+    ], ids=[f"kw{i}" for i in range(8)])
     def test_invalid(self, kw, match):
         def no_call(s):
             raise AssertionError("the transform was evaluated")
@@ -229,6 +231,21 @@ class TestErrors:
                                                       match="qd tail"):
             _qd_eval(np.array([1.0, -1.0], dtype=complex),
                      np.array([1.0 + 0j]))
+
+    def test_qd_tail_beyond_the_double_range(self):
+        # F = (s/s0)**3000 * 1e305, s0 the modulus of the last line point,
+        # peaks at 1e305 on the line; the first tail value, about 1.6e315 in
+        # long double, has no double, so no fraction can stand for the tail.
+        # Where long double is a double the transform already overflows
+        # there
+        tm, m = 1.0, 64
+        s0 = abs(complex(-math.log(1e-8) / (2.0 * tm), 127 * math.pi))
+
+        def steep(s):
+            return (s / s0) ** 3000 * 1e305
+
+        with pytest.raises(EvaluationError, match="qd tail"):
+            nilt(steep, tm, m)
 
 
 class TestCfoiOracle:

@@ -65,6 +65,14 @@ class TestCompareImpulse:
         assert rel == pytest.approx(2.0 / math.sqrt(14.0), rel=1e-15)
         assert mabs == a.values[2]
 
+    def test_zero_reference(self):
+        # a nonzero series against a zero reference is infinitely far off
+        # in relative terms; a zero series against it is not off at all
+        zero = TimeSeries(0.0, 1.0, [0.0, 0.0, 0.0])
+        tiny = TimeSeries(0.0, 1.0, [0.0, 1e-300, 0.0])
+        assert compare_impulse(zero, tiny) == (math.inf, 1e-300)
+        assert compare_impulse(zero, zero) == (0.0, 0.0)
+
     def test_grid_mismatch(self):
         a = TimeSeries(0.0, 1.0, [1.0, 2.0])
         b = TimeSeries(0.0, 0.5, [1.0, 2.0])
@@ -146,10 +154,13 @@ class TestRequestValidation:
         (dict(params=None), "params must be a CfoiParams"),
         (dict(params=True), "params must be a CfoiParams"),
         (dict(params="abc"), "params must be a CfoiParams"),
+        (dict(m=2**21), "power of two from 64 to 1048576"),
+        (dict(m=2**200), "power of two from 64 to 1048576"),
     ], ids=["samples", "samples32", "wmin-nyquist", "narrow-band",
             "norder-fraction", "samples-fraction", "samples-str",
             "points-fraction", "tm-str", "wmin-str", "wmax-str",
-            "norder-bool", "params-none", "params-bool", "params-str"])
+            "norder-bool", "params-none", "params-bool", "params-str",
+            "samples2**21", "samples2**200"])
     def test_config_rejected_before_any_stage(self, kw, match):
         # the request itself raises, so no stage can be reached
         fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
@@ -508,6 +519,7 @@ class TestFitQualitySweep:
                 req = IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
                                   wmin=0.01, wmax=100.0, norder=norder, m=256)
                 res = irid_fcoi(req)
+                assert res.gd.den[0] == res.gc.den[0] == 1.0, req
                 good[norder] += res.metrics.discrete.impulse_rel_l2 < 0.1
                 data = TimeSeries(res.h_ref.t0, res.h_ref.dt,
                                   res.h_ref.dt * res.h_ref.values)
