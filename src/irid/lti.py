@@ -9,16 +9,18 @@ B(z**-1)/A(z**-1) and its polynomial reading num(z)/den(z) are one function.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dtbtrs
+import scipy
 
 from .errors import EvaluationError, ParamError
 
@@ -34,6 +36,30 @@ __all__ = [
     "continuous_freq_response",
     "is_stable_discrete",
 ]
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension module ``scipy/linalg/_flapack``,
+    loaded by file path as ``irid._flapack``.
+
+    ``import scipy`` (about 10 ms) runs the wheel's shared-library set-up;
+    loading the one extension file costs a few ms more, where importing
+    the ``scipy.linalg`` package costs about 300 ms, so irid never imports
+    it.  The extension's init function is ``PyInit__flapack``, so the
+    module's name must end in ``_flapack``.  A missing file raises
+    ImportError naming its path; there is no fallback.
+    """
+    path = os.path.join(scipy.__path__[0], "linalg", "_flapack"
+                        + importlib.machinery.EXTENSION_SUFFIXES[0])
+    spec = importlib.util.spec_from_file_location("irid._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the LAPACK routines irid calls: dtbtrs here, dgeqrf and dgelsd in sysid
+_flapack = _load_flapack()
+dtbtrs = _flapack.dtbtrs
 
 
 def _finite_real(x) -> bool:
@@ -281,6 +307,107 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
         "outside the unit circle", vals))
 
 
+def _pade_terms(m: int) -> np.ndarray:
+    """The 4-by-4 matrix that maps I, A**2, A**4, A**6 to the four sums of
+    Higham's evaluation of the degree-m diagonal Pade approximant of
+    exp(A), m <= 13: the odd part A @ (A**6 @ x0 + x1) and the even part
+    A**6 @ x2 + x3 of its numerator p(A), whose denominator is p(-A).
+    b_k, the coefficient of A**k in p, is (2m-k)!/(k!(m-k)!), so b_m = 1,
+    and zero for k > m."""
+    b = [math.factorial(2 * m - k) / (math.factorial(k) * math.factorial(m - k))
+         if k <= m else 0.0 for k in range(14)]
+    return np.array([[0.0, *b[9::2]], b[1:8:2], [0.0, *b[8:13:2]], b[0:7:2]])
+
+
+# per degree m: theta_m, the bound on the norm estimate eta below which the
+# degree-m approximant has a backward error under 2**-53 (Al-Mohy and
+# Higham 2009, with their theta_13 = 4.25), the approximant's evaluation
+# terms, and 1/|c_{2m+1}| = (2m)!(2m+1)!/(m!)**2, the reciprocal of the
+# leading coefficient of its error series
+_PADE = tuple((m, theta, _pade_terms(m), math.factorial(2 * m)
+               * math.factorial(2 * m + 1) / math.factorial(m) ** 2)
+              for m, theta in ((3, 1.495585217958292e-2),
+                               (5, 2.539398330063230e-1),
+                               (7, 9.504178996162932e-1),
+                               (9, 2.097847961257068e0), (13, 4.25)))
+
+
+def _ell(abs_a: np.ndarray, norm: float, m: int, c: float) -> int:
+    """Al-Mohy and Higham's ell(A, m), with ``abs_a`` = abs(A) and
+    ``norm`` = ||A||_1: how many more squarings keep the rounding error
+    of the degree-m approximant of a nonnormal A near the unit roundoff.
+    It is ceil(log2(alpha * 2**53) / (2m)), alpha = ||abs(A)**(2m+1)||_1 /
+    (||A||_1 * c), ``c`` = 1/|c_{2m+1}|, from the powers of abs(A) * 2**-e,
+    e the exponent of ``norm``, whose 1-norm is below one: none overflows."""
+    frac, e = math.frexp(norm)
+    q = (np.linalg.matrix_power(np.ldexp(abs_a, -e), 2 * m + 1)
+         .sum(axis=0).max())
+    if not q:
+        return 0
+    log2_alpha = 2 * m * e + math.log2(q / frac) - math.log2(c)
+    return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square float64 matrix by Pade scaling and squaring: the
+    algorithm of A. H. Al-Mohy and N. J. Higham, "A new scaling and
+    squaring algorithm for the matrix exponential", SIAM J. Matrix Anal.
+    Appl. 31 (2009) 970-989, which scipy's ``expm`` implements as well.
+
+    The degree m and the scaling 2**-s are chosen from the exact 1-norms
+    d_k = ||a**k||_1**(1/k), k = 4 ... 10, not from ||a||_1 as in Higham's
+    2005 algorithm: a companion matrix with a large first row has a 1-norm
+    far above its spectral radius, and every squaring the 1-norm asks for
+    adds rounding error.  A 1-by-1 matrix gives ``np.exp(a)`` exactly; a
+    matrix whose 1-norm is not finite gives NaNs, without a warning.
+    """
+    if a.shape == (1, 1):
+        return np.exp(a)
+    abs_a = np.abs(a)
+    with np.errstate(over="ignore"):
+        norm = abs_a.sum(axis=0).max()
+    if not np.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    n = len(a)
+    # b = a * 2**-t, t >= 0 just large enough for ||b||_1 < 2**64, so that
+    # no power of b up to the 10th overflows
+    t = max(0, math.frexp(norm)[1] - 64)
+    b = np.ldexp(a, -t)
+    # I, b**2, b**4, b**6, b**8, b**10
+    powers = np.empty((6, n, n))
+    powers[0] = np.eye(n)
+    np.matmul(b, b, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    np.matmul(powers[2], powers[2], out=powers[4])
+    np.matmul(powers[2], powers[3], out=powers[5])
+    d4, d6, d8, d10 = (np.abs(powers[2:]).sum(axis=1).max(axis=1)
+                       ** (1.0 / np.arange(4, 12, 2)) * 2.0 ** t).tolist()
+    s = 0
+    for m, theta, terms, c in _PADE:
+        if m < 13:
+            eta = max(d4, d6) if m < 7 else max(d6, d8)
+            if eta <= theta and _ell(abs_a, norm, m, c) == 0:
+                break
+        else:
+            eta = min(max(d6, d8), max(d8, d10))
+            s = math.ceil(math.log2(eta / theta)) if eta > theta else 0
+            s += _ell(np.ldexp(abs_a, -s), math.ldexp(norm, -s), m, c)
+    if s != t:
+        # b and its powers for b = a * 2**-s
+        with np.errstate(over="ignore", under="ignore"):
+            b = np.ldexp(b, t - s)
+            np.ldexp(powers[1:4], (t - s) * np.arange(2, 8, 2)[:, None, None],
+                     out=powers[1:4])
+    x0, x1, x2, x3 = (terms @ powers[:4].reshape(4, -1)).reshape(4, n, n)
+    u = b @ (powers[3] @ x0 + x1)
+    v = powers[3] @ x2 + x3
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def continuous_impulse(g: ContinuousTransferFunction, dt: float,
                        n: int) -> TimeSeries:
     """Exact impulse response of ``g`` at t = dt, 2*dt, ..., n*dt.
@@ -288,9 +415,12 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     With sigma = s*dt the denominator's coefficients become a_i*dt**i, of
     order one for poles up to the sampling rate, and the companion
     realization (A, B, C) of the strictly proper part of g(sigma/dt) gives
-    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A).  The direct term
-    acts at t = 0 only.  The columns Phi**k @ B are filled in place by
-    doubling, X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
+    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A), computed in numpy by
+    Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
+    (2005) 1179-1193), with the degree and scaling chosen as in Al-Mohy
+    and Higham, ibid. 31 (2009) 970-989; see :func:`_expm`.  The direct
+    term acts at t = 0 only.  The columns Phi**k @ B are filled in place
+    by doubling, X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
 
     Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).
@@ -309,7 +439,7 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
         a = np.zeros((order, order))
         a[0] = -den[1:] * scale
         a[np.arange(1, order), np.arange(order - 1)] = 1.0
-        p = expm(a)
+        p = _expm(a)
         cols = np.empty((order, n))
         cols[:, 0] = p[:, 0]
         w = 1

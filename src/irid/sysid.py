@@ -19,13 +19,16 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, _all_finite, _allpole, _count)
+                  TimeSeries, _all_finite, _allpole, _count, _flapack)
 
 __all__ = ["stmcb_fit", "bilinear_d2c"]
+
+# module-level names, so that a test can replace one
+dgelsd, dgelsd_lwork, dgeqrf = (_flapack.dgelsd, _flapack.dgelsd_lwork,
+                                _flapack.dgeqrf)
 
 # least-squares passes per fit, as in MATLAB's stmcb
 _PASSES = 5

@@ -101,15 +101,32 @@ def test_help_exits_zero(capsys):
 
 
 def test_cold_import_leaves_out_heavy_scipy_modules():
-    # scipy.signal (and scipy.stats, which it pulls in) cost most of the
-    # command's cold start; the package needs only numpy and scipy.linalg
+    # scipy.linalg, scipy.signal and scipy.stats cost most of the command's
+    # cold start; the package needs only numpy and scipy's LAPACK
+    # extension, which it loads by file path
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", "import irid.cli, sys; print(sorted(m for m in "
-         "('scipy.signal', 'scipy.stats') if m in sys.modules))"],
+         "sys.modules if m.split('.')[:2] in (['scipy', 'linalg'], "
+         "['scipy', 'signal'], ['scipy', 'stats'])))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_scipy_linalg_imports_after_the_package():
+    # scipy.linalg, imported after irid, loads the same extension file
+    # under its own name; both modules then give the same bits
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import irid.cli, irid.lti, numpy as np, "
+         "scipy.linalg, scipy.signal; "
+         "a = np.random.default_rng(0).standard_normal((6, 4)); "
+         "print(irid.lti._flapack.__name__, np.array_equal("
+         "irid.lti._flapack.dgeqrf(a)[0], scipy.linalg.lapack.dgeqrf(a)[0]))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "irid._flapack True"
 
 
 def test_closed_stdout_exits_zero(tmp_path):

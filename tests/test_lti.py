@@ -1,7 +1,10 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +12,9 @@ from hypothesis import strategies as st
 from irid.errors import EvaluationError, ParamError
 from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                       FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                      _allpole, continuous_freq_response, continuous_impulse,
-                      discrete_freq_response, discrete_impulse,
-                      is_stable_discrete)
+                      _PADE, _allpole, _ell, _expm, continuous_freq_response,
+                      continuous_impulse, discrete_freq_response,
+                      discrete_impulse, is_stable_discrete)
 
 
 def tf_d(num, den, ts=1.0):
@@ -355,6 +358,95 @@ class TestContinuousImpulse:
         full = continuous_impulse(g, 0.01, 1024).values
         np.testing.assert_array_equal(continuous_impulse(g, 0.01, n).values,
                                       full[:n])
+
+
+def companion(den):
+    """The companion matrix of the monic ``den``, as continuous_impulse
+    builds it: -den[1:] in the first row, ones below the diagonal."""
+    order = len(den) - 1
+    a = np.zeros((order, order))
+    a[0] = -np.asarray(den[1:])
+    a[np.arange(1, order), np.arange(order - 1)] = 1.0
+    return a
+
+
+def rel_err(got, want):
+    """Relative error in the 1-norm."""
+    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+
+
+@st.composite
+def stable_poles(draw):
+    """1 to 8 poles in the open left half-plane, real or in conjugate pairs,
+    of modulus 2**-12 to 8.  Their companion matrices have 1-norms up to
+    about 1e5, beyond the 1.5e3 of the domain_sweep lattice's dt-scaled
+    models, and scipy's own expm stays accurate on them."""
+    order = draw(st.integers(1, 8))
+    poles = []
+    while len(poles) < order:
+        r = 2.0 ** draw(st.floats(-12.0, 3.0))
+        if order - len(poles) >= 2 and draw(st.booleans()):
+            z = r * np.exp(1j * draw(st.floats(0.5 * np.pi, np.pi,
+                                               exclude_min=True)))
+            poles += [z, z.conjugate()]
+        else:
+            poles.append(-r)
+    return poles
+
+
+class TestExpm:
+    @settings(max_examples=200, deadline=None)
+    @given(stable_poles())
+    def test_agrees_with_scipy(self, poles):
+        a = companion(np.real(np.poly(poles)))
+        assert rel_err(_expm(a), scipy.linalg.expm(a)) <= 1e-12
+
+    @pytest.mark.parametrize("poles", [[-16.0] * 8, [-30.0] * 6],
+                             ids=["(s+16)^8", "(s+30)^6"])
+    def test_high_norm_companion_against_mpmath(self, poles):
+        # 1-norms of 4e9 and 7e8, far above the spectral radius: scaling
+        # by the 1-norm (Higham 2005) squares 30 and 28 times and misses by
+        # about 1e-7
+        a = companion(np.real(np.poly(poles)))
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(),
+                            dtype=float)
+        assert rel_err(_expm(a), want) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ell_follows_its_definition(self, seed):
+        # ell(A, m) = max(0, ceil(log2(alpha / 2**-53) / (2m))), alpha =
+        # ||abs(A)**(2m+1)||_1 / (||A||_1 / |c_{2m+1}|), computed here
+        # directly; the 1/|c_{2m+1}| are the values scipy.sparse.linalg's
+        # expm uses
+        recip_c = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+                   9: 5914384781877411840000.0,
+                   13: 113250775606021113483283660800000000.0}
+        a = np.random.default_rng(seed).standard_normal((4, 4)) * 10.0 ** seed
+        norm = np.abs(a).sum(axis=0).max()
+        for m, _, _, c in _PADE:
+            assert c == pytest.approx(recip_c[m], rel=1e-15)
+            alpha = (np.linalg.matrix_power(np.abs(a), 2 * m + 1)
+                     .sum(axis=0).max() / (norm * c))
+            want = max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / (2 * m)))
+            assert _ell(np.abs(a), norm, m, c) == want, m
+
+    @pytest.mark.parametrize("x", [-745.0, -1.5, 0.0, 0.3, 709.0])
+    def test_one_by_one_is_exp(self, x):
+        np.testing.assert_array_equal(_expm(np.array([[x]])), np.exp([[x]]))
+
+    @pytest.mark.parametrize("a", [
+        [[np.inf, 0.0], [1.0, 0.0]],
+        [[-np.inf, 1.0], [1.0, 0.0]],
+        [[np.nan, 0.0], [1.0, 0.0]],
+        # finite entries whose column sum overflows
+        [[1e308, 0.0], [1e308, 0.0]],
+    ], ids=["inf", "-inf", "nan", "norm-overflow"])
+    def test_non_finite_gives_nan_without_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expm(np.array(a))
+        assert got.shape == (2, 2) and np.all(np.isnan(got))
 
 
 class TestFrequencyResponses:

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irid.lti
 import irid.sysid
 from irid.cfoi import CfoiParams, cfoi_transfer
 from irid.errors import EvaluationError, ParamError, PipelineStageError
@@ -259,6 +261,30 @@ class TestStmcb:
         assert err.value.stage == "fit"
         assert isinstance(err.value.cause, EvaluationError)
         assert "(iteration 0)" in str(err.value.cause)
+
+    def test_path_loaded_lapack_gives_scipy_linalg_bits(self, monkeypatch):
+        # irid loads scipy's LAPACK extension by file path, not through
+        # scipy.linalg: the showcase fit at m = 16384 comes out bit for bit
+        # as with scipy.linalg.lapack's routines, which are other objects
+        lapack = scipy.linalg.lapack
+        routines = [(irid.sysid, "dgeqrf"), (irid.sysid, "dgelsd"),
+                    (irid.sysid, "dgelsd_lwork"), (irid.lti, "dtbtrs")]
+        for module, name in routines:
+            assert getattr(module, name) is not getattr(lapack, name), name
+        m = 16384
+        h_ref = nilt(lambda s: cfoi_transfer(CfoiParams(1.5, -0.4, 1.0), s),
+                     2.0, m)
+        data = TimeSeries(h_ref.t0, h_ref.dt, h_ref.dt * h_ref.values)
+        fits = []
+        for patched in (False, True):
+            with monkeypatch.context() as patch:
+                if patched:
+                    for module, name in routines:
+                        patch.setattr(module, name, getattr(lapack, name))
+                g = stmcb_fit(data, 5, 5)
+                fits.append((g.num, g.den, regenerate(g, m)))
+        for got, want in zip(*fits):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBilinear:
