@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inversion sample count, a power of two "
                              "from 64 to 1048576 (default 1024)")
     parser.add_argument("--points", type=int, default=200,
-                        help="frequency grid size (default 200)")
+                        help="frequency grid size, from 2 to 1048576 "
+                             "(default 200)")
     parser.add_argument("--out-dir", default="out",
                         help="output directory (default ./out)")
     parser.add_argument("--no-svg", action="store_true",

@@ -218,6 +218,11 @@ class TimeSeries:
         return self.t0 + self.dt * np.arange(len(self.values))
 
 
+# largest log-spaced grid: a run's three complex responses on it take
+# about 48 MB
+_MAX_POINTS = 2 ** 20
+
+
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Strictly increasing positive angular frequencies in rad/s."""
@@ -237,11 +242,15 @@ class FrequencyGrid:
 
     @classmethod
     def log_spaced(cls, wmin: float, wmax: float, npoints: int) -> "FrequencyGrid":
-        """Logarithmically spaced grid over [wmin, wmax], inclusive."""
+        """Logarithmically spaced grid over [wmin, wmax], inclusive, of 2
+        to 2**20 points."""
         wmin, wmax = _positive("wmin", wmin), _positive("wmax", wmax)
         if not wmin < wmax:
             raise ParamError("need 0 < wmin < wmax")
         npoints = _count("npoints", npoints, 2)
+        if npoints > _MAX_POINTS:
+            raise ParamError(f"npoints must be <= {_MAX_POINTS}, got "
+                             f"{npoints!r}")
         omegas = np.logspace(math.log10(wmin), math.log10(wmax), npoints)
         # pin the endpoints exactly; logspace only hits them to roundoff
         omegas[0], omegas[-1] = wmin, wmax

@@ -44,9 +44,6 @@ __all__ = [
     "format_summary",
 ]
 
-# fraction of the window over which impulse metrics are computed; the
-# remainder is aliasing-prone in the numerical inversion
-VALIDATED_WINDOW = 0.8
 NYQUIST_MARGIN = 0.9
 
 
@@ -69,9 +66,9 @@ class IridRequest:
     Every field is checked on construction, with the rules of the stage
     that uses it, so an invalid request raises ParamError before any
     numerical work.  ``m``, ``norder`` and ``npoints`` are integral, ``m``
-    a power of two from 64 to 2**20, ``tm`` and ``wmin`` finite real
-    numbers > 0 and ``wmax`` a real number (+inf too) above ``wmin``; a
-    string or a bool is never a number.
+    a power of two from 64 to 2**20, ``npoints`` from 2 to 2**20, ``tm``
+    and ``wmin`` finite real numbers > 0 and ``wmax`` a real number (+inf
+    too) above ``wmin``; a string or a bool is never a number.
     """
 
     params: CfoiParams
@@ -147,11 +144,22 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     """(relative L2 distance, max absolute deviation) of b against a.
 
     Both series must share t0, dt and length.  A zero reference with a
-    nonzero b reports an infinite relative error.
+    nonzero b reports an infinite relative error.  Both are scaled by the
+    power of two that brings the larger peak into [0.5, 1) before the
+    norms square them, so neither overflows nor underflows to zero:
+    exact, and it cancels in the quotient.
     """
     if a.t0 != b.t0 or a.dt != b.dt or len(a) != len(b):
         raise ParamError("time series grids differ")
-    return _impulse_gap(a.values, b.values)
+    diff = a.values - b.values
+    peak = float(np.max(np.abs(diff)))
+    top = math.frexp(max(peak, float(np.max(np.abs(a.values)))))[1]
+    # np.ldexp, since 2.0**-top overflows for a subnormal peak
+    err = float(np.linalg.norm(np.ldexp(diff, -top)))
+    norm = float(np.linalg.norm(np.ldexp(a.values, -top)))
+    if norm == 0.0:
+        return (0.0 if err == 0.0 else math.inf), peak
+    return err / norm, peak
 
 
 def compare_frequency(a: FrequencyResponseSeries,
@@ -168,24 +176,6 @@ def compare_frequency(a: FrequencyResponseSeries,
     turn = np.angle(b.response) - np.angle(a.response) + math.pi
     return (float(np.max(np.abs(a.magnitude_db() - b.magnitude_db()))),
             float(np.degrees(np.max(np.abs(turn % (2 * math.pi) - math.pi)))))
-
-
-def _impulse_gap(ref: np.ndarray, mod: np.ndarray) -> Tuple[float, float]:
-    """(relative L2 distance, max absolute deviation) of the samples
-    ``mod`` against ``ref``; infinite relative error against a zero
-    reference unless ``mod`` is zero too.  Both are scaled by the power
-    of two that brings the larger peak into [0.5, 1) before the norms
-    square them, so neither overflows nor underflows to zero: exact, and
-    it cancels in the quotient."""
-    diff = ref - mod
-    peak = float(np.max(np.abs(diff)))
-    top = math.frexp(max(peak, float(np.max(np.abs(ref)))))[1]
-    # np.ldexp, since 2.0**-top overflows for a subnormal peak
-    err = float(np.linalg.norm(np.ldexp(diff, -top)))
-    norm = float(np.linalg.norm(np.ldexp(ref, -top)))
-    if norm == 0.0:
-        return (0.0 if err == 0.0 else math.inf), peak
-    return err / norm, peak
 
 
 @contextmanager
@@ -209,8 +199,13 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     computes that model's impulse response exactly, from a state-space
     realization; "compare" computes all three frequency responses on a
     log grid, its wmax clamped to 0.9x the Nyquist rate, and scores both
-    models by :func:`compare_impulse` on [dt, 0.8*tm] and by
-    :func:`compare_frequency`.
+    models by :func:`compare_impulse` on all m samples, [dt, tm], the
+    window the fit minimizes its output error on, and by
+    :func:`compare_frequency`.  The inversion is as accurate on the last
+    fifth of the window as before it (see :mod:`irid.nilt`): for the
+    orders 1.5-0.4j and 1.5-0.2j at tm=2, m=1024 and 16384, the relative
+    L2 gap to the analytic impulse response on (0.8*tm, tm] is 1.4-1.7e-8,
+    against 2.1-2.4e-8 on [dt, 0.8*tm].
 
     The request was validated on construction.  A run returns finite
     metrics or raises PipelineStageError tagged with the stage that broke
@@ -252,16 +247,10 @@ def irid_fcoi(req: IridRequest) -> IridResult:
         f_d = discrete_freq_response(gd, grid)
         f_c = continuous_freq_response(gc, grid)
 
-        # impulse metrics on samples k*dt, k = 1..n: [dt, VALIDATED_WINDOW*tm]
-        n = int(VALIDATED_WINDOW * req.m)
-        ref_h = h_ref.values[:n]
-
-        def errors(h: TimeSeries, f: FrequencyResponseSeries) -> ModelErrors:
-            return ModelErrors(*_impulse_gap(ref_h, h.values[:n]),
-                               *compare_frequency(f_ref, f))
-
-        metrics = ComparisonMetrics(discrete=errors(h_d, f_d),
-                                    continuous=errors(h_c, f_c))
+        metrics = ComparisonMetrics(*(
+            ModelErrors(*compare_impulse(h_ref, h),
+                        *compare_frequency(f_ref, f))
+            for h, f in ((h_d, f_d), (h_c, f_c))))
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
                       h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,
                       metrics=metrics, stable=stable)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import irid.pipeline
@@ -49,13 +50,37 @@ def test_no_svg_flag(tmp_path):
     (("--norder", "11", "--samples", "64"), "need at least 66 samples"),
     (("--out-dir", ""), "empty output directory path"),
     (("--samples", "2097152"), "power of two from 64 to 1048576"),
+    (("--points", "2097152"), "npoints must be <= 1048576"),
 ], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
-        "norder11", "out-dir-empty", "samples2**21"])
+        "norder11", "out-dir-empty", "samples2**21", "points2**21"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def test_artifact_metrics_score_every_row(tmp_path, capsys):
+    # the README command: each model's impulse metrics in coeffs.json are
+    # its gap to the reference over every row of impulse.csv, the relative
+    # L2 to roundoff and the max abs deviation exactly, since each CSV
+    # value round-trips its double
+    out_dir = tmp_path / "out"
+    assert cli_main(["--lambda", "1.5", "--mu", "-0.4", "--wgc", "1",
+                     "--tm", "2", "--wmin", "0.01", "--wmax", "100",
+                     "--norder", "5", "--no-svg",
+                     "--out-dir", str(out_dir)]) == 0
+    lines = (out_dir / "impulse.csv").read_text().splitlines()[1:]
+    cols = np.array([[float(x) for x in line.split(",")] for line in lines])
+    metrics = json.loads((out_dir / "coeffs.json").read_text())["metrics"]
+    assert len(cols) == 1024
+    ref = cols[:, 1]
+    for col, model in ((2, "discrete"), (3, "continuous")):
+        diff = ref - cols[:, col]
+        got = metrics[model]
+        assert got["impulse_rel_l2"] == pytest.approx(
+            np.linalg.norm(diff) / np.linalg.norm(ref), rel=1e-12)
+        assert got["impulse_max_abs"] == np.max(np.abs(diff))
 
 
 def test_unwritable_out_dir_exits_1(tmp_path, capsys):

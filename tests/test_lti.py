@@ -26,7 +26,8 @@ def tf_c(num, den):
 
 
 # scalar arguments are ints, floats or numpy real scalars, and counts are
-# integral: a fraction, a string or a bool raises ParamError
+# integral: a fraction, a string or a bool raises ParamError, and so does a
+# grid of more than 2**20 points, before anything is allocated
 @pytest.mark.parametrize("call,match", [
     (lambda: discrete_impulse(tf_d([1], [1, -0.5]), 3.5),
      "n must be an integer"),
@@ -34,10 +35,12 @@ def tf_c(num, den):
      "n must be an integer"),
     (lambda: FrequencyGrid.log_spaced(0.1, 1.0, 2.5),
      "npoints must be an integer"),
+    (lambda: FrequencyGrid.log_spaced(0.1, 1.0, 2**40),
+     "npoints must be <= 1048576"),
     (lambda: TimeSeries(0.0, "0.1", [1.0]), "dt must be positive"),
     (lambda: tf_d([1], [1, 0.5], True), "ts must be positive"),
-], ids=["discrete-n", "continuous-n", "grid-npoints", "series-dt-str",
-        "ts-bool"])
+], ids=["discrete-n", "continuous-n", "grid-npoints", "grid-npoints2**40",
+        "series-dt-str", "ts-bool"])
 def test_scalar_arguments_checked(call, match):
     with pytest.raises(ParamError, match=match):
         call()

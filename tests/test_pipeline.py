@@ -156,11 +156,13 @@ class TestRequestValidation:
         (dict(params="abc"), "params must be a CfoiParams"),
         (dict(m=2**21), "power of two from 64 to 1048576"),
         (dict(m=2**200), "power of two from 64 to 1048576"),
+        (dict(npoints=2**21), "npoints must be <= 1048576"),
+        (dict(npoints=2**40), "npoints must be <= 1048576"),
     ], ids=["samples", "samples32", "wmin-nyquist", "narrow-band",
             "norder-fraction", "samples-fraction", "samples-str",
             "points-fraction", "tm-str", "wmin-str", "wmax-str",
             "norder-bool", "params-none", "params-bool", "params-str",
-            "samples2**21", "samples2**200"])
+            "samples2**21", "samples2**200", "points2**21", "points2**40"])
     def test_config_rejected_before_any_stage(self, kw, match):
         # the request itself raises, so no stage can be reached
         fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
@@ -224,16 +226,14 @@ class TestIridFcoi:
             assert m.phase_max_err_deg >= 0
 
     def test_metrics_match_public_comparisons(self, small_result):
-        # one definition of the metrics: the impulse metrics on the first
-        # int(0.8*m) samples, [dt, 0.8*tm], and the frequency metrics on
-        # the whole band, bit for bit as the public helpers give them
+        # one definition of the metrics: the impulse metrics on every
+        # returned sample, [dt, tm], and the frequency metrics on the whole
+        # band, bit for bit as the public helpers give them
         res = small_result
-        n = int(0.8 * len(res.h_ref))
-        ref = TimeSeries(res.h_ref.t0, res.h_ref.dt, res.h_ref.values[:n])
         for h, f, got in ((res.h_d, res.f_d, res.metrics.discrete),
                           (res.h_c, res.f_c, res.metrics.continuous)):
-            mod = TimeSeries(h.t0, h.dt, h.values[:n])
-            want = compare_impulse(ref, mod) + compare_frequency(res.f_ref, f)
+            want = (compare_impulse(res.h_ref, h)
+                    + compare_frequency(res.f_ref, f))
             assert (got.impulse_rel_l2, got.impulse_max_abs,
                     got.mag_max_err_db, got.phase_max_err_deg) == want
 
@@ -440,11 +440,10 @@ class TestBreakdownContract:
                           tm=8.245572853291526e-06, wmin=420.15,
                           wmax=42014.7, norder=1, m=128, npoints=20)
         res = irid_fcoi(req)
-        n = int(0.8 * 128)
-        ref = 1e160 * res.h_ref.values[:n]
+        ref = 1e160 * res.h_ref.values
         for h, got in ((res.h_d, res.metrics.discrete),
                        (res.h_c, res.metrics.continuous)):
-            want = (np.linalg.norm(ref - 1e160 * h.values[:n])
+            want = (np.linalg.norm(ref - 1e160 * h.values)
                     / np.linalg.norm(ref))
             assert got.impulse_rel_l2 == pytest.approx(want, rel=1e-12)
             assert got.impulse_rel_l2 > 0.5
@@ -507,9 +506,13 @@ class TestFitQualitySweep:
     def test_m256_lattice(self, monkeypatch):
         # the m=256 half of the benchmark's domain_sweep lattice, 405
         # requests; a good fit has a discrete impulse relative L2 below 0.1
-        # on [dt, 0.8*tm].  Orders 5 and 8 fit everywhere; order 2 cannot
+        # on [dt, tm].  Orders 5 and 8 fit everywhere; order 2 cannot
         # follow every integrator.  The kept iterate's output error over
-        # all samples is never above pass 1's, the equation-error fit.
+        # all samples is never above pass 1's, the equation-error fit, and
+        # the reported metric is that output error relative to the data:
+        # the fit is scored on the window it minimizes over.  The two
+        # differ only by rounding, at most 1.8e-5 relative, where the
+        # metric is near 3e-13.
         good = {2: 0, 5: 0, 8: 0}
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
@@ -529,8 +532,11 @@ class TestFitQualitySweep:
                 errors = [np.linalg.norm(data.values - discrete_impulse(
                     g, req.m).values) for g in (res.gd, first)]
                 assert errors[0] <= errors[1], req
+                fit = errors[0] / np.linalg.norm(data.values)
+                assert res.metrics.discrete.impulse_rel_l2 == pytest.approx(
+                    fit, rel=1e-4), req
         assert good[5] == good[8] == 135
-        assert good[2] >= 113
+        assert good[2] >= 116
 
 
 class TestWriteOutputs:
