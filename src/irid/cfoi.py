@@ -234,13 +234,11 @@ def cfoi_analytic_impulse(p: CfoiParams, t):
     Serves as an independent oracle for the numerical inversion; for
     ``mu = 0`` it reduces to ``wgc**lam * t**(lam-1) / gamma(lam)``.
     Array in, array out, gamma(nu) evaluated once per call; a scalar
-    returns a float, computed in Python's complex arithmetic, which rounds
-    differently from numpy's by up to ~1e-13 relative.  Singular at t = 0
-    when lam < 1, hence every t must be positive and finite, else
-    ParamError; a scalar t follows the scalar rule, so a string or a bool
-    is not a number.
+    returns an ``np.float64``.  Singular at t = 0 when lam < 1, hence
+    every t must be a positive, finite int or float, else ParamError (a
+    string or a bool is not a number).
     """
-    t = _positive("t", t) if np.ndim(t) == 0 else _positive_points("t", t)
+    t = _positive_points("t", t)
     nu = complex(p.lam, p.mu)
     val = p.wgc ** nu * t ** (nu - 1.0) / gamma_complex(nu)
     return val.real

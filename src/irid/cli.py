@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--wmax", type=float, default=100.0,
                         help="band upper edge in rad/s (default 100)")
     parser.add_argument("--norder", type=int, default=5,
-                        help="model order (default 5)")
+                        help="model order; M*(2*norder + 2) may not exceed "
+                             "2**20 * 18 (default 5)")
     parser.add_argument("--samples", type=int, default=1024, metavar="M",
                         help="inversion sample count, a power of two "
                              "from 64 to 1048576 (default 1024)")

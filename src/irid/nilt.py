@@ -52,8 +52,8 @@ __all__ = ["nilt"]
 
 _REL_ERR = 1e-8  # target aliasing error; sets the damping c
 _QD_TERMS = 17  # 2*P + 1 extra line samples for the continued fraction
-# largest sample count: at m = 2**20 the fit's regression matrix alone
-# takes about 150 MB at norder 8
+# largest sample count: at m = 2**20 and norder 8 the fit's regression
+# matrix reaches its cap, sysid._MAX_FIT_ENTRIES (about 151 MB)
 _MAX_M = 2 ** 20
 
 
@@ -193,8 +193,7 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         np.multiply(2j * np.pi, z, out=z)
         np.divide(z, N, out=z)
         np.exp(z, out=z)
-        core = np.fft.ifft(F)[1:m + 1]
-        np.multiply(core, N, out=core)
+        core = np.fft.ifft(F, norm="forward")[1:m + 1]
         np.add(core, _qd_eval(_qd_coeffs(F_tail), z), out=core)
         # vals = (exp(c*t)/T) * (2*Re(core) - Re(F_0)), in place
         vals = np.multiply(c, t)

@@ -66,7 +66,9 @@ class IridRequest:
     Every field is checked on construction, with the rules of the stage
     that uses it, so an invalid request raises ParamError before any
     numerical work.  ``m``, ``norder`` and ``npoints`` are integral, ``m``
-    a power of two from 64 to 2**20, ``npoints`` from 2 to 2**20, ``tm``
+    a power of two from 64 to 2**20, at least 6*norder and with
+    m*(2*norder + 2), the fit matrix's entries, at most 2**20 * 18 (m =
+    2**20 admits norder 8), ``npoints`` from 2 to 2**20, ``tm``
     and ``wmin`` finite real numbers > 0 and ``wmax`` a real number (+inf
     too) above ``wmin``; a string or a bool is never a number.
     """

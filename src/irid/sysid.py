@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Tuple
 
 import numpy as np
@@ -32,14 +33,21 @@ dgelsd, dgelsd_lwork, dgeqrf = (_flapack.dgelsd, _flapack.dgelsd_lwork,
 
 # least-squares passes per fit, as in MATLAB's stmcb
 _PASSES = 5
+# most entries of a fit's n-by-(nb + na + 2) [regression | data] matrix,
+# about 151 MB of doubles: its size at m = 2**20 and norder 8
+_MAX_FIT_ENTRIES = 2 ** 20 * 18
 
 
 def _check_fit(n: int, nb: int, na: int) -> Tuple[int, int]:
     """``(nb, na)`` as ints; raises ParamError unless :func:`stmcb_fit`
-    can fit a (nb, na) model to ``n`` samples."""
+    can fit a (nb, na) model to ``n`` samples within its matrix cap."""
     nb, na = _count("nb", nb, 0), _count("na", na, 1)
     if n < 3 * (nb + na):
         raise ParamError(f"need at least {3 * (nb + na)} samples, got {n}")
+    if n * (nb + na + 2) > _MAX_FIT_ENTRIES:
+        raise ParamError(f"a fit of {n} samples at nb={nb}, na={na} needs "
+                         f"a {n}x{nb + na + 2} matrix, more than "
+                         f"{_MAX_FIT_ENTRIES} entries")
     return nb, na
 
 
@@ -70,7 +78,9 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     Steiglitz-McBride iteration.
 
     ``nb`` >= 0 and ``na`` >= 1 are the integral numerator and denominator
-    degrees; at least 3*(nb + na) samples are needed, else ParamError.
+    degrees; at least 3*(nb + na) samples are needed, and n samples may
+    make at most 2**20 * 18 matrix entries, n*(nb + na + 2), else
+    ParamError.
     All-zero data has no model to fit and raises EvaluationError.
 
     Starting from A(z) = 1, each of five passes filters the data and the
@@ -220,9 +230,11 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     wherever both sides are defined.  A denominator root at z = -1 maps a
     pole to infinity and is rejected.  EvaluationError also when
     (ts/2)**order, the scale of the leading coefficients, is not a finite,
-    normal double, or when a continuous coefficient, or its quotient by the
-    leading denominator coefficient, is not finite: the continuous
-    model's coefficients are then out of range.
+    normal double, when the order is above 1029, where the binomial
+    coefficients of the substitution are beyond the double range, or when
+    a continuous coefficient, or its quotient by the leading denominator
+    coefficient, is not finite: the continuous model's coefficients are
+    then out of range.
     """
     ts = g.ts
     with np.errstate(all="ignore"):
@@ -238,6 +250,12 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
         raise EvaluationError(f"(ts/2)**{deg} = {powers[-1]:g} is not a "
                               f"normal double; the continuous model's "
                               f"coefficients are out of range")
+    # the largest basis entry: |coefficients of (1+x)**k * (1-x)**(deg-k)|
+    # are at most comb(deg, j), and row deg holds them
+    if math.comb(deg, deg // 2) > sys.float_info.max:
+        raise EvaluationError(f"model order {deg} is above 1029: the "
+                              f"bilinear map's binomial coefficients are "
+                              f"beyond the double range")
     # row i of the reversed basis is the image of z**(deg - i), which
     # coefficient i multiplies
     basis = _bilinear_basis(deg)[::-1]

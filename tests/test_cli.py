@@ -51,8 +51,10 @@ def test_no_svg_flag(tmp_path):
     (("--out-dir", ""), "empty output directory path"),
     (("--samples", "2097152"), "power of two from 64 to 1048576"),
     (("--points", "2097152"), "npoints must be <= 1048576"),
+    (("--samples", "1048576", "--norder", "100000"), "more than 18874368"),
 ], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
-        "norder11", "out-dir-empty", "samples2**21", "points2**21"])
+        "norder11", "out-dir-empty", "samples2**21", "points2**21",
+        "fit-matrix-cap"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err

@@ -73,6 +73,13 @@ class TestFitConfig:
         with pytest.raises(ParamError, match=match):
             stmcb_fit(h, **kw)
 
+    def test_matrix_cap(self):
+        # 2**20 samples at order 9 make 2**20 * 20 entries, over the cap of
+        # 2**20 * 18; the check runs before anything is allocated
+        h = TimeSeries(0.0, 1.0, np.ones(2 ** 20))
+        with pytest.raises(ParamError, match="more than 18874368"):
+            stmcb_fit(h, 9, 9)
+
 
 class TestStmcb:
     def test_second_order_exact_recovery(self):
@@ -365,6 +372,25 @@ class TestBilinear:
         g = DiscreteTransferFunction(z, z, 2.0 / 1024)
         with pytest.raises(EvaluationError, match="not a normal double"):
             bilinear_d2c(g)
+
+    def test_order_beyond_binomial_range_raises(self, monkeypatch):
+        # comb(1030, 515) is beyond the double range: rejected before the
+        # basis is built, in big-int arithmetic that takes tens of seconds
+        z = np.r_[1.0, np.zeros(1030)]
+        g = DiscreteTransferFunction(z, z, 2.0)
+        with pytest.raises(EvaluationError, match="order 1030 is above 1029"):
+            bilinear_d2c(g)
+
+        # order 1029 passes the check and reaches the basis
+        class Built(Exception):
+            pass
+
+        def basis(deg):
+            raise Built(deg)
+
+        monkeypatch.setattr(irid.sysid, "_bilinear_basis", basis)
+        with pytest.raises(Built, match="1029"):
+            bilinear_d2c(DiscreteTransferFunction(z[:-1], z[:-1], 2.0))
 
     @pytest.mark.parametrize("num,den,ts", [
         ([1e308, 1e308], [1.0, 0.9], 1.0),    # 2e308 in the matmul
