@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--wgc", type=float, required=True,
                         help="gain-crossover frequency in rad/s")
     parser.add_argument("--tm", type=float, required=True,
-                        help="time window end in seconds")
+                        help="time window end in seconds; 2*tm and "
+                             "pi*(2*M + 17)/tm must be finite doubles")
     parser.add_argument("--wmin", type=float, default=0.01,
                         help="band lower edge in rad/s (default 0.01)")
     parser.add_argument("--wmax", type=float, default=100.0,

@@ -316,38 +316,32 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
         "outside the unit circle", vals))
 
 
-def _pade_terms(m: int) -> np.ndarray:
+def _pade_terms() -> np.ndarray:
     """The 4-by-4 matrix that maps I, A**2, A**4, A**6 to the four sums of
-    Higham's evaluation of the degree-m diagonal Pade approximant of
-    exp(A), m <= 13: the odd part A @ (A**6 @ x0 + x1) and the even part
+    Higham's evaluation of the degree-13 diagonal Pade approximant of
+    exp(A): the odd part A @ (A**6 @ x0 + x1) and the even part
     A**6 @ x2 + x3 of its numerator p(A), whose denominator is p(-A).
-    b_k, the coefficient of A**k in p, is (2m-k)!/(k!(m-k)!), so b_m = 1,
-    and zero for k > m."""
-    b = [math.factorial(2 * m - k) / (math.factorial(k) * math.factorial(m - k))
-         if k <= m else 0.0 for k in range(14)]
+    b_k, the coefficient of A**k in p, is (26-k)!/(k!(13-k)!), so
+    b_13 = 1."""
+    b = [math.factorial(26 - k) / (math.factorial(k) * math.factorial(13 - k))
+         for k in range(14)]
     return np.array([[0.0, *b[9::2]], b[1:8:2], [0.0, *b[8:13:2]], b[0:7:2]])
 
 
-# per degree m: theta_m, the bound on the norm estimate eta below which the
-# degree-m approximant has a backward error under 2**-53 (Al-Mohy and
-# Higham 2009, with their theta_13 = 4.25), the approximant's evaluation
-# terms, and 1/|c_{2m+1}| = (2m)!(2m+1)!/(m!)**2, the reciprocal of the
-# leading coefficient of its error series
-_PADE = tuple((m, theta, _pade_terms(m), math.factorial(2 * m)
-               * math.factorial(2 * m + 1) / math.factorial(m) ** 2)
-              for m, theta in ((3, 1.495585217958292e-2),
-                               (5, 2.539398330063230e-1),
-                               (7, 9.504178996162932e-1),
-                               (9, 2.097847961257068e0), (13, 4.25)))
+_PADE_TERMS = _pade_terms()
 
 
-def _ell(abs_a: np.ndarray, norm: float, m: int, c: float) -> int:
+def _ell(abs_a: np.ndarray, norm: float, m: int) -> int:
     """Al-Mohy and Higham's ell(A, m), with ``abs_a`` = abs(A) and
     ``norm`` = ||A||_1: how many more squarings keep the rounding error
     of the degree-m approximant of a nonnormal A near the unit roundoff.
     It is ceil(log2(alpha * 2**53) / (2m)), alpha = ||abs(A)**(2m+1)||_1 /
-    (||A||_1 * c), ``c`` = 1/|c_{2m+1}|, from the powers of abs(A) * 2**-e,
-    e the exponent of ``norm``, whose 1-norm is below one: none overflows."""
+    (||A||_1 * c), c = 1/|c_{2m+1}| = (2m)!(2m+1)!/(m!)**2 the reciprocal
+    of the leading coefficient of the approximant's error series, from
+    the powers of abs(A) * 2**-e, e the exponent of ``norm``, whose 1-norm
+    is below one: none overflows."""
+    c = (math.factorial(2 * m) * math.factorial(2 * m + 1)
+         / math.factorial(m) ** 2)
     frac, e = math.frexp(norm)
     q = (np.linalg.matrix_power(np.ldexp(abs_a, -e), 2 * m + 1)
          .sum(axis=0).max())
@@ -361,12 +355,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a square float64 matrix by Pade scaling and squaring: the
     algorithm of A. H. Al-Mohy and N. J. Higham, "A new scaling and
     squaring algorithm for the matrix exponential", SIAM J. Matrix Anal.
-    Appl. 31 (2009) 970-989, which scipy's ``expm`` implements as well.
+    Appl. 31 (2009) 970-989, which scipy's ``expm`` implements as well,
+    at degree 13 only: their search over lower degrees saves matrix
+    products, but here a**2 ... a**10 are formed for the norm estimates
+    anyway and any degree takes the same four sums, so it would save none.
 
-    The degree m and the scaling 2**-s are chosen from the exact 1-norms
-    d_k = ||a**k||_1**(1/k), k = 4 ... 10, not from ||a||_1 as in Higham's
-    2005 algorithm: a companion matrix with a large first row has a 1-norm
-    far above its spectral radius, and every squaring the 1-norm asks for
+    The scaling 2**-s is chosen from the exact 1-norms d_k =
+    ||a**k||_1**(1/k), k = 6, 8, 10, not from ||a||_1 as in Higham's 2005
+    algorithm: a companion matrix with a large first row has a 1-norm far
+    above its spectral radius, and every squaring the 1-norm asks for
     adds rounding error.  A 1-by-1 matrix gives ``np.exp(a)`` exactly; a
     matrix whose 1-norm is not finite gives NaNs, without a warning.
     """
@@ -390,25 +387,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
     np.matmul(powers[2], powers[1], out=powers[3])
     np.matmul(powers[2], powers[2], out=powers[4])
     np.matmul(powers[2], powers[3], out=powers[5])
-    d4, d6, d8, d10 = (np.abs(powers[2:]).sum(axis=1).max(axis=1)
-                       ** (1.0 / np.arange(4, 12, 2)) * 2.0 ** t).tolist()
-    s = 0
-    for m, theta, terms, c in _PADE:
-        if m < 13:
-            eta = max(d4, d6) if m < 7 else max(d6, d8)
-            if eta <= theta and _ell(abs_a, norm, m, c) == 0:
-                break
-        else:
-            eta = min(max(d6, d8), max(d8, d10))
-            s = math.ceil(math.log2(eta / theta)) if eta > theta else 0
-            s += _ell(np.ldexp(abs_a, -s), math.ldexp(norm, -s), m, c)
+    d6, d8, d10 = (np.abs(powers[3:]).sum(axis=1).max(axis=1)
+                   ** (1.0 / np.arange(6, 12, 2)) * 2.0 ** t).tolist()
+    # theta_13 = 4.25: for eta up to it the approximant's backward error
+    # is below 2**-53 (Al-Mohy and Higham 2009)
+    eta = min(max(d6, d8), max(d8, d10))
+    s = math.ceil(math.log2(eta / 4.25)) if eta > 4.25 else 0
+    s += _ell(np.ldexp(abs_a, -s), math.ldexp(norm, -s), 13)
     if s != t:
         # b and its powers for b = a * 2**-s
         with np.errstate(over="ignore", under="ignore"):
             b = np.ldexp(b, t - s)
             np.ldexp(powers[1:4], (t - s) * np.arange(2, 8, 2)[:, None, None],
                      out=powers[1:4])
-    x0, x1, x2, x3 = (terms @ powers[:4].reshape(4, -1)).reshape(4, n, n)
+    x0, x1, x2, x3 = (_PADE_TERMS @ powers[:4].reshape(4, -1)).reshape(4, n, n)
     u = b @ (powers[3] @ x0 + x1)
     v = powers[3] @ x2 + x3
     r = np.linalg.solve(v - u, v + u)
@@ -426,10 +418,11 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     realization (A, B, C) of the strictly proper part of g(sigma/dt) gives
     h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A), computed in numpy by
     Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
-    (2005) 1179-1193), with the degree and scaling chosen as in Al-Mohy
-    and Higham, ibid. 31 (2009) 970-989; see :func:`_expm`.  The direct
-    term acts at t = 0 only.  The columns Phi**k @ B are filled in place
-    by doubling, X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
+    (2005) 1179-1193) at degree 13 only, which costs no more products here
+    than a lower one, with the scaling chosen as in Al-Mohy and Higham,
+    ibid. 31 (2009) 970-989; see :func:`_expm`.  The direct term acts at
+    t = 0 only.  The columns Phi**k @ B are filled in place by doubling,
+    X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
 
     Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).

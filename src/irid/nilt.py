@@ -112,11 +112,17 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
     """``(tm, m)`` as float and int; raises ParamError unless tm is
-    positive and finite and m is a power of two from 64 to 2**20."""
+    positive and finite, m is a power of two from 64 to 2**20 and the
+    Bromwich line is finite: the window T = 2*tm and the highest line
+    frequency, pi*(2m + _QD_TERMS)/tm, are finite doubles."""
     tm, n = _positive("tm", tm), _count("m", m, 64)
     if n > _MAX_M or n & (n - 1):
         raise ParamError(f"m must be a power of two from 64 to {_MAX_M}, "
                          f"got {m!r}")
+    if not (math.isfinite(2.0 * tm)
+            and math.isfinite(math.pi * (2 * n + _QD_TERMS) / tm)):
+        raise ParamError(f"tm = {tm!r} with m = {n} puts the Bromwich line "
+                         f"beyond the double range")
     return tm, n
 
 

@@ -170,8 +170,7 @@ def compare_frequency(a: FrequencyResponseSeries,
     degrees) of b against a on their shared grid, the phase difference
     np.angle(b) - np.angle(a) taken per point and wrapped to [-180, 180);
     EvaluationError if a magnitude underflows the dB scale."""
-    if len(a.grid) != len(b.grid) or not np.array_equal(a.grid.omegas,
-                                                        b.grid.omegas):
+    if not np.array_equal(a.grid.omegas, b.grid.omegas):
         raise ParamError("frequency grids differ")
     if min(np.min(np.abs(a.response)), np.min(np.abs(b.response))) < 1e-300:
         raise EvaluationError("response magnitude underflows the dB scale")

@@ -211,11 +211,19 @@ def _bilinear_basis(deg: int) -> np.ndarray:
     """Read-only (deg + 1)-square array whose row k holds the ascending
     coefficients in x = s*ts/2 of (1 + x)**k * (1 - x)**(deg - k), the
     image of z**k once the denominator (1 - x)**deg of the substitution is
-    cleared."""
-    basis = np.array([np.convolve([math.comb(k, j) for j in range(k + 1)],
-                                  [(-1) ** j * math.comb(deg - k, j)
-                                   for j in range(deg - k + 1)])
-                      for k in range(deg + 1)], dtype=float)
+    cleared.
+
+    Row 0 holds (-1)**j * comb(deg, j), and since (1 - x) * row k+1 =
+    (1 + x) * row k, row k+1 is the running sum of row k plus row k
+    shifted up one power: O(deg**2) additions of Python ints, so every
+    entry is exact before its one rounding to float."""
+    basis = np.empty((deg + 1, deg + 1), dtype=object)
+    basis[0] = [(-1) ** j * math.comb(deg, j) for j in range(deg + 1)]
+    for k in range(deg):
+        row = basis[k].copy()
+        row[1:] += basis[k, :-1]
+        basis[k + 1] = np.cumsum(row)
+    basis = basis.astype(float)
     basis.flags.writeable = False
     return basis
 

@@ -52,9 +52,14 @@ def test_no_svg_flag(tmp_path):
     (("--samples", "2097152"), "power of two from 64 to 1048576"),
     (("--points", "2097152"), "npoints must be <= 1048576"),
     (("--samples", "1048576", "--norder", "100000"), "more than 18874368"),
+    (("--tm", "1e-321"), "beyond the double range"),
+    (("--tm", "1e-305", "--samples", "1024"), "beyond the double range"),
+    (("--tm", "1e308"), "beyond the double range"),
+    (("--tm", "1e308", "--wmin", "1e-320"), "beyond the double range"),
 ], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
         "norder11", "out-dir-empty", "samples2**21", "points2**21",
-        "fit-matrix-cap"])
+        "fit-matrix-cap", "tm1e-321", "tm1e-305", "tm1e308",
+        "tm1e308-wmin1e-320"])
 def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capsys.readouterr().err

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from irid.errors import EvaluationError, ParamError
 from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                       FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                      _PADE, _allpole, _ell, _expm, continuous_freq_response,
+                      _allpole, _ell, _expm, continuous_freq_response,
                       continuous_impulse, discrete_freq_response,
                       discrete_impulse, is_stable_discrete)
 
@@ -416,23 +416,36 @@ class TestExpm:
                             dtype=float)
         assert rel_err(_expm(a), want) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["dense", "companion"])
+    def test_small_norm_against_mpmath(self, kind):
+        # 1-norms from 1e-8 to 2.1, where a search over Pade degrees would
+        # pick one below 13: degree 13 alone is as accurate there
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            if kind == "dense":
+                a = rng.standard_normal((n, n))
+            else:
+                a = companion(np.poly(-rng.uniform(0.1, 2.0, n)))
+            norm = 10.0 ** rng.uniform(-8.0, math.log10(2.1))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            with mpmath.workdps(40):
+                want = np.array(mpmath.expm(mpmath.matrix(a.tolist()))
+                                .tolist(), dtype=float)
+            assert rel_err(_expm(a), want) <= 1e-15, seed
+
     @pytest.mark.parametrize("seed", range(3))
     def test_ell_follows_its_definition(self, seed):
-        # ell(A, m) = max(0, ceil(log2(alpha / 2**-53) / (2m))), alpha =
-        # ||abs(A)**(2m+1)||_1 / (||A||_1 / |c_{2m+1}|), computed here
-        # directly; the 1/|c_{2m+1}| are the values scipy.sparse.linalg's
-        # expm uses
-        recip_c = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
-                   9: 5914384781877411840000.0,
-                   13: 113250775606021113483283660800000000.0}
+        # ell(A, 13) = max(0, ceil(log2(alpha / 2**-53) / 26)), alpha =
+        # ||abs(A)**27||_1 / (||A||_1 / |c_27|), computed here directly;
+        # 1/|c_27| is the value scipy.sparse.linalg's expm uses
+        recip_c = 113250775606021113483283660800000000.0
         a = np.random.default_rng(seed).standard_normal((4, 4)) * 10.0 ** seed
         norm = np.abs(a).sum(axis=0).max()
-        for m, _, _, c in _PADE:
-            assert c == pytest.approx(recip_c[m], rel=1e-15)
-            alpha = (np.linalg.matrix_power(np.abs(a), 2 * m + 1)
-                     .sum(axis=0).max() / (norm * c))
-            want = max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / (2 * m)))
-            assert _ell(np.abs(a), norm, m, c) == want, m
+        alpha = (np.linalg.matrix_power(np.abs(a), 27).sum(axis=0).max()
+                 / (norm * recip_c))
+        want = max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / 26))
+        assert _ell(np.abs(a), norm, 13) == want
 
     @pytest.mark.parametrize("x", [-745.0, -1.5, 0.0, 0.3, 709.0])
     def test_one_by_one_is_exp(self, x):

@@ -43,7 +43,12 @@ class TestConfig:
         (dict(tm="10", m=256), "tm must be positive"),
         (dict(tm=10.0, m=2**21), "power of two from 64 to 1048576"),
         (dict(tm=10.0, m=2**200), "power of two from 64 to 1048576"),
-    ], ids=[f"kw{i}" for i in range(8)])
+        # the Bromwich line leaves the double range: 1/tm, m/tm or 2*tm
+        # overflows
+        (dict(tm=1e-321, m=64), "beyond the double range"),
+        (dict(tm=1e-305, m=1024), "beyond the double range"),
+        (dict(tm=1e308, m=64), "beyond the double range"),
+    ], ids=[f"kw{i}" for i in range(11)])
     def test_invalid(self, kw, match):
         def no_call(s):
             raise AssertionError("the transform was evaluated")

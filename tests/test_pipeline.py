@@ -159,12 +159,15 @@ class TestRequestValidation:
         (dict(npoints=2**21), "npoints must be <= 1048576"),
         (dict(npoints=2**40), "npoints must be <= 1048576"),
         (dict(m=2**20, norder=9), "more than 18874368"),
+        (dict(tm=1e-321), "beyond the double range"),
+        (dict(tm=1e-305), "beyond the double range"),
+        (dict(tm=1e308, wmin=1e-320), "beyond the double range"),
     ], ids=["samples", "samples32", "wmin-nyquist", "narrow-band",
             "norder-fraction", "samples-fraction", "samples-str",
             "points-fraction", "tm-str", "wmin-str", "wmax-str",
             "norder-bool", "params-none", "params-bool", "params-str",
             "samples2**21", "samples2**200", "points2**21", "points2**40",
-            "fit-matrix-cap"])
+            "fit-matrix-cap", "tm1e-321", "tm1e-305", "tm1e308"])
     def test_config_rejected_before_any_stage(self, kw, match):
         # the request itself raises, so no stage can be reached
         fields = dict(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,

@@ -375,7 +375,7 @@ class TestBilinear:
 
     def test_order_beyond_binomial_range_raises(self, monkeypatch):
         # comb(1030, 515) is beyond the double range: rejected before the
-        # basis is built, in big-int arithmetic that takes tens of seconds
+        # basis is built, whose entries could not be rounded to floats
         z = np.r_[1.0, np.zeros(1030)]
         g = DiscreteTransferFunction(z, z, 2.0)
         with pytest.raises(EvaluationError, match="order 1030 is above 1029"):
@@ -391,6 +391,24 @@ class TestBilinear:
         monkeypatch.setattr(irid.sysid, "_bilinear_basis", basis)
         with pytest.raises(Built, match="1029"):
             bilinear_d2c(DiscreteTransferFunction(z[:-1], z[:-1], 2.0))
+
+    def test_basis_is_exact(self):
+        # row k holds the ascending coefficients of (1 + x)**k *
+        # (1 - x)**(deg - k), each the exact integer rounded once, also
+        # from deg = 68 on, where some comb(k, j) pass int64
+        for deg in [*range(1, 81), 200]:
+            want = []
+            for k in range(deg + 1):
+                row = [0] * (deg + 1)
+                minus = [(-1) ** j * math.comb(deg - k, j)
+                         for j in range(deg - k + 1)]
+                for i in range(k + 1):
+                    plus = math.comb(k, i)
+                    for j, c in enumerate(minus):
+                        row[i + j] += plus * c
+                want.append([float(c) for c in row])
+            np.testing.assert_array_equal(irid.sysid._bilinear_basis(deg),
+                                          want, err_msg=f"deg {deg}")
 
     @pytest.mark.parametrize("num,den,ts", [
         ([1e308, 1e308], [1.0, 0.9], 1.0),    # 2e308 in the matmul
