@@ -57,7 +57,7 @@ def _load_flapack():
     return module
 
 
-# the LAPACK routines irid calls: dtbtrs here, dgeqrf and dgelsd in sysid
+# the LAPACK routines irid calls: dtbtrs here, dgeqrt and dgelsd in sysid
 _flapack = _load_flapack()
 dtbtrs = _flapack.dtbtrs
 
@@ -290,8 +290,8 @@ def _allpole(den: np.ndarray, x: np.ndarray) -> np.ndarray:
     tbtrs, no pivoting, solving in place.  Any other layout or dtype would
     be solved in a copy, leaving ``x`` as it was.
     """
-    band = np.empty((len(den), x.shape[0]), order="F")
-    band[...] = den[:, None]
+    # den in every column: (n, len(den)) in C order is the band in F order
+    band = np.repeat(den[None, :], x.shape[0], axis=0).T
     y, _ = dtbtrs(band, x, uplo="L", diag="U", overwrite_b=1)
     return y
 

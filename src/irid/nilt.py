@@ -2,7 +2,10 @@
 
 The core scheme discretizes the Bromwich integral on an extended window
 T = 2*tm with a damping shift, evaluates the transform along the line
-Re(s) = c and reconstructs the time samples with a single inverse FFT:
+Re(s) = c and reconstructs the time samples with a single inverse FFT,
+a real one of length N applied to the Hermitian fold of the N line
+samples (F_n + conj(F_{N-n}), a half-length spectrum), since only the
+real part of the sum is needed:
 
     c      = -ln(rel_err) / T,            rel_err = 1e-8
     s_n    = c + j*n*(2*pi/T),            n = 0 .. N-1,  N = 2*m
@@ -40,6 +43,7 @@ detected, only documented.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Tuple
 
@@ -110,6 +114,33 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
                        np.divide(q, p, out=q))
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_roots(m: int) -> np.ndarray:
+    """Read-only array of the m sample points z_k = exp(2j*pi*k/N) of a
+    line of N = 2m points, k = 1 .. m."""
+    z = np.arange(1, m + 1, dtype=complex)
+    np.multiply(2j * np.pi, z, out=z)
+    np.divide(z, 2 * m, out=z)
+    np.exp(z, out=z)
+    z.flags.writeable = False
+    return z
+
+
+def _twice_real_sum(F: np.ndarray, m: int) -> np.ndarray:
+    """2*Re(sum_n F[n] * z_k**n) over the N = 2m line samples F, at the
+    points z_k of :func:`_unit_roots`, by one real inverse FFT of length N.
+
+    The sum is real, so it is the inverse FFT of the Hermitian fold
+    H_0 = 2*Re(F_0), H_n = F_n + conj(F_{N-n}) for 0 < n < m and
+    H_m = 2*F_m: z_k**(N-n) = conj(z_k**n) and z_k**m = (-1)**k."""
+    H = np.empty(m + 1, dtype=complex)
+    np.conjugate(F[:m:-1], out=H[1:m])
+    np.add(H[1:m], F[1:m], out=H[1:m])
+    H[0] = 2.0 * F[0].real
+    H[m] = 2.0 * F[m]
+    return np.fft.irfft(H, 2 * m, norm="forward")[1:m + 1]
+
+
 def _check_window(tm: float, m: int) -> Tuple[float, int]:
     """``(tm, m)`` as float and int; raises ParamError unless tm is
     positive and finite, m is a power of two from 64 to 2**20 and the
@@ -129,6 +160,10 @@ def _check_window(tm: float, m: int) -> Tuple[float, int]:
 def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
          m: int) -> TimeSeries:
     """Invert a Laplace transform to ``m`` samples on (0, tm].
+
+    The N = 2m line samples are summed by one real inverse FFT of their
+    Hermitian fold, and the qd tail is evaluated at the m sample points
+    z_k = exp(2j*pi*k/N), which are computed once per m and cached.
 
     Parameters
     ----------
@@ -195,18 +230,14 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-        z = np.arange(1, m + 1, dtype=complex)
-        np.multiply(2j * np.pi, z, out=z)
-        np.divide(z, N, out=z)
-        np.exp(z, out=z)
-        core = np.fft.ifft(F, norm="forward")[1:m + 1]
-        np.add(core, _qd_eval(_qd_coeffs(F_tail), z), out=core)
-        # vals = (exp(c*t)/T) * (2*Re(core) - Re(F_0)), in place
+        tail = _qd_eval(_qd_coeffs(F_tail), _unit_roots(m)).real
+        np.multiply(2.0, tail, out=tail)
+        re = _twice_real_sum(F, m)
+        np.add(re, tail, out=re)
+        # vals = (exp(c*t)/T) * (2*Re(line sum + tail) - Re(F_0)), in place
         vals = np.multiply(c, t)
         np.exp(vals, out=vals)
         np.divide(vals, T, out=vals)
-        re = core.real
-        np.multiply(2.0, re, out=re)
         np.subtract(re, F[0].real, out=re)
         np.multiply(vals, re, out=vals)
         if r != 0.0:

@@ -142,6 +142,13 @@ class IridResult:
     stable: bool
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of the vector ``x``, its squares summed by numpy: BLAS
+    splits a long vector's sum across its threads, which would make the
+    bits depend on their number."""
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
 def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     """(relative L2 distance, max absolute deviation) of b against a.
 
@@ -157,8 +164,8 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     peak = float(np.max(np.abs(diff)))
     top = math.frexp(max(peak, float(np.max(np.abs(a.values)))))[1]
     # np.ldexp, since 2.0**-top overflows for a subnormal peak
-    err = float(np.linalg.norm(np.ldexp(diff, -top)))
-    norm = float(np.linalg.norm(np.ldexp(a.values, -top)))
+    err = _norm(np.ldexp(diff, -top))
+    norm = _norm(np.ldexp(a.values, -top))
     if norm == 0.0:
         return (0.0 if err == 0.0 else math.inf), peak
     return err / norm, peak

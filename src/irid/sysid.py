@@ -4,10 +4,10 @@ The Steiglitz-McBride iteration fits numerator and denominator by linear
 least squares on data filtered through the previous pass's all-pole filter
 1/A(z).  It starts from A(z) = 1, so its first pass is the plain
 equation-error fit, and it returns the iterate with the least output
-error.  Each pass solves its least-squares problem by one
-Householder QR of [regression | data], then a minimum-norm solve of the
-small triangular factor R with the eps*n rank rule, by LAPACK gelsd called
-directly with one workspace query per fit.  A bilinear (Tustin)
+error.  Each pass solves its least-squares problem by one blocked
+Householder QR (LAPACK geqrt) of [regression | data], then a minimum-norm
+solve of the small triangular factor R with the eps*n rank rule, by LAPACK
+gelsd called directly with one workspace query per fit.  A bilinear (Tustin)
 substitution converts the fitted discrete model to a continuous one of the
 same order.
 """
@@ -28,11 +28,15 @@ from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
 __all__ = ["stmcb_fit", "bilinear_d2c"]
 
 # module-level names, so that a test can replace one
-dgelsd, dgelsd_lwork, dgeqrf = (_flapack.dgelsd, _flapack.dgelsd_lwork,
-                                _flapack.dgeqrf)
+dgelsd, dgelsd_lwork, dgeqrt = (_flapack.dgelsd, _flapack.dgelsd_lwork,
+                                _flapack.dgeqrt)
 
 # least-squares passes per fit, as in MATLAB's stmcb
 _PASSES = 5
+# dgeqrt's panel width, at most the k + 1 >= 3 columns of the fit's
+# matrix: a fit has a dozen or so, fewer than dgeqrf's block size of 32,
+# below which dgeqrf runs unblocked
+_QR_BLOCK = 4
 # most entries of a fit's n-by-(nb + na + 2) [regression | data] matrix,
 # about 151 MB of doubles: its size at m = 2**20 and norder 8
 _MAX_FIT_ENTRIES = 2 ** 20 * 18
@@ -67,9 +71,11 @@ def _keep(best: tuple, resp: np.ndarray, y: np.ndarray, a: np.ndarray,
     ``resp``, if its squared output error ||y - resp||**2 is below
     ``best[0]``; else ``best``.  ``resp`` is overwritten by y - resp.  A
     non-finite error is never kept, so callers compute ``resp`` and call
-    this with floating-point warnings off."""
+    this with floating-point warnings off.  The squares are summed by
+    numpy, not BLAS, whose threads would split the sum of a long vector
+    and change its bits with their number."""
     diff = np.subtract(y, resp, out=resp)
-    err = diff @ diff
+    err = np.einsum("i,i->", diff, diff)
     return (err, a, b) if err < best[0] else best
 
 
@@ -90,8 +96,9 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     joint least-squares problem for all numerator coefficients and the
     trailing denominator coefficients (a0 pinned at one), minimizing
     ||A(z)*h_f - B(z)*delta_f|| over all samples.  The solve is one
-    Householder QR (LAPACK geqrf) of the n-by-(k + 1) matrix
-    [regression | data], k = na + nb + 1, which leaves R in its top k-by-k
+    Householder QR of the n-by-(k + 1) matrix [regression | data],
+    k = na + nb + 1, by LAPACK geqrt, blocked in panels of
+    min(4, k + 1) columns (compact WY), which leaves R in its top k-by-k
     block and (Q^T h_f)[:k] above it in the last column; then the
     minimum-norm solution of that k-by-k triangular system with the eps*n
     rank rule, the rule ``np.linalg.lstsq`` applies to the full regression
@@ -164,7 +171,7 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                 _allpole(a, work))
         hf, xf = filtered.T
         # negated after lagging: the -0.0 in row 0 sets the sign of
-        # dgeqrf's first reflector, so negating hf first changes last bits
+        # dgeqrt's first reflector, so negating hf first changes last bits
         lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
         np.negative(lagged_hf, out=lagged_hf)
         _lagged(xf, range(0, nb + 1), out=mat[:, na:k])
@@ -177,11 +184,11 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                 resp = np.matmul(mat[:, na:k], b, out=work[:, 0])
                 best = _keep(best, resp, data[:, 0], a, b)
         # R of the regression and (Q^T h_f)[:k] in one Householder QR
-        qr, _, _, _ = dgeqrf(mat, overwrite_a=1)
+        qr, _, _ = dgeqrt(min(_QR_BLOCK, k + 1), mat, overwrite_a=1)
         # an overflowed factor would reach LAPACK's rescaling in gelsd
         r = _all_finite(f"least-squares factor is non-finite (iteration "
                         f"{it})", qr[:k, :k + 1])
-        # R is the upper triangle; dgeqrf left its reflectors below it
+        # R is the upper triangle; dgeqrt left its reflectors below it
         r[:, :k][below] = 0.0
         sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
                                  cond=rcond)

@@ -155,7 +155,8 @@ def test_scipy_linalg_imports_after_the_package():
          "scipy.linalg, scipy.signal; "
          "a = np.random.default_rng(0).standard_normal((6, 4)); "
          "print(irid.lti._flapack.__name__, np.array_equal("
-         "irid.lti._flapack.dgeqrf(a)[0], scipy.linalg.lapack.dgeqrf(a)[0]))"],
+         "irid.lti._flapack.dgeqrt(2, a)[0], "
+         "scipy.linalg.lapack.dgeqrt(2, a)[0]))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "irid._flapack True"

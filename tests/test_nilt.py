@@ -7,7 +7,8 @@ import pytest
 
 from irid.cfoi import CfoiParams, cfoi_analytic_impulse, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
-from irid.nilt import _qd_coeffs, _qd_eval, nilt
+from irid.nilt import (_qd_coeffs, _qd_eval, _twice_real_sum, _unit_roots,
+                       nilt)
 
 
 def rel_l2(got, want):
@@ -55,6 +56,34 @@ class TestConfig:
 
         with pytest.raises(ParamError, match=match):
             nilt(no_call, **kw)
+
+
+class TestLineSum:
+    @pytest.mark.parametrize("m", [64, 1024, 16384])
+    @pytest.mark.parametrize("f", [
+        lambda s: 1 / (s + 1),
+        lambda s: 1 / s ** 2,
+        lambda s: cfoi_transfer(CfoiParams(1.5, -0.4, 1.0), s),
+    ], ids=["1/(s+1)", "1/s^2", "cfoi"])
+    def test_fold_matches_complex_ifft(self, f, m):
+        # the real inverse FFT of the Hermitian fold against the complex
+        # inverse FFT of the whole line, on nilt's line for tm = 2
+        T, N = 4.0, 2 * m
+        s = -math.log(1e-8) / T + 2j * math.pi / T * np.arange(N)
+        F = f(s)
+        want = 2.0 * np.fft.ifft(F, norm="forward")[1:m + 1].real
+        got = _twice_real_sum(F, m)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [64, 16384])
+    def test_unit_roots_are_cached_read_only(self, m):
+        z = np.arange(1, m + 1, dtype=complex)
+        want = np.exp(2j * np.pi * z / (2 * m))
+        got = _unit_roots(m)
+        assert got is _unit_roots(m)
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
 
 
 class TestOraclePairs:

@@ -1,9 +1,13 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,10 @@ from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
 from irid.pipeline import (IridRequest, _band_limit, compare_frequency,
                            compare_impulse, irid_fcoi, write_outputs)
 from irid.sysid import stmcb_fit
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count())
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +86,31 @@ class TestCompareImpulse:
         b = TimeSeries(0.0, 0.5, [1.0, 2.0])
         with pytest.raises(ParamError, match="time series grids differ"):
             compare_impulse(a, b)
+
+    @pytest.mark.skipif(CPUS < 2, reason="BLAS runs one thread on one CPU")
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # BLAS splits the dot product of a long vector across its threads,
+        # so its bits depend on their number; the impulse metrics and the
+        # fit's choice of iterate sum their squares without it
+        code = ("import math, numpy as np\n"
+                "from irid.lti import TimeSeries\n"
+                "from irid.pipeline import compare_impulse\n"
+                "from irid.sysid import _keep\n"
+                "rng = np.random.default_rng(5)\n"
+                "a = rng.standard_normal(65536)\n"
+                "b = a + 1e-3 * rng.standard_normal(65536)\n"
+                "print(*compare_impulse(TimeSeries(0.0, 1.0, a), "
+                "TimeSeries(0.0, 1.0, b)))\n"
+                "print(_keep((math.inf,), b.copy(), a, None, None)[0])\n")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestCompareFrequency:

@@ -12,6 +12,6 @@ def test_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     rel_l2 = float(capsys.readouterr().out.split()[0])
-    # the fit keeps its second iterate here, whose output error, 4.3e-5
+    # the fit keeps its second iterate here, whose output error, 4.2e-5
     # of the data's norm, is the reported metric; the fifth reads 3.4e-4
     assert 0.0 < rel_l2 < 1e-4

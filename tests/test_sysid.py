@@ -91,6 +91,22 @@ class TestStmcb:
         assert g.num == pytest.approx([1.0, 0.4, 0.0], abs=1e-8)
         assert g.den == pytest.approx(den, abs=1e-8)
 
+    @pytest.mark.parametrize("num,den", [
+        # (nb, na) = (0, 1): 3 columns, fewer than the QR's panel of 4
+        ([0.7], [1.0, -0.6]),
+        # (8, 8): 18 columns, four full panels and a partial one
+        ([1.0, -0.5, 0.3, 0.2, -0.1, 0.05, 0.4, -0.3, 0.1],
+         np.real(np.poly([0.9, -0.7, 0.6 * np.exp(0.8j), 0.6 * np.exp(-0.8j),
+                          0.75 * np.exp(2.2j), 0.75 * np.exp(-2.2j), 0.3,
+                          -0.2]))),
+    ], ids=["3-columns", "18-columns"])
+    def test_in_class_recovery_at_both_widths(self, num, den):
+        h = impulse_of(num, den, 200)
+        g = stmcb_fit(h, len(num) - 1, len(den) - 1)
+        np.testing.assert_allclose(g.den, den, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.num[:len(num)], num, rtol=0, atol=1e-12)
+        assert np.max(np.abs(regenerate(g, 200) - h.values)) <= 1e-12
+
     def test_fir_truth_with_one_pole(self):
         taps = [0.3, -1.2, 0.8, 0.05, -0.4, 1.1]
         h = TimeSeries(0.0, 1.0, taps + [0.0] * 44)
@@ -274,7 +290,7 @@ class TestStmcb:
         # scipy.linalg: the showcase fit at m = 16384 comes out bit for bit
         # as with scipy.linalg.lapack's routines, which are other objects
         lapack = scipy.linalg.lapack
-        routines = [(irid.sysid, "dgeqrf"), (irid.sysid, "dgelsd"),
+        routines = [(irid.sysid, "dgeqrt"), (irid.sysid, "dgelsd"),
                     (irid.sysid, "dgelsd_lwork"), (irid.lti, "dtbtrs")]
         for module, name in routines:
             assert getattr(module, name) is not getattr(lapack, name), name
