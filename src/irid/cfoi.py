@@ -133,11 +133,11 @@ def cfoi_transfer(p: CfoiParams, s):
     s = np.asarray(s)
     if s.dtype.kind not in "iufc":
         raise ParamError(f"s must hold numbers, got dtype {s.dtype}")
-    if not np.iscomplexobj(s):
+    if s.dtype.kind != "c":
         s = s.astype(np.result_type(s, 0j))
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ParamError("s must be finite")
-    if np.any(s == 0):
+    if (s == 0).any():
         raise ParamError("transfer function is singular at s = 0")
     if s.size >= _REAL_FORM_MIN:
         return _transfer_real(p, s)
@@ -157,7 +157,7 @@ def _positive_points(name: str, x) -> np.ndarray:
     ParamError unless every entry is positive and finite."""
     x = _number_array(name, x)
     ok = (x > 0.0) & np.isfinite(x)
-    if not np.all(ok):
+    if not ok.all():
         raise ParamError(f"{name} must be positive and finite, "
                          f"got {float(x[~ok][0])!r}")
     return x

@@ -66,7 +66,8 @@ def _finite_real(x) -> bool:
     """Whether ``x`` is an int, float or numpy real scalar in the double
     range, so ``float(x)`` is finite; a bool, a string or bytes is not a
     number."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+    # float first: isinstance tries it before the slower abstract class
+    return (isinstance(x, (float, numbers.Real)) and not isinstance(x, bool)
             and -sys.float_info.max <= x <= sys.float_info.max)
 
 
@@ -100,15 +101,21 @@ def _number_array(name: str, x, dtype=float) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def _vector(name: str, x, dtype=float) -> np.ndarray:
-    """``x`` as a new read-only ``dtype`` array (see :func:`_number_array`);
-    raises ParamError unless it is a non-empty 1-D sequence of finite
-    numbers."""
-    arr = np.array(_number_array(name, x, dtype))
+def _checked_vector(name: str, x, dtype=float) -> np.ndarray:
+    """``x`` as a ``dtype`` array, not copied if it is one (see
+    :func:`_number_array`); raises ParamError unless it is a non-empty 1-D
+    sequence of finite numbers."""
+    arr = _number_array(name, x, dtype)
     if arr.ndim != 1 or arr.size == 0:
         raise ParamError(f"{name} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParamError(f"{name} must be finite")
+    return arr
+
+
+def _vector(name: str, x, dtype=float) -> np.ndarray:
+    """:func:`_checked_vector` of ``x``, as a new read-only array."""
+    arr = np.array(_checked_vector(name, x, dtype))
     arr.flags.writeable = False
     return arr
 
@@ -134,13 +141,14 @@ def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
     ``den[0]``.  One correctly rounded division per coefficient, so the
     stored ``den[0]`` is exactly 1.0 and a pair already monic keeps its
     bits.  ParamError for a zero ``den[0]`` or a quotient that overflows."""
-    num, den = _vector("num", num), _vector("den", den)
+    num, den = _checked_vector("num", num), _checked_vector("den", den)
     lead = den[0]
     if lead == 0.0:
         raise ParamError("denominator leading coefficient must be nonzero")
+    # the quotients are new arrays
     with np.errstate(over="ignore"):
         num, den = num / lead, den / lead
-    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
         raise ParamError("coefficients overflow when divided by the "
                          "denominator's leading coefficient")
     num.flags.writeable = den.flags.writeable = False
@@ -438,9 +446,8 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     with np.errstate(all="ignore"):
         scale = dt ** np.arange(1, order + 1)
         rem = (num[1:] - num[0] * den[1:]) * scale
-        a = np.zeros((order, order))
+        a = np.eye(order, k=-1)
         a[0] = -den[1:] * scale
-        a[np.arange(1, order), np.arange(order - 1)] = 1.0
         p = _expm(a)
         cols = np.empty((order, n))
         cols[:, 0] = p[:, 0]
@@ -458,12 +465,24 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
 
 def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,
                        grid: FrequencyGrid) -> FrequencyResponseSeries:
+    """num/den at ``points``, both polynomials evaluated by one Horner loop
+    over their coefficients stacked in two rows, the shorter one behind
+    leading zeros.  Each row takes the operations ``np.polyval`` makes,
+    and from the start value 0 a leading zero leaves it 0, so the bits
+    are those of ``np.polyval``."""
+    size = max(len(num), len(den))
+    coeffs = np.zeros((size, 2, 1))
+    coeffs[size - len(num):, 0, 0] = num
+    coeffs[size - len(den):, 1, 0] = den
+    vals = np.zeros((2, len(points)), dtype=points.dtype)
     with np.errstate(all="ignore"):
-        nv = np.polyval(num, points)
-        dv = np.polyval(den, points)
+        for c in coeffs:
+            np.multiply(vals, points, out=vals)
+            np.add(vals, c, out=vals)
+        nv, dv = vals
         small = np.abs(dv) < 1e-300
         ratio = nv / dv
-    if np.any(small):
+    if small.any():
         w = grid.omegas[np.argmax(small)]
         raise EvaluationError(f"denominator vanishes near omega={w:g} rad/s")
     return FrequencyResponseSeries(grid, _all_finite(
@@ -479,7 +498,7 @@ def discrete_freq_response(g: DiscreteTransferFunction,
     Frequencies above the Nyquist rate are evaluated anyway, with a warning.
     """
     w = grid.omegas
-    if np.any(w * g.ts > math.pi):
+    if (w * g.ts > math.pi).any():
         warnings.warn("grid extends above the Nyquist frequency pi/ts",
                       stacklevel=2)
     z = np.exp(1j * w * g.ts)
@@ -498,6 +517,14 @@ def is_stable_discrete(g: DiscreteTransferFunction) -> Tuple[bool, float]:
     Returns (stable, margin) with margin = 1 - max root modulus; a
     constant denominator has no poles and reports (True, 1.0).
     """
-    # the monic denominator needs no trimming or checks before np.roots
-    margin = 1.0 - float(np.max(np.abs(np.roots(g.den)), initial=0.0))
+    den = g.den
+    # the poles are the eigenvalues of the companion matrix of den without
+    # its trailing zeros, which are poles at 0, as np.roots finds them; den
+    # is monic, so the first row of that matrix is -den[1:order + 1]
+    order = int(np.flatnonzero(den)[-1])
+    if order == 0:
+        return True, 1.0
+    companion = np.eye(order, k=-1)
+    np.negative(den[1:order + 1], out=companion[0])
+    margin = 1.0 - float(np.abs(np.linalg.eigvals(companion)).max())
     return margin > 0.0, margin

@@ -99,9 +99,9 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
     # growth of q, at most the product of max(1, |cf[i]|), stays far from
     # overflow: below 10**6.5 in scans of 3000 random integrators and
     # windows of the documented domain.
-    p = np.zeros_like(z)
-    q = np.ones_like(z)
-    w = np.empty_like(z)
+    p = np.zeros(len(z), z.dtype)
+    q = np.ones(len(z), z.dtype)
+    w = np.empty(len(z), z.dtype)
     for i in range(len(cf) - 1, 0, -1):
         np.multiply(cf[i], z, out=w)
         np.multiply(w, q, out=w)
@@ -209,7 +209,7 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
                         np.broadcast_to(f(s), s.shape))
         F_tail = _all_finite("transform is not finite on the qd tail",
                              np.broadcast_to(f(s_tail), s_tail.shape))
-        peak = max(float(np.max(np.abs(F))), float(np.max(np.abs(F_tail))))
+        peak = max(float(np.abs(F).max()), float(np.abs(F_tail).max()))
 
         # initial-value split: fit s*F(s) ~ f0 + f1/s on two line samples and
         # peel off f0/(s + 1/tm); skipped when the estimate is wildly out of

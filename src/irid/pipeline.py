@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -161,14 +160,34 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     if a.t0 != b.t0 or a.dt != b.dt or len(a) != len(b):
         raise ParamError("time series grids differ")
     diff = a.values - b.values
-    peak = float(np.max(np.abs(diff)))
-    top = math.frexp(max(peak, float(np.max(np.abs(a.values)))))[1]
+    peak = float(np.abs(diff).max())
+    top = math.frexp(max(peak, float(np.abs(a.values).max())))[1]
     # np.ldexp, since 2.0**-top overflows for a subnormal peak
     err = _norm(np.ldexp(diff, -top))
     norm = _norm(np.ldexp(a.values, -top))
     if norm == 0.0:
         return (0.0 if err == 0.0 else math.inf), peak
     return err / norm, peak
+
+
+def _polar(f: FrequencyResponseSeries) -> Tuple[np.ndarray, np.ndarray]:
+    """(magnitude in dB, as ``f.magnitude_db()`` gives it, angle in
+    radians) of ``f``'s response; EvaluationError if a magnitude
+    underflows the dB scale."""
+    mag = np.abs(f.response)
+    if mag.min() < 1e-300:
+        raise EvaluationError("response magnitude underflows the dB scale")
+    return 20.0 * np.log10(mag), np.angle(f.response)
+
+
+def _polar_errors(a: Tuple[np.ndarray, np.ndarray],
+                  b: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
+    """:func:`compare_frequency` of b against a from their :func:`_polar`
+    forms."""
+    (a_db, a_angle), (b_db, b_angle) = a, b
+    turn = b_angle - a_angle + math.pi
+    return (float(np.abs(a_db - b_db).max()),
+            float(np.degrees(np.abs(turn % (2 * math.pi) - math.pi).max())))
 
 
 def compare_frequency(a: FrequencyResponseSeries,
@@ -179,20 +198,7 @@ def compare_frequency(a: FrequencyResponseSeries,
     EvaluationError if a magnitude underflows the dB scale."""
     if not np.array_equal(a.grid.omegas, b.grid.omegas):
         raise ParamError("frequency grids differ")
-    if min(np.min(np.abs(a.response)), np.min(np.abs(b.response))) < 1e-300:
-        raise EvaluationError("response magnitude underflows the dB scale")
-    turn = np.angle(b.response) - np.angle(a.response) + math.pi
-    return (float(np.max(np.abs(a.magnitude_db() - b.magnitude_db()))),
-            float(np.degrees(np.max(np.abs(turn % (2 * math.pi) - math.pi)))))
-
-
-@contextmanager
-def _stage(name: str) -> Iterator[None]:
-    """Re-raise an IridError from the block as PipelineStageError(name)."""
-    try:
-        yield
-    except IridError as exc:
-        raise PipelineStageError(name, exc) from exc
+    return _polar_errors(_polar(a), _polar(b))
 
 
 def irid_fcoi(req: IridRequest) -> IridResult:
@@ -230,14 +236,16 @@ def irid_fcoi(req: IridRequest) -> IridResult:
         warnings.warn(f"wmax={req.wmax:g} rad/s exceeds "
                       f"{grid.omegas[-1]:g}; clamping to it", stacklevel=2)
 
-    with _stage("nilt"):
+    # an IridError is re-raised as PipelineStageError(stage)
+    stage = "nilt"
+    try:
         h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
         # G is nowhere zero, so an all-zero reference is an underflow
-        if not np.any(h_ref.values):
+        if not h_ref.values.any():
             raise EvaluationError("the reference underflows to zero at "
                                   "every sample")
 
-    with _stage("fit"):
+        stage = "fit"
         gd = stmcb_fit(TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values),
                        req.norder, req.norder)
         with np.errstate(over="ignore"):
@@ -246,19 +254,23 @@ def irid_fcoi(req: IridRequest) -> IridResult:
             "discrete impulse response overflows when rescaled by 1/dt", vals))
         stable, _ = is_stable_discrete(gd)
 
-    with _stage("conversion"):
+        stage = "conversion"
         gc = bilinear_d2c(gd)
         h_c = continuous_impulse(gc, dt, req.m)
 
-    with _stage("compare"):
+        stage = "compare"
         f_ref = cfoi_freq_grid(p, grid)
         f_d = discrete_freq_response(gd, grid)
         f_c = continuous_freq_response(gc, grid)
-
+        # compare_frequency of each model, the reference's polar form
+        # computed once; the three responses share one grid
+        ref = _polar(f_ref)
         metrics = ComparisonMetrics(*(
             ModelErrors(*compare_impulse(h_ref, h),
-                        *compare_frequency(f_ref, f))
+                        *_polar_errors(ref, _polar(f)))
             for h, f in ((h_d, f_d), (h_c, f_c))))
+    except IridError as exc:
+        raise PipelineStageError(stage, exc) from exc
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
                       h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,
                       metrics=metrics, stable=stable)

@@ -4,12 +4,14 @@ The Steiglitz-McBride iteration fits numerator and denominator by linear
 least squares on data filtered through the previous pass's all-pole filter
 1/A(z).  It starts from A(z) = 1, so its first pass is the plain
 equation-error fit, and it returns the iterate with the least output
-error.  Each pass solves its least-squares problem by one blocked
-Householder QR (LAPACK geqrt) of [regression | data], then a minimum-norm
-solve of the small triangular factor R with the eps*n rank rule, by LAPACK
-gelsd called directly with one workspace query per fit.  A bilinear (Tustin)
-substitution converts the fitted discrete model to a continuous one of the
-same order.
+error.  Each pass copies its regression's lag columns, one block at a
+time, from strided views over the filtered data and impulse, each stored
+behind its zero prehistory.  It solves its least-squares problem by one
+blocked Householder QR (LAPACK geqrt) of [regression | data], then a
+minimum-norm solve of the small triangular factor R with the eps*n rank
+rule, by LAPACK gelsd called directly with one workspace query per fit.
+A bilinear (Tustin) substitution converts the fitted discrete model to a
+continuous one of the same order.
 """
 
 from __future__ import annotations
@@ -55,14 +57,13 @@ def _check_fit(n: int, nb: int, na: int) -> Tuple[int, int]:
     return nb, na
 
 
-def _lagged(x: np.ndarray, lags: range, out: np.ndarray) -> np.ndarray:
-    """x delayed by each lag, zero prehistory, one lag per column of
-    ``out``."""
-    n = len(x)
-    for col, lag in zip(out.T, lags):
-        col[:lag] = 0.0
-        col[lag:] = x[:n - lag]
-    return out
+def _lag_view(src: np.ndarray, n: int, lags: int) -> np.ndarray:
+    """The n-by-``lags`` view of ``src`` whose column j is
+    src[lags - 1 - j:][:n].  With ``src`` a signal behind p values of
+    prehistory, column j is the signal delayed by p - lags + 1 + j."""
+    step = src.itemsize
+    return np.ndarray((n, lags), src.dtype, src, (lags - 1) * step,
+                      (step, -step))
 
 
 def _keep(best: tuple, resp: np.ndarray, y: np.ndarray, a: np.ndarray,
@@ -95,8 +96,13 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     array, allocated once per fit, is refilled each pass), then solves one
     joint least-squares problem for all numerator coefficients and the
     trailing denominator coefficients (a0 pinned at one), minimizing
-    ||A(z)*h_f - B(z)*delta_f|| over all samples.  The solve is one
-    Householder QR of the n-by-(k + 1) matrix [regression | data],
+    ||A(z)*h_f - B(z)*delta_f|| over all samples.  The regression's lag
+    columns, h_f delayed by 1..na and negated, and delta_f delayed by
+    0..nb, are copied each pass, one ``np.copyto`` per block, from
+    strided views, made once per fit, of -h_f behind na values of -0.0
+    and of delta_f behind nb of 0.0; -0.0 is what negating lagged zeros
+    gives, so the bits are those of a column-by-column build.  The solve
+    is one Householder QR of the n-by-(k + 1) matrix [regression | data],
     k = na + nb + 1, by LAPACK geqrt, blocked in panels of
     min(4, k + 1) columns (compact WY), which leaves R in its top k-by-k
     block and (Q^T h_f)[:k] above it in the last column; then the
@@ -139,11 +145,11 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     y = h.values
     n = len(y)
     nb, na = _check_fit(n, nb, na)
-    if not np.any(y):
+    if not y.any():
         raise EvaluationError("all-zero data has no model to fit")
     # the data scaled by 2**-e to peak in [0.5, 1): the rank rule then
     # weighs it against the unit impulse the same way at every scale
-    _, e = math.frexp(float(np.max(np.abs(y))))
+    _, e = math.frexp(float(np.abs(y).max()))
     # columns: the scaled data and the unit impulse
     data = np.zeros((n, 2), order="F")
     data[:, 0] = np.ldexp(y, -e)
@@ -151,10 +157,15 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     k = na + nb + 1
     # [-lagged h_f | lagged delta_f | h_f], rewritten each pass
     mat = np.empty((n, k + 1), order="F")
+    # -h_f behind na values of -0.0 and delta_f behind nb of 0.0, refilled
+    # each pass, and their lag blocks; the -0.0 in row 0 sets the sign of
+    # dgeqrt's first reflector, so +0.0 there would change last bits
+    src_h, src_x = np.full(n + na, -0.0), np.zeros(n + nb)
+    lags_h, lags_x = _lag_view(src_h, n, na), _lag_view(src_x, n, nb + 1)
     # refilled from data each pass, then filtered through 1/A(z) in place
     work = np.empty((n, 2), order="F")
     # lstsq's default rank rule for the full n-by-k matrix (n > k)
-    rcond = np.finfo(float).eps * n
+    rcond = sys.float_info.epsilon * n
     # one workspace query for all passes' k-by-k solves
     lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
     lwork = int(lwork)
@@ -163,47 +174,47 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     best = (math.inf, None, None)
     # pass 0 filters through A(z) = 1, which leaves the data as it is
     filtered = data
-    for it in range(_PASSES):
-        if it:
-            work[...] = data
-            filtered = _all_finite(
-                f"prefiltered data overflowed (iteration {it})",
-                _allpole(a, work))
-        hf, xf = filtered.T
-        # negated after lagging: the -0.0 in row 0 sets the sign of
-        # dgeqrt's first reflector, so negating hf first changes last bits
-        lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
-        np.negative(lagged_hf, out=lagged_hf)
-        _lagged(xf, range(0, nb + 1), out=mat[:, na:k])
-        mat[:, k] = hf
-        if it:
-            # xf is the unit impulse through the last iterate's 1/A(z), so
-            # its lags times b are that iterate's impulse response, formed
-            # in work[:, 0], which hf no longer needs
-            with np.errstate(all="ignore"):
+    # floating-point warnings off for the iterates' impulse responses and
+    # output errors, which may overflow: a non-finite error is never kept
+    with np.errstate(all="ignore"):
+        for it in range(_PASSES):
+            if it:
+                work[...] = data
+                filtered = _all_finite(
+                    f"prefiltered data overflowed (iteration {it})",
+                    _allpole(a, work))
+            hf, xf = filtered[:, 0], filtered[:, 1]
+            np.negative(hf, out=src_h[na:])
+            src_x[nb:] = xf
+            np.copyto(mat[:, :na], lags_h)
+            np.copyto(mat[:, na:k], lags_x)
+            mat[:, k] = hf
+            if it:
+                # xf is the unit impulse through the last iterate's 1/A(z),
+                # so its lags times b are that iterate's impulse response,
+                # formed in work[:, 0], which hf no longer needs
                 resp = np.matmul(mat[:, na:k], b, out=work[:, 0])
                 best = _keep(best, resp, data[:, 0], a, b)
-        # R of the regression and (Q^T h_f)[:k] in one Householder QR
-        qr, _, _ = dgeqrt(min(_QR_BLOCK, k + 1), mat, overwrite_a=1)
-        # an overflowed factor would reach LAPACK's rescaling in gelsd
-        r = _all_finite(f"least-squares factor is non-finite (iteration "
-                        f"{it})", qr[:k, :k + 1])
-        # R is the upper triangle; dgeqrt left its reflectors below it
-        r[:, :k][below] = 0.0
-        sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
-                                 cond=rcond)
-        if info != 0:
-            raise EvaluationError(f"least-squares solve failed, LAPACK "
-                                  f"gelsd info {info} (iteration {it})")
-        _all_finite(f"least-squares solution is non-finite (iteration {it})",
-                    sol)
-        a = np.concatenate(([1.0], sol[:na, 0]))
-        b = sol[na:, 0]
-    # the last iterate's impulse response: its numerator through 1/A(z)
-    resp = work[:, :1]
-    resp[...] = 0.0
-    resp[:nb + 1, 0] = b
-    with np.errstate(all="ignore"):
+            # R of the regression and (Q^T h_f)[:k] in one Householder QR
+            qr, _, _ = dgeqrt(min(_QR_BLOCK, k + 1), mat, overwrite_a=1)
+            # an overflowed factor would reach LAPACK's rescaling in gelsd
+            r = _all_finite(f"least-squares factor is non-finite "
+                            f"(iteration {it})", qr[:k, :k + 1])
+            # R is the upper triangle; dgeqrt left its reflectors below it
+            r[:, :k][below] = 0.0
+            sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
+                                     cond=rcond)
+            if info != 0:
+                raise EvaluationError(f"least-squares solve failed, LAPACK "
+                                      f"gelsd info {info} (iteration {it})")
+            _all_finite(f"least-squares solution is non-finite (iteration "
+                        f"{it})", sol)
+            a = np.concatenate(([1.0], sol[:na, 0]))
+            b = sol[na:, 0]
+        # the last iterate's impulse response: its numerator through 1/A(z)
+        resp = work[:, :1]
+        resp[...] = 0.0
+        resp[:nb + 1, 0] = b
         err, a, b = _keep(best, _allpole(a, resp)[:, 0], data[:, 0], a, b)
         if not err < math.inf:
             raise EvaluationError("no iterate has a finite output error")
@@ -252,16 +263,19 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     then out of range.
     """
     ts = g.ts
-    with np.errstate(all="ignore"):
-        den_at_minus1 = np.polyval(g.den, -1.0)
-        den_size = sum(abs(c) for c in g.den)
+    # den(-1) by Horner's rule, as np.polyval takes it, and the sum of
+    # |den|, in Python floats: the same IEEE operations in the same order
+    den_at_minus1 = den_size = 0.0
+    for c in g.den.tolist():
+        den_at_minus1 = den_at_minus1 * -1.0 + c
+        den_size += abs(c)
     if abs(den_at_minus1) <= 1e-12 * den_size:
         raise EvaluationError("discrete denominator has a root at z = -1")
 
     deg = len(g.den) - 1
     with np.errstate(over="ignore"):
         powers = (ts / 2.0) ** np.arange(deg + 1)
-    if not np.finfo(float).tiny <= powers[-1] < math.inf:
+    if not sys.float_info.min <= powers[-1] < math.inf:
         raise EvaluationError(f"(ts/2)**{deg} = {powers[-1]:g} is not a "
                               f"normal double; the continuous model's "
                               f"coefficients are out of range")

@@ -480,13 +480,25 @@ class TestFrequencyResponses:
         assert fr.response[0] == pytest.approx(0.5 - 0.5j, abs=1e-15)
 
     def test_eval_consistency(self):
-        g = tf_d([1.0, 0.4], [1.0, -0.9, 0.2], ts=0.5)
+        # both responses are the np.polyval quotient bit for bit, for
+        # numerators as long as the denominator, shorter (stored trimmed,
+        # continuous) or padded with zeros (discrete), and a constant model
         grid = FrequencyGrid.log_spaced(0.01, 6.0, 50)
-        fr = discrete_freq_response(g, grid)
-        for w, got in zip(grid.omegas, fr.response):
-            z = np.exp(1j * w * g.ts)
-            want = np.polyval(g.num, z) / np.polyval(g.den, z)
-            assert abs(got - want) <= 1e-13 * abs(want)
+        for num, den in [([1.0, 0.4], [1.0, -0.9, 0.2]),
+                         ([-0.3, 1.0, 0.4], [2.0, -0.9, 0.2]),
+                         ([0.0, 0.0, 1.5], [1.0, 0.7, 0.2]),
+                         ([1.0, 2.0, 3.0], [1.0, 0.5]),
+                         ([1.0, -0.2, 0.03, 0.4, -0.1, 0.05],
+                          [1.0, -2.1, 1.9, -1.2, 0.4, -0.05]),
+                         ([2.5], [0.5])]:
+            for g, z, response in [
+                    (tf_d(num, den, ts=0.5), np.exp(1j * grid.omegas * 0.5),
+                     discrete_freq_response),
+                    (tf_c(num, den), 1j * grid.omegas,
+                     continuous_freq_response)]:
+                want = np.polyval(g.num, z) / np.polyval(g.den, z)
+                got = response(g, grid).response
+                assert got.tobytes() == want.tobytes(), (num, den, type(g))
 
     @pytest.mark.parametrize("num,den", [
         ([1.0], [1.0, -0.5]),
@@ -556,6 +568,27 @@ class TestStability:
 
     def test_constant_denominator(self):
         assert is_stable_discrete(tf_d([1], [1])) == (True, 1.0)
+
+    def test_margin_equals_np_roots(self):
+        # the margin is 1 - max |root| with the roots np.roots finds, bit
+        # for bit: denominators padded with trailing zeros (poles at 0),
+        # constant ones, poles on and off the unit circle, random ones
+        rng = np.random.default_rng(11)
+        dens = [[1.0], [3.0], [1.0, 0.0, 0.0], [1.0, -1.0], [1.0, 0.5, 0.0],
+                [1.0, -1.5, 0.7, 0.0, 0.0], [1.0, 0.0, 1.0],
+                [1, -4.6816, 8.7441, -8.1436, 3.7803, -0.6997]]
+        dens += [np.concatenate(([1.0], rng.standard_normal(n),
+                                 np.zeros(zeros)))
+                 for n in range(1, 9) for zeros in range(3) for _ in range(5)]
+        for den in dens:
+            g = tf_d([1.0] * len(den), den)
+            margin = 1.0 - float(np.max(np.abs(np.roots(g.den)),
+                                        initial=0.0))
+            assert is_stable_discrete(g) == (margin > 0.0, margin), den
+        # a numerator longer than the denominator pads it with zeros
+        g = tf_d([1.0, 2.0, 3.0, 4.0], [1.0, -0.5])
+        assert g.den.tolist() == [1.0, -0.5, 0.0, 0.0]
+        assert is_stable_discrete(g) == (True, 0.5)
 
     def test_reference_fifth_order_denominator(self):
         # fitted fifth-order reference denominator for order 1.5 - 0.4j:

@@ -16,7 +16,7 @@ from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
                       discrete_impulse, is_stable_discrete)
 from irid.nilt import nilt
 from irid.pipeline import IridRequest, irid_fcoi
-from irid.sysid import _lagged, bilinear_d2c, stmcb_fit
+from irid.sysid import bilinear_d2c, stmcb_fit
 
 
 def impulse_of(num, den, n, ts=1.0):
@@ -40,6 +40,26 @@ def gelsd_failing_at(fail: int):
     return gelsd
 
 
+def _lagged(x: np.ndarray, lags: range, out: np.ndarray) -> np.ndarray:
+    """x delayed by each lag, zero prehistory, one lag per column of
+    ``out``."""
+    n = len(x)
+    for col, lag in zip(out.T, lags):
+        col[:lag] = 0.0
+        col[lag:] = x[:n - lag]
+    return out
+
+
+def lagged_blocks(hf: np.ndarray, xf: np.ndarray, nb: int, na: int,
+                  out: np.ndarray) -> np.ndarray:
+    """[-lagged hf | lagged xf] by column slices, hf's lags 1..na negated
+    after lagging (so its prehistory is -0.0), xf's lags 0..nb."""
+    lagged_hf = _lagged(hf, range(1, na + 1), out=out[:, :na])
+    np.negative(lagged_hf, out=lagged_hf)
+    _lagged(xf, range(0, nb + 1), out=out[:, na:na + nb + 1])
+    return out
+
+
 def full_matrix_stmcb(h: TimeSeries, nb: int, na: int):
     """Reference fit: the data scaled to peak in [0.5, 1) as the fit scales
     it, then five passes, each solving with np.linalg.lstsq on the whole
@@ -53,9 +73,7 @@ def full_matrix_stmcb(h: TimeSeries, nb: int, na: int):
     a = np.ones(1)
     for _ in range(5):
         hf, xf = _allpole(a, data.copy(order="F")).T
-        lagged_hf = _lagged(hf, range(1, na + 1), out=mat[:, :na])
-        np.negative(lagged_hf, out=lagged_hf)
-        _lagged(xf, range(0, nb + 1), out=mat[:, na:])
+        lagged_blocks(hf, xf, nb, na, mat)
         sol, _, _, _ = np.linalg.lstsq(mat, hf, rcond=None)
         a = np.concatenate(([1.0], sol[:na]))
         b = sol[na:]
@@ -138,6 +156,35 @@ class TestStmcb:
         norm = np.linalg.norm(np.concatenate((g.den[1:], g.num)))
         ref_norm = np.linalg.norm(np.concatenate((ref.den[1:], ref.num)))
         assert norm == pytest.approx(ref_norm, rel=1e-6)
+
+    @pytest.mark.parametrize("nb,na", [(3, 3), (2, 4), (0, 3)],
+                             ids=["nb=na", "nb!=na", "nb=0"])
+    def test_lag_blocks_equal_column_slices(self, monkeypatch, nb, na):
+        # every pass's matrix, as dgeqrt receives it, holds the lag blocks
+        # the column-slice construction gives for its own h_f (last column)
+        # and delta_f (the lag-0 column), bit for bit, -0.0 included
+        mats, real = [], irid.sysid.dgeqrt
+
+        def dgeqrt(nb_, mat, **kwargs):
+            mats.append(mat.copy(order="F"))
+            return real(nb_, mat, **kwargs)
+        monkeypatch.setattr(irid.sysid, "dgeqrt", dgeqrt)
+        rng = np.random.default_rng(3)
+        h = impulse_of([1.0, 0.5, -0.3], [1.0, -1.2, 0.6, -0.1], 60)
+        h = TimeSeries(0.0, 1.0, h.values + 1e-3 * rng.normal(size=60))
+        stmcb_fit(h, nb, na)
+        k = na + nb + 1
+        assert len(mats) == 5
+        for mat in mats:
+            want = np.empty_like(mat, order="F")
+            want[:, k] = mat[:, k]
+            lagged_blocks(mat[:, k], mat[:, na], nb, na, want)
+            assert mat.tobytes(order="F") == want.tobytes(order="F")
+            assert np.signbit(mat[0, 0]) and mat[0, 0] == 0.0
+        # pass 0 regresses the data, scaled to peak in [0.5, 1), on the
+        # unit impulse
+        assert np.array_equal(mats[0][:, k], h.values / 2.0)
+        assert np.array_equal(mats[0][:, na], np.eye(60)[0])
 
     def test_insufficient_data(self):
         h = TimeSeries(0.0, 1.0, np.ones(10))
