@@ -337,26 +337,26 @@ def _pade_terms() -> np.ndarray:
 
 
 _PADE_TERMS = _pade_terms()
+# log2 of 1/|c_27|, see _ell
+_LOG2_C27 = math.log2(
+    math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2)
 
 
-def _ell(abs_a: np.ndarray, norm: float, m: int) -> int:
-    """Al-Mohy and Higham's ell(A, m), with ``abs_a`` = abs(A) and
+def _ell(abs_a: np.ndarray, norm: float) -> int:
+    """Al-Mohy and Higham's ell(A, 13), with ``abs_a`` = abs(A) and
     ``norm`` = ||A||_1: how many more squarings keep the rounding error
-    of the degree-m approximant of a nonnormal A near the unit roundoff.
-    It is ceil(log2(alpha * 2**53) / (2m)), alpha = ||abs(A)**(2m+1)||_1 /
-    (||A||_1 * c), c = 1/|c_{2m+1}| = (2m)!(2m+1)!/(m!)**2 the reciprocal
-    of the leading coefficient of the approximant's error series, from
-    the powers of abs(A) * 2**-e, e the exponent of ``norm``, whose 1-norm
-    is below one: none overflows."""
-    c = (math.factorial(2 * m) * math.factorial(2 * m + 1)
-         / math.factorial(m) ** 2)
+    of the degree-13 approximant of a nonnormal A near the unit roundoff.
+    It is ceil(log2(alpha * 2**53) / 26), alpha = ||abs(A)**27||_1 /
+    (||A||_1 * c), c = 1/|c_27| = 26! 27! / (13!)**2 the reciprocal of the
+    leading coefficient of the approximant's error series, from the powers
+    of abs(A) * 2**-e, e the exponent of ``norm``, whose 1-norm is below
+    one: none overflows."""
     frac, e = math.frexp(norm)
-    q = (np.linalg.matrix_power(np.ldexp(abs_a, -e), 2 * m + 1)
-         .sum(axis=0).max())
+    q = np.linalg.matrix_power(np.ldexp(abs_a, -e), 27).sum(axis=0).max()
     if not q:
         return 0
-    log2_alpha = 2 * m * e + math.log2(q / frac) - math.log2(c)
-    return max(0, math.ceil((log2_alpha + 53) / (2 * m)))
+    log2_alpha = 26 * e + math.log2(q / frac) - _LOG2_C27
+    return max(0, math.ceil((log2_alpha + 53) / 26))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -401,7 +401,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     # is below 2**-53 (Al-Mohy and Higham 2009)
     eta = min(max(d6, d8), max(d8, d10))
     s = math.ceil(math.log2(eta / 4.25)) if eta > 4.25 else 0
-    s += _ell(np.ldexp(abs_a, -s), math.ldexp(norm, -s), 13)
+    s += _ell(np.ldexp(abs_a, -s), math.ldexp(norm, -s))
     if s != t:
         # b and its powers for b = a * 2**-s
         with np.errstate(over="ignore", under="ignore"):

@@ -12,6 +12,11 @@ from irid.cli import cli_main
 from irid.lti import DiscreteTransferFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ARTIFACTS = ("impulse.csv", "freq.csv", "coeffs.json", "summary.txt",
+             "impulse.svg", "freq.svg")
+# the README command, without its output directory
+README_ARGS = ["--lambda", "1.5", "--mu", "-0.4", "--wgc", "1", "--tm", "2",
+               "--wmin", "0.01", "--wmax", "100", "--norder", "5"]
 
 
 def run(tmp_path, *extra):
@@ -24,8 +29,7 @@ def run(tmp_path, *extra):
 def test_successful_run(tmp_path, capsys):
     assert run(tmp_path) == 0
     out_dir = tmp_path / "out"
-    for name in ("impulse.csv", "freq.csv", "coeffs.json", "summary.txt",
-                 "impulse.svg", "freq.svg"):
+    for name in ARTIFACTS:
         assert (out_dir / name).exists()
     stdout = capsys.readouterr().out
     assert "discrete vs exact" in stdout
@@ -34,8 +38,15 @@ def test_successful_run(tmp_path, capsys):
 
 
 def test_no_svg_flag(tmp_path):
-    assert run(tmp_path, "--no-svg") == 0
-    assert not (tmp_path / "out" / "impulse.svg").exists()
+    # the charts are dropped, and the other four artifacts match a default
+    # run's byte for byte
+    assert run(tmp_path) == 0
+    assert run(tmp_path, "--no-svg", "--out-dir", str(tmp_path / "nosvg")) == 0
+    assert sorted(p.name for p in (tmp_path / "nosvg").iterdir()) == sorted(
+        ARTIFACTS[:4])
+    for name in ARTIFACTS[:4]:
+        assert ((tmp_path / "nosvg" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes()), name
 
 
 # invalid input exits 2 with the validating message, before any file is
@@ -60,10 +71,11 @@ def test_no_svg_flag(tmp_path):
         "norder11", "out-dir-empty", "samples2**21", "points2**21",
         "fit-matrix-cap", "tm1e-321", "tm1e-305", "tm1e308",
         "tm1e308-wmin1e-320"])
-def test_invalid_input_exits_2(tmp_path, capsys, flags, fragment):
+def test_invalid_input_exits_2(tmp_path, capfd, flags, fragment):
     assert run(tmp_path, *flags) == 2
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err.startswith("error: ") and fragment in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -73,10 +85,7 @@ def test_artifact_metrics_score_every_row(tmp_path, capsys):
     # L2 to roundoff and the max abs deviation exactly, since each CSV
     # value round-trips its double
     out_dir = tmp_path / "out"
-    assert cli_main(["--lambda", "1.5", "--mu", "-0.4", "--wgc", "1",
-                     "--tm", "2", "--wmin", "0.01", "--wmax", "100",
-                     "--norder", "5", "--no-svg",
-                     "--out-dir", str(out_dir)]) == 0
+    assert cli_main(README_ARGS + ["--no-svg", "--out-dir", str(out_dir)]) == 0
     lines = (out_dir / "impulse.csv").read_text().splitlines()[1:]
     cols = np.array([[float(x) for x in line.split(",")] for line in lines])
     metrics = json.loads((out_dir / "coeffs.json").read_text())["metrics"]
@@ -114,13 +123,16 @@ def test_overflowing_discrete_model_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_overflowing_transform_exits_1_with_one_line(tmp_path, capfd):
-    # wgc**lambda overflows the transform on the Bromwich line: one error
-    # line, no traceback or warning
-    assert run(tmp_path, "--wgc", "1e300") == 1
-    err = capfd.readouterr().err
-    assert err.startswith("error: nilt stage failed")
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
+    # wgc**lambda overflows the transform on the Bromwich line, and
+    # wgc = 1e-250 with mu = 0 makes the reference underflow to zero: plain
+    # IEEE overflow and underflow, the same on every numpy/LAPACK build.
+    # Each gives one error line, no traceback or warning
+    for flags in (("--wgc", "1e300"), ("--mu", "0", "--wgc", "1e-250")):
+        assert run(tmp_path, *flags) == 1, flags
+        err = capfd.readouterr().err
+        assert err.startswith("error: nilt stage failed"), flags
+        assert len(err.splitlines()) == 1, flags
+        assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_flag(capsys):
@@ -181,6 +193,31 @@ def test_closed_stdout_exits_zero(tmp_path):
         os.close(write_end)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 0, proc.stderr
-    for name in ("impulse.csv", "freq.csv", "coeffs.json", "summary.txt",
-                 "impulse.svg", "freq.svg"):
+    for name in ARTIFACTS:
         assert (out_dir / name).exists()
+
+
+def test_processes_write_the_same_bytes_under_one_and_two_blas_threads(
+        tmp_path):
+    # the README command at m = 16384, as a fresh process under one and
+    # then two OpenBLAS threads: each exits 0 with stderr empty (nothing
+    # warns but the Nyquist clamp, which its band does not reach) and
+    # writes the six artifacts, and both write the same bytes.  BLAS splits
+    # the dot product of a long vector across its threads, in an order set
+    # by their number, so a sum of squares taken by BLAS would differ
+    written = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "irid", *README_ARGS, "--samples", "16384",
+             "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACTS)
+        written.append({name: (out_dir / name).read_bytes()
+                        for name in ARTIFACTS})
+    assert all(written[0].values())
+    assert written[0] == written[1]

@@ -442,6 +442,34 @@ class TestIridFcoi:
         # longer loses the numerator to the rank rule (rel L2 2268 before)
         assert self.discrete_error(1.5, -0.4, 1e6) < 1e-4
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("lam,mu,norder,m", [
+        (0.1, 0.0, 2, 256), (0.5, -0.95, 8, 256), (1.5, -0.5, 5, 4096),
+        (1.95, -0.95, 8, 4096)])
+    def test_power_of_two_covariance(self, lam, mu, norder, m, k):
+        # h(t) = wgc * hhat(wgc * t), and the Bromwich line scales with
+        # 1/tm: scaling wgc and the band by 2**k and tm by 2**-k multiplies
+        # every impulse series by 2**k, exactly, and leaves the discrete
+        # fit unchanged.  The frequency metrics are left out: logspace does
+        # not scale the grid's interior points exactly
+        def result(scale):
+            return irid_fcoi(IridRequest(
+                params=CfoiParams(lam, mu, scale), tm=2.0 / scale,
+                wmin=0.01 * scale, wmax=100.0 * scale, norder=norder, m=m))
+
+        base, scaled = result(1.0), result(2.0 ** k)
+        for name in ("h_ref", "h_d", "h_c"):
+            np.testing.assert_array_equal(
+                getattr(scaled, name).values,
+                getattr(base, name).values * 2.0 ** k, err_msg=name)
+        np.testing.assert_array_equal(scaled.gd.num, base.gd.num)
+        np.testing.assert_array_equal(scaled.gd.den, base.gd.den)
+        for model in ("discrete", "continuous"):
+            got = getattr(scaled.metrics, model)
+            want = getattr(base.metrics, model)
+            assert got.impulse_rel_l2 == want.impulse_rel_l2, model
+            assert got.impulse_max_abs == want.impulse_max_abs * 2.0 ** k, model
+
     def test_fit_error_does_not_depend_on_crossover(self):
         # for mu = 0, wgc only scales h_ref, by wgc**lam
         errs = [self.discrete_error(1.5, 0.0, w) for w in (1e-8, 1.0, 1e10)]
@@ -541,27 +569,34 @@ class TestBreakdownContract:
 
 
 class TestFitQualitySweep:
-    def test_m256_lattice(self, monkeypatch):
-        # the m=256 half of the benchmark's domain_sweep lattice, 405
-        # requests; a good fit has a discrete impulse relative L2 below 0.1
-        # on [dt, tm].  Orders 5 and 8 fit everywhere; order 2 cannot
-        # follow every integrator.  The kept iterate's output error over
-        # all samples is never above pass 1's, the equation-error fit, and
-        # the reported metric is that output error relative to the data:
-        # the fit is scored on the window it minimizes over.  The two
-        # differ only by rounding, at most 1.8e-5 relative, where the
-        # metric is near 3e-13.
+    # sweeps over lam x mu x (wgc, tm) x norder; a good fit has a discrete
+    # impulse relative L2 below 0.1 on [dt, tm].  Orders 5 and 8 fit
+    # everywhere; order 2 cannot follow every integrator.  The kept
+    # iterate's output error over all samples is never above pass 1's, the
+    # equation-error fit, and the reported metric is that output error
+    # relative to the data: the fit is scored on the window it minimizes
+    # over.  The two differ only by rounding: at most 2.8e-5 relative at
+    # m=256, where the metric is near 2e-13, and 1.2e-7 at m=4096.
+    @staticmethod
+    def sweep(monkeypatch, wgc_tm, m):
+        """(good discrete fits per order, good continuous fits, worst
+        discrete score per order)."""
         good = {2: 0, 5: 0, 8: 0}
+        worst = {2: 0.0, 5: 0.0, 8: 0.0}
+        good_continuous = 0
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
-            for lam, mu, wgc, tm, norder in itertools.product(
-                    (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
-                    (0.1, 1.0, 10.0), (0.5, 2.0, 20.0), (2, 5, 8)):
+            for lam, mu, (wgc, tm), norder in itertools.product(
+                    (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95), wgc_tm,
+                    (2, 5, 8)):
                 req = IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
-                                  wmin=0.01, wmax=100.0, norder=norder, m=256)
+                                  wmin=0.01, wmax=100.0, norder=norder, m=m)
                 res = irid_fcoi(req)
                 assert res.gd.den[0] == res.gc.den[0] == 1.0, req
-                good[norder] += res.metrics.discrete.impulse_rel_l2 < 0.1
+                score = res.metrics.discrete.impulse_rel_l2
+                good[norder] += score < 0.1
+                worst[norder] = max(worst[norder], score)
+                good_continuous += res.metrics.continuous.impulse_rel_l2 < 0.1
                 data = TimeSeries(res.h_ref.t0, res.h_ref.dt,
                                   res.h_ref.dt * res.h_ref.values)
                 with monkeypatch.context() as patch:
@@ -571,10 +606,31 @@ class TestFitQualitySweep:
                     g, req.m).values) for g in (res.gd, first)]
                 assert errors[0] <= errors[1], req
                 fit = errors[0] / np.linalg.norm(data.values)
-                assert res.metrics.discrete.impulse_rel_l2 == pytest.approx(
-                    fit, rel=1e-4), req
+                assert score == pytest.approx(fit, rel=1e-4), req
+        return good, good_continuous, worst
+
+    def test_m256_lattice(self, monkeypatch):
+        # the m=256 half of the benchmark's domain_sweep lattice, 405
+        # requests
+        good, good_continuous, worst = self.sweep(
+            monkeypatch, itertools.product((0.1, 1.0, 10.0), (0.5, 2.0, 20.0)),
+            256)
         assert good[5] == good[8] == 135
         assert good[2] >= 116
+        assert good_continuous >= 235
+        assert worst[5] < 2.1e-3 and worst[8] < 1.4e-4
+
+    def test_m4096_crossover_window_products(self, monkeypatch):
+        # the lattice's seven distinct wgc*tm products at wgc = 1, 315
+        # requests: a result depends on wgc and tm through their product
+        # alone (test_power_of_two_covariance)
+        good, good_continuous, worst = self.sweep(
+            monkeypatch, [(1.0, tm) for tm in
+                          (0.05, 0.2, 0.5, 2.0, 5.0, 20.0, 200.0)], 4096)
+        assert good[5] == good[8] == 105
+        assert good[2] >= 61
+        assert good_continuous >= 181
+        assert worst[5] < 0.042 and worst[8] < 0.057
 
 
 class TestWriteOutputs:
