@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy
 
 from .errors import EvaluationError, ParamError
 
@@ -42,17 +41,33 @@ def _load_flapack():
     """scipy's f2py LAPACK extension module ``scipy/linalg/_flapack``,
     loaded by file path as ``irid._flapack``.
 
-    ``import scipy`` (about 10 ms) runs the wheel's shared-library set-up;
-    loading the one extension file costs a few ms more, where importing
-    the ``scipy.linalg`` package costs about 300 ms, so irid never imports
-    it.  The extension's init function is ``PyInit__flapack``, so the
-    module's name must end in ``_flapack``.  A missing file raises
-    ImportError naming its path; there is no fallback.
+    ``importlib.util.find_spec`` finds the scipy package without running
+    its ``__init__`` (about 15 ms cold, and with it scipy's check of the
+    numpy version), so on Linux no ``scipy`` module is imported.  Where
+    the first load raises ImportError, as with a wheel whose ``__init__``
+    adds its bundled shared libraries to the search path, irid runs
+    ``import scipy`` and loads the file once more.  Importing the
+    ``scipy.linalg`` package would cost about 300 ms, so irid never does.
+    The extension's init function is ``PyInit__flapack``, so the module's
+    name must end in ``_flapack``.  A failed second load raises
+    ImportError naming the file's path.
     """
-    path = os.path.join(scipy.__path__[0], "linalg", "_flapack"
-                        + importlib.machinery.EXTENSION_SUFFIXES[0])
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError("irid needs the scipy package, which is not "
+                          "installed")
+    path = os.path.join(package.submodule_search_locations[0], "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
     spec = importlib.util.spec_from_file_location("irid._flapack", path)
-    module = importlib.util.module_from_spec(spec)
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError:
+        import scipy  # noqa: F401  (the wheel's shared-library set-up)
+        try:
+            module = importlib.util.module_from_spec(spec)
+        except ImportError as exc:
+            raise ImportError(f"cannot load scipy's LAPACK extension "
+                              f"{path}: {exc}") from exc
     spec.loader.exec_module(module)
     return module
 

@@ -147,15 +147,68 @@ def test_help_exits_zero(capsys):
 def test_cold_import_leaves_out_heavy_scipy_modules():
     # scipy.linalg, scipy.signal and scipy.stats cost most of the command's
     # cold start; the package needs only numpy and scipy's LAPACK
-    # extension, which it loads by file path
+    # extension, which it finds without running scipy's __init__ and loads
+    # by file path, so no scipy module is imported at all
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", "import irid.cli, sys; print(sorted(m for m in "
-         "sys.modules if m.split('.')[:2] in (['scipy', 'linalg'], "
-         "['scipy', 'signal'], ['scipy', 'stats'])))"],
+         "sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# makes the first `fails` loads of irid._flapack raise ImportError, as a
+# wheel that needs its __init__ to set up its shared libraries would
+FAILING_LOADS = """
+import importlib.util
+real_module_from_spec = importlib.util.module_from_spec
+failed = []
+def module_from_spec(spec):
+    if spec.name == "irid._flapack" and len(failed) < {fails}:
+        failed.append(spec.origin)
+        raise ImportError("cannot open shared object file")
+    return real_module_from_spec(spec)
+importlib.util.module_from_spec = module_from_spec
+"""
+
+
+def test_extension_loads_again_after_importing_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_LOADS.format(fails=1)
+         + "import irid, irid.lti, sys; print(len(failed), 'scipy' in "
+         "sys.modules)\n"
+         "import numpy as np, scipy.linalg.lapack\n"
+         "a = np.random.default_rng(0).standard_normal((6, 4))\n"
+         "print(all(np.array_equal(x, y) for x, y in zip("
+         "irid.lti._flapack.dgeqrt(2, a), scipy.linalg.lapack.dgeqrt(2, a))))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "True"]
+
+
+# finds no scipy package, as where scipy is not installed
+NO_SCIPY = """
+import importlib.util
+real_find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *args: (
+    None if name == "scipy" else real_find_spec(name, *args))
+"""
+
+
+@pytest.mark.parametrize("patch, named", [
+    (FAILING_LOADS.format(fails=2), "failed[1]"),   # the extension's path
+    (NO_SCIPY, "'scipy'"),
+])
+def test_import_error_names_what_it_could_not_load(patch, named):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", patch + "try:\n    import irid\n"
+         f"except ImportError as exc:\n    print({named} in str(exc))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_scipy_linalg_imports_after_the_package():
