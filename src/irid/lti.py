@@ -145,6 +145,13 @@ def _all_finite(what: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _sum_squares(x: np.ndarray) -> float:
+    """The sum of the squares of the vector ``x``, by numpy, not BLAS:
+    BLAS splits a long vector's sum across its threads, which would make
+    the bits depend on their number."""
+    return np.einsum("i,i->", x, x)
+
+
 def _trim(c: np.ndarray) -> np.ndarray:
     """Strip leading zeros; the zero polynomial stays as ``[0.0]``."""
     nz = np.flatnonzero(c)

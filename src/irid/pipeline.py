@@ -24,7 +24,7 @@ from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                  _all_finite, _count, _finite_real, _positive,
+                  _all_finite, _count, _finite_real, _positive, _sum_squares,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
@@ -141,13 +141,6 @@ class IridResult:
     stable: bool
 
 
-def _norm(x: np.ndarray) -> float:
-    """The 2-norm of the vector ``x``, its squares summed by numpy: BLAS
-    splits a long vector's sum across its threads, which would make the
-    bits depend on their number."""
-    return math.sqrt(np.einsum("i,i->", x, x))
-
-
 def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     """(relative L2 distance, max absolute deviation) of b against a.
 
@@ -163,8 +156,8 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     peak = float(np.abs(diff).max())
     top = math.frexp(max(peak, float(np.abs(a.values).max())))[1]
     # np.ldexp, since 2.0**-top overflows for a subnormal peak
-    err = _norm(np.ldexp(diff, -top))
-    norm = _norm(np.ldexp(a.values, -top))
+    err = math.sqrt(_sum_squares(np.ldexp(diff, -top)))
+    norm = math.sqrt(_sum_squares(np.ldexp(a.values, -top)))
     if norm == 0.0:
         return (0.0 if err == 0.0 else math.inf), peak
     return err / norm, peak
@@ -354,10 +347,7 @@ def write_outputs(res: IridResult, out_dir: Union[str, Path],
             "den": res.gc.den.tolist(),
         },
         "stable_discrete": res.stable,
-        "metrics": {
-            "discrete": asdict(res.metrics.discrete),
-            "continuous": asdict(res.metrics.continuous),
-        },
+        "metrics": asdict(res.metrics),
     }
     h = [res.h_ref.values, res.h_d.values, res.h_c.values]
     db = [f.magnitude_db() for f in (res.f_ref, res.f_d, res.f_c)]

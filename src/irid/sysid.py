@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, _all_finite, _allpole, _count, _flapack)
+                  TimeSeries, _all_finite, _allpole, _count, _flapack,
+                  _sum_squares)
 
 __all__ = ["stmcb_fit", "bilinear_d2c"]
 
@@ -72,11 +73,8 @@ def _keep(best: tuple, resp: np.ndarray, y: np.ndarray, a: np.ndarray,
     ``resp``, if its squared output error ||y - resp||**2 is below
     ``best[0]``; else ``best``.  ``resp`` is overwritten by y - resp.  A
     non-finite error is never kept, so callers compute ``resp`` and call
-    this with floating-point warnings off.  The squares are summed by
-    numpy, not BLAS, whose threads would split the sum of a long vector
-    and change its bits with their number."""
-    diff = np.subtract(y, resp, out=resp)
-    err = np.einsum("i,i->", diff, diff)
+    this with floating-point warnings off."""
+    err = _sum_squares(np.subtract(y, resp, out=resp))
     return (err, a, b) if err < best[0] else best
 
 
@@ -262,19 +260,9 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     coefficient, is not finite: the continuous model's coefficients are
     then out of range.
     """
-    ts = g.ts
-    # den(-1) by Horner's rule, as np.polyval takes it, and the sum of
-    # |den|, in Python floats: the same IEEE operations in the same order
-    den_at_minus1 = den_size = 0.0
-    for c in g.den.tolist():
-        den_at_minus1 = den_at_minus1 * -1.0 + c
-        den_size += abs(c)
-    if abs(den_at_minus1) <= 1e-12 * den_size:
-        raise EvaluationError("discrete denominator has a root at z = -1")
-
     deg = len(g.den) - 1
     with np.errstate(over="ignore"):
-        powers = (ts / 2.0) ** np.arange(deg + 1)
+        powers = (g.ts / 2.0) ** np.arange(deg + 1)
     if not sys.float_info.min <= powers[-1] < math.inf:
         raise EvaluationError(f"(ts/2)**{deg} = {powers[-1]:g} is not a "
                               f"normal double; the continuous model's "
@@ -288,9 +276,18 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     # row i of the reversed basis is the image of z**(deg - i), which
     # coefficient i multiplies
     basis = _bilinear_basis(deg)[::-1]
+    # sum(|den|) in Python floats, left to right: sum() compensates its
+    # float sums from Python 3.12 on, which changes their bits
+    den_size = 0.0
+    for c in g.den.tolist():
+        den_size += abs(c)
     with np.errstate(all="ignore"):
+        raw = g.den @ basis
+        # the basis's last column is (-1)**i, so raw[-1] is +-den(-1)
+        if abs(raw[-1]) <= 1e-12 * den_size:
+            raise EvaluationError("discrete denominator has a root at z = -1")
         num = (g.num @ basis * powers)[::-1]
-        den = (g.den @ basis * powers)[::-1]
+        den = (raw * powers)[::-1]
         # the quotients the monic continuous model stores
         monic = np.concatenate((num, den)) / den[0]
     _all_finite("continuous model coefficients are out of the double range",

@@ -576,19 +576,20 @@ class TestFitQualitySweep:
     # equation-error fit, and the reported metric is that output error
     # relative to the data: the fit is scored on the window it minimizes
     # over.  The two differ only by rounding: at most 2.8e-5 relative at
-    # m=256, where the metric is near 2e-13, and 1.2e-7 at m=4096.
+    # m=256, where the metric is near 2e-13, 1.2e-7 at m=4096 and 6.8e-8
+    # at m=16384.
     @staticmethod
-    def sweep(monkeypatch, wgc_tm, m):
+    def sweep(monkeypatch, wgc_tm, m, norders=(2, 5, 8)):
         """(good discrete fits per order, good continuous fits, worst
         discrete score per order)."""
-        good = {2: 0, 5: 0, 8: 0}
-        worst = {2: 0.0, 5: 0.0, 8: 0.0}
+        good = dict.fromkeys(norders, 0)
+        worst = dict.fromkeys(norders, 0.0)
         good_continuous = 0
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
             for lam, mu, (wgc, tm), norder in itertools.product(
                     (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95), wgc_tm,
-                    (2, 5, 8)):
+                    norders):
                 req = IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
                                   wmin=0.01, wmax=100.0, norder=norder, m=m)
                 res = irid_fcoi(req)
@@ -632,6 +633,19 @@ class TestFitQualitySweep:
         assert good_continuous >= 181
         assert worst[5] < 0.042 and worst[8] < 0.057
 
+    def test_m16384_crossover_window_products(self, monkeypatch):
+        # the same 105 (lam, mu, wgc*tm) points at m=16384, orders 5 and 8
+        # only, 210 requests: order 2 would add half again to the time.
+        # Order 5 misses one request, lam=1, mu=-0.95, wgc*tm=0.2 (0.106);
+        # order 8's worst is lam=0.5, mu=-0.95, wgc*tm=5 (0.065)
+        good, good_continuous, worst = self.sweep(
+            monkeypatch, [(1.0, tm) for tm in
+                          (0.05, 0.2, 0.5, 2.0, 5.0, 20.0, 200.0)], 16384,
+            (5, 8))
+        assert good[5] >= 104 and good[8] == 105
+        assert good_continuous >= 130
+        assert worst[5] < 0.107 and worst[8] < 0.066
+
 
 class TestWriteOutputs:
     def test_files_written(self, small_result, tmp_path):
@@ -661,8 +675,7 @@ class TestWriteOutputs:
         assert data["continuous"]["num"] == small_result.gc.num.tolist()
         assert data["continuous"]["den"] == small_result.gc.den.tolist()
         assert data["stable_discrete"] == small_result.stable
-        m = data["metrics"]["discrete"]
-        assert m["impulse_rel_l2"] == small_result.metrics.discrete.impulse_rel_l2
+        assert data["metrics"] == asdict(small_result.metrics)
 
     def test_empty_dir_rejected(self, small_result):
         with pytest.raises(ParamError, match="empty output directory"):

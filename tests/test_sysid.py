@@ -489,6 +489,28 @@ class TestBilinear:
         with pytest.raises(EvaluationError, match="root at z = -1"):
             bilinear_d2c(g)
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_root_at_minus_one_rejected_at_every_order(self, order):
+        # den = (z + 1) * prod(z - r_i), the r_i conjugate pairs and, at
+        # even order, one real root, all inside |z| < 0.5; with z + 1
+        # moved to z + 1 - 1e-6 the model converts, its pole near
+        # (2/ts) * (z - 1)/(z + 1) = -4e7
+        rng = np.random.default_rng(order)
+        pairs = 0.5 * rng.uniform(0.0, 1.0, (order - 1) // 2) * np.exp(
+            1j * rng.uniform(0.0, np.pi, (order - 1) // 2))
+        rest = np.r_[pairs, pairs.conj(),
+                     rng.uniform(-0.5, 0.5, (order - 1) % 2)]
+        num = rng.standard_normal(order + 1)
+        den = np.real(np.poly(np.r_[-1.0, rest]))
+        with pytest.raises(EvaluationError, match="root at z = -1"):
+            bilinear_d2c(DiscreteTransferFunction(num, den, 0.1))
+        den = np.real(np.poly(np.r_[-1.0 + 1e-6, rest]))
+        gc = bilinear_d2c(DiscreteTransferFunction(num, den, 0.1))
+        assert len(gc.den) == order + 1
+        poles = np.roots(gc.den)
+        far = poles[np.argmax(np.abs(poles))]
+        assert far == pytest.approx(20.0 * (-2.0 + 1e-6) / 1e-6, rel=1e-6)
+
     def test_defining_identity_for_fitted_model(self):
         h = impulse_of([0.5, 0.2], [1.0, -1.1, 0.3], 150, ts=0.05)
         gd = stmcb_fit(h, 1, 2)
