@@ -81,7 +81,11 @@ def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
     j*sin(lam*b)), cr + j*ci = cos(mu*a)*cosh(mu*b) -
     j*sin(mu*a)*sinh(mu*b).  The minus signs of b and ci ride on the
     multiplications, which is exact, so every product and sum is the one
-    the expansion names, in its order."""
+    the expansion names, in its order.  Four real temporaries of the size
+    of ``s`` are allocated besides the output."""
+    # one flat line, so that the output's storage can lend two contiguous
+    # real scratch lines of its size; a C-order ``s`` is not copied
+    shape, s = s.shape, s.reshape(-1)
     x, y = s.real, s.imag
     a = np.hypot(x, y)
     np.divide(p.wgc, a, out=a)
@@ -90,26 +94,29 @@ def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
     e = np.multiply(p.lam, a)
     np.exp(e, out=e)
     t = np.multiply(-p.lam, b)
-    er = np.cos(t)
-    np.multiply(e, er, out=er)
+    # the output's storage holds the scratch lines u and v until its real
+    # and imaginary parts are written
+    g = np.empty_like(s)
+    u, v = g.view(x.dtype).reshape(2, -1)
+    np.cos(t, out=u)
     np.sin(t, out=t)
     np.multiply(e, t, out=t)  # ei
+    np.multiply(e, u, out=e)  # er
     np.multiply(p.mu, a, out=a)
     np.multiply(-p.mu, b, out=b)
-    np.cosh(b, out=e)
-    cr = np.cos(a)
-    np.multiply(cr, e, out=cr)
+    np.cosh(b, out=u)
+    np.cos(a, out=v)
     np.sinh(b, out=b)
     np.sin(a, out=a)
     np.multiply(a, b, out=a)  # -ci
-    g = np.empty_like(s)
+    np.multiply(v, u, out=b)  # cr
     re, im = g.real, g.imag
     # re = er*cr - ei*ci, im = er*ci + ei*cr
-    np.multiply(er, cr, out=re)
+    np.multiply(e, b, out=re)
+    np.multiply(t, b, out=im)
     np.add(re, np.multiply(t, a, out=b), out=re)
-    np.multiply(t, cr, out=im)
-    np.subtract(im, np.multiply(er, a, out=b), out=im)
-    return g
+    np.subtract(im, np.multiply(e, a, out=b), out=im)
+    return g.reshape(shape)
 
 
 def cfoi_transfer(p: CfoiParams, s):

@@ -310,7 +310,7 @@ class FrequencyResponseSeries:
         return np.degrees(np.unwrap(np.angle(self.response)))
 
 
-def _allpole(den: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _allpole(den: np.ndarray, x: np.ndarray, band: np.ndarray) -> np.ndarray:
     """The columns of ``x`` filtered through 1/den(z) from a zero state, in
     place; ``den`` is monic and ``x`` a Fortran-order float64 (n, k) array,
     which is returned.
@@ -318,10 +318,24 @@ def _allpole(den: np.ndarray, x: np.ndarray) -> np.ndarray:
     This is forward substitution with the n-by-n unit lower-triangular
     banded Toeplitz matrix whose i-th subdiagonal holds den[i]: LAPACK
     tbtrs, no pivoting, solving in place.  Any other layout or dtype would
-    be solved in a copy, leaving ``x`` as it was.
+    be solved in a copy, leaving ``x`` as it was.  The caller owns the
+    band's storage: ``band`` is a Fortran-order float64 (len(den), n)
+    array, whatever it holds, and every entry of it is overwritten with
+    den in every column.  The fit lends the storage of its regression
+    matrix, which is idle while it filters; :func:`discrete_impulse`
+    passes a new array.
     """
-    # den in every column: (n, len(den)) in C order is the band in F order
-    band = np.repeat(den[None, :], x.shape[0], axis=0).T
+    # den in every column: (n, len(den)) in C order is the band in F order.
+    # A broadcast over all n rows copies len(den) values per row; one over
+    # at most 256 rows, then one block copy per doubling, is ~3x as fast at
+    # 16384 rows
+    rows = band.T
+    rows[:256] = den
+    filled = len(rows[:256])
+    while filled < len(rows):
+        step = min(filled, len(rows) - filled)
+        rows[filled:filled + step] = rows[:step]
+        filled += step
     y, _ = dtbtrs(band, x, uplo="L", diag="U", overwrite_b=1)
     return y
 
@@ -340,7 +354,7 @@ def discrete_impulse(g: DiscreteTransferFunction, n: int) -> TimeSeries:
     x = np.zeros((n, 1))
     b = g.num[:n]
     x[:len(b), 0] = b
-    vals = _allpole(g.den, x)[:, 0]
+    vals = _allpole(g.den, x, np.empty((len(g.den), n), order="F"))[:, 0]
     return TimeSeries(0.0, g.ts, _all_finite(
         "discrete impulse response overflows; the model has a pole far "
         "outside the unit circle", vals))

@@ -57,7 +57,8 @@ __all__ = ["nilt"]
 _REL_ERR = 1e-8  # target aliasing error; sets the damping c
 _QD_TERMS = 17  # 2*P + 1 extra line samples for the continued fraction
 # largest sample count: at m = 2**20 and norder 8 the fit's regression
-# matrix reaches its cap, sysid._MAX_FIT_ENTRIES (about 151 MB)
+# matrix reaches its cap, sysid._MAX_FIT_ENTRIES (about 151 MB), and the
+# fit, whose filter band lives in that matrix, peaks at 1.24 times it
 _MAX_M = 2 ** 20
 
 
@@ -198,7 +199,6 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     N = 2 * m
     dw = 2.0 * math.pi / T
     dt = tm / m
-    t = np.arange(1, m + 1) * dt
 
     s = np.arange(N, dtype=complex)
     np.multiply(1j * dw, s, out=s)
@@ -222,11 +222,15 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
             r = 0.0
         if r != 0.0:
-            # into a new buffer: F may be the transform's own array
+            # into a new buffer: F may be the transform's own array, and the
+            # transform may have kept s
             split = np.add(s, beta)
             np.divide(r, split, out=split)
             F = np.subtract(F, split, out=split)
             F_tail = F_tail - r / (s_tail + beta)
+        # the line is not read after this: its storage can go back before
+        # the tail's buffers are allocated, unless the transform keeps it
+        del s
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)
@@ -235,6 +239,7 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         re = _twice_real_sum(F, m)
         np.add(re, tail, out=re)
         # vals = (exp(c*t)/T) * (2*Re(line sum + tail) - Re(F_0)), in place
+        t = np.arange(1, m + 1) * dt
         vals = np.multiply(c, t)
         np.exp(vals, out=vals)
         np.divide(vals, T, out=vals)

@@ -145,6 +145,16 @@ class TestTransfer:
         assert np.ndim(cfoi_transfer(p, zero_d)) == 0
         assert cfoi_transfer(p, zero_d) == cfoi_transfer(p, s[7:8])[0]
 
+    def test_real_form_keeps_the_shape(self):
+        # a 2-D array in either memory order, or a strided view of one,
+        # gets the bits of the same points evaluated as one flat line
+        p = CfoiParams(1.5, -0.4, 2.0)
+        s = (0.9 + 1j * np.linspace(0.0, 500.0, 600)).reshape(20, 30)
+        for arr in (s, np.asfortranarray(s), s[:, ::2]):
+            got = cfoi_transfer(p, arr)
+            assert got.shape == arr.shape
+            assert np.array_equal(got.ravel(), cfoi_transfer(p, arr.ravel()))
+
     def test_real_form_on_the_negative_real_axis(self):
         # the real form keeps conjugate symmetry on the branch cut: -2 - 0j
         # gets the conjugate of -2 + 0j, where the direct form's complex

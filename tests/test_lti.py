@@ -301,7 +301,8 @@ class TestAllPole:
         data[0] = np.random.default_rng(n).standard_normal(n)
         data[1, 0] = 1.0
         for x in (data[:1].T, data.T):
-            y = _allpole(den, x.copy(order="F"))
+            y = _allpole(den, x.copy(order="F"),
+                         np.empty((order + 1, n), order="F"))
             assert y.shape == x.shape
             for col in range(x.shape[1]):
                 want = scipy.signal.lfilter([1.0], den, x[:, col])
@@ -309,14 +310,23 @@ class TestAllPole:
                 assert err <= 1e-13, (col, err)
 
     def test_filters_in_place(self):
-        # the fit refills one Fortran-order array and filters it in place:
-        # LAPACK writes into x and returns it, with the bits of a fresh copy
+        # the fit refills its columns and filters them in place through a
+        # band in the storage of its regression matrix: LAPACK writes into
+        # x and returns it, and every band entry is written, so a band
+        # holding NaN or another denominator gives the bits of a fresh one
         den = allpole_den(5, 0.9)
         rng = np.random.default_rng(1)
         x = np.asfortranarray(rng.standard_normal((300, 2)))
-        fresh = x.copy(order="F")
-        assert _allpole(den, x) is x
-        assert np.array_equal(x, _allpole(den, fresh))
+        want = _allpole(den, x.copy(order="F"),
+                        np.empty((6, 300), order="F"))
+        nan = np.full((6, 300), np.nan, order="F")
+        other = np.repeat(allpole_den(5, 1.0008)[None, :], 300, axis=0).T
+        filled = np.repeat(den[None, :], 300, axis=0).T
+        for band in (nan, other):
+            y = x.copy(order="F")
+            assert _allpole(den, y, band) is y
+            assert y.tobytes() == want.tobytes()
+            assert np.array_equal(band, filled)
 
 
 class TestContinuousImpulse:

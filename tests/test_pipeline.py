@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -243,6 +244,23 @@ class TestIridFcoi:
             assert len(h) == len(res.h_ref)
         for f in (res.f_d, res.f_c):
             assert np.array_equal(f.grid.omegas, res.f_ref.grid.omegas)
+
+    def test_peak_memory_per_request(self):
+        # a warm m = 16384 request: the fit's band lives in its matrix and
+        # the transform keeps four line-length real temporaries, so the
+        # request peaks at ~2.3 MiB above what it starts with (3.26 MiB
+        # with a band and two more temporaries of their own)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=16384)
+        irid_fcoi(req)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            irid_fcoi(req)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** 20
 
     def test_grid_within_band(self, small_result):
         omegas = small_result.f_ref.grid.omegas

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,7 +73,8 @@ def full_matrix_stmcb(h: TimeSeries, nb: int, na: int):
     mat = np.empty((n, na + nb + 1), order="F")
     a = np.ones(1)
     for _ in range(5):
-        hf, xf = _allpole(a, data.copy(order="F")).T
+        hf, xf = _allpole(a, data.copy(order="F"),
+                          np.empty((len(a), n), order="F")).T
         lagged_blocks(hf, xf, nb, na, mat)
         sol, _, _, _ = np.linalg.lstsq(mat, hf, rcond=None)
         a = np.concatenate(([1.0], sol[:na]))
@@ -185,6 +187,22 @@ class TestStmcb:
         # unit impulse
         assert np.array_equal(mats[0][:, k], h.values / 2.0)
         assert np.array_equal(mats[0][:, na], np.eye(60)[0])
+
+    def test_peak_memory_near_its_matrix(self):
+        # the 18-column matrix of an (8, 8) fit is its one large buffer:
+        # the filter's band borrows its storage and the filter works in
+        # place, so the fit peaks at about 22 n-length arrays of doubles
+        # (33 with a band and a two-column work array of their own)
+        n = 2 ** 16
+        h = impulse_of([1.0, 0.5], [1.0, -1.9998, 0.9999], n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stmcb_fit(h, 8, 8)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 8 * n
 
     def test_insufficient_data(self):
         h = TimeSeries(0.0, 1.0, np.ones(10))
