@@ -194,11 +194,61 @@ def compare_frequency(a: FrequencyResponseSeries,
     return _polar_errors(_polar(a), _polar(b))
 
 
+def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
+    """The reference: the integrator's impulse response on (0, tm],
+    inverted numerically; EvaluationError if it underflows to zero at
+    every sample."""
+    h_ref = nilt(lambda s: cfoi_transfer(params, s), tm, m)
+    # G is nowhere zero, so an all-zero reference is an underflow
+    if not h_ref.values.any():
+        raise EvaluationError("the reference underflows to zero at every "
+                              "sample")
+    return h_ref
+
+
+def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
+    """Stages "fit", "conversion" and "compare" of :func:`irid_fcoi` on
+    the reference ``h_ref`` of ``req``, which they leave unchanged."""
+    dt = h_ref.dt
+    # an IridError is re-raised as PipelineStageError(stage)
+    stage = "fit"
+    try:
+        gd = stmcb_fit(TimeSeries(h_ref.t0, dt, dt * h_ref.values),
+                       req.norder, req.norder)
+        with np.errstate(over="ignore"):
+            vals = discrete_impulse(gd, req.m).values / dt
+        h_d = TimeSeries(dt, dt, _all_finite(
+            "discrete impulse response overflows when rescaled by 1/dt", vals))
+        stable, _ = is_stable_discrete(gd)
+
+        stage = "conversion"
+        gc = bilinear_d2c(gd)
+        h_c = continuous_impulse(gc, dt, req.m)
+
+        stage = "compare"
+        f_ref = cfoi_freq_grid(req.params, req.grid)
+        f_d = discrete_freq_response(gd, req.grid)
+        f_c = continuous_freq_response(gc, req.grid)
+        # compare_frequency of each model, the reference's polar form
+        # computed once; the three responses share one grid
+        ref = _polar(f_ref)
+        metrics = ComparisonMetrics(*(
+            ModelErrors(*compare_impulse(h_ref, h),
+                        *_polar_errors(ref, _polar(f)))
+            for h, f in ((h_d, f_d), (h_c, f_c))))
+    except IridError as exc:
+        raise PipelineStageError(stage, exc) from exc
+    return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
+                      h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,
+                      metrics=metrics, stable=stable)
+
+
 def irid_fcoi(req: IridRequest) -> IridResult:
     """Run the discretization pipeline for one integrator.
 
-    Four stages, each run once and in this order: "nilt" numerically
-    inverts the exact transfer function on (0, tm]; "fit" scales that by
+    Four stages, each run once and in this order.  The reference stage,
+    "nilt", numerically inverts the exact transfer function on (0, tm].
+    The model stages fit models to that reference: "fit" scales it by
     dt, fits a (norder, norder) discrete model, computes its impulse
     response by its difference equation, rescaled back by 1/dt so all
     three responses share one amplitude convention, and its stability
@@ -221,52 +271,15 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     far in the right half-plane.  Only the clamp warning comes before the
     first stage, and nothing warns but the clamp.
     """
-    p = req.params
-    dt = req.tm / req.m
-
-    grid = req.grid
-    if req.wmax > grid.omegas[-1]:
-        warnings.warn(f"wmax={req.wmax:g} rad/s exceeds "
-                      f"{grid.omegas[-1]:g}; clamping to it", stacklevel=2)
-
-    # an IridError is re-raised as PipelineStageError(stage)
-    stage = "nilt"
+    top = req.grid.omegas[-1]
+    if req.wmax > top:
+        warnings.warn(f"wmax={req.wmax:g} rad/s exceeds {top:g}; clamping "
+                      f"to it", stacklevel=2)
     try:
-        h_ref = nilt(lambda s: cfoi_transfer(p, s), req.tm, req.m)
-        # G is nowhere zero, so an all-zero reference is an underflow
-        if not h_ref.values.any():
-            raise EvaluationError("the reference underflows to zero at "
-                                  "every sample")
-
-        stage = "fit"
-        gd = stmcb_fit(TimeSeries(h_ref.t0, h_ref.dt, dt * h_ref.values),
-                       req.norder, req.norder)
-        with np.errstate(over="ignore"):
-            vals = discrete_impulse(gd, req.m).values / dt
-        h_d = TimeSeries(dt, dt, _all_finite(
-            "discrete impulse response overflows when rescaled by 1/dt", vals))
-        stable, _ = is_stable_discrete(gd)
-
-        stage = "conversion"
-        gc = bilinear_d2c(gd)
-        h_c = continuous_impulse(gc, dt, req.m)
-
-        stage = "compare"
-        f_ref = cfoi_freq_grid(p, grid)
-        f_d = discrete_freq_response(gd, grid)
-        f_c = continuous_freq_response(gc, grid)
-        # compare_frequency of each model, the reference's polar form
-        # computed once; the three responses share one grid
-        ref = _polar(f_ref)
-        metrics = ComparisonMetrics(*(
-            ModelErrors(*compare_impulse(h_ref, h),
-                        *_polar_errors(ref, _polar(f)))
-            for h, f in ((h_d, f_d), (h_c, f_c))))
+        h_ref = _reference(req.params, req.tm, req.m)
     except IridError as exc:
-        raise PipelineStageError(stage, exc) from exc
-    return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,
-                      h_c=h_c, f_ref=f_ref, f_d=f_d, f_c=f_c,
-                      metrics=metrics, stable=stable)
+        raise PipelineStageError("nilt", exc) from exc
+    return _models(req, h_ref)
 
 
 def _csv(header: str, columns: List[np.ndarray]) -> str:

@@ -192,8 +192,11 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
             hf[...] = data
             # pass 0 filters through A(z) = 1, which leaves both as they are
             if it:
-                _all_finite(f"prefiltered data overflowed (iteration {it})",
-                            _allpole(a, filtered, band))
+                _allpole(a, filtered, band)
+                # each column on its own, so "(sample k)" names a time index
+                for name, col in (("impulse", xf), ("data", hf)):
+                    _all_finite(f"prefiltered {name} overflowed "
+                                f"(iteration {it})", col)
             np.negative(hf, out=src_h[na:])
             np.copyto(mat[:, :na], lags_h)
             np.copyto(mat[:, na:k], lags_x)

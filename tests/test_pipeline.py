@@ -22,8 +22,9 @@ from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
-from irid.pipeline import (IridRequest, _band_limit, compare_frequency,
-                           compare_impulse, irid_fcoi, write_outputs)
+from irid.pipeline import (IridRequest, _band_limit, _models, _reference,
+                           compare_frequency, compare_impulse, irid_fcoi,
+                           write_outputs)
 from irid.sysid import stmcb_fit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -262,6 +263,25 @@ class TestIridFcoi:
             tracemalloc.stop()
         assert peak <= 2.5 * 2 ** 20
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KiB on Linux")
+    def test_max_rss_at_the_top_of_the_domain(self):
+        # m = 2**20 and norder 8 in a fresh process, the largest fit the
+        # matrix cap admits: 250 MiB measured on Linux x86-64 (Python 3.11,
+        # numpy 2.4, scipy 1.17); the bound leaves 50 MiB for other
+        # interpreters and numpy/OpenBLAS builds, and a fit that allocated
+        # its own filter band (346 MiB) fails it
+        code = ("import resource\n"
+                "from irid import CfoiParams, IridRequest, irid_fcoi\n"
+                "irid_fcoi(IridRequest(params=CfoiParams(1.5, -0.4, 1.0), "
+                "tm=2.0, wmin=0.01, wmax=100.0, norder=8, m=2 ** 20))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 <= 300
+
     def test_grid_within_band(self, small_result):
         omegas = small_result.f_ref.grid.omegas
         assert omegas[0] >= 0.01 and omegas[-1] <= 40.0
@@ -325,20 +345,51 @@ class TestIridFcoi:
                 res = irid_fcoi(req)
             assert res.f_ref.grid.omegas[-1] <= 0.9 * math.pi / (2.0 / 64)
 
-    def test_fit_stage_failure_is_labelled(self, monkeypatch):
+    def test_fit_stage_failure_is_labelled(self):
         # a valid request cannot ask for too few samples any more, so the
-        # real fit is handed data it cannot use: all zeros
-        def fit(h, nb, na):
-            zeros = TimeSeries(h.t0, h.dt, np.zeros(len(h)))
-            return stmcb_fit(zeros, nb, na)
-
-        monkeypatch.setattr(irid.pipeline, "stmcb_fit", fit)
+        # model stages are handed a reference the fit cannot use: all zeros
         req = IridRequest(params=CfoiParams(1.0, 0.0, 1.0), tm=2.0,
                           wmin=0.1, wmax=10.0, norder=5, m=64, npoints=20)
+        dt = req.tm / req.m
         with pytest.raises(PipelineStageError) as err:
-            irid_fcoi(req)
+            _models(req, TimeSeries(dt, dt, np.zeros(req.m)))
         assert err.value.stage == "fit"
         assert isinstance(err.value.cause, EvaluationError)
+
+    @staticmethod
+    def outputs(res):
+        """Every output of a run, floats as their bytes."""
+        series = [(h.t0, h.dt, h.values.tobytes())
+                  for h in (res.h_ref, res.h_d, res.h_c)]
+        models = [c.tobytes() for c in (res.gd.num, res.gd.den, res.gc.num,
+                                        res.gc.den)]
+        responses = [(f.grid.omegas.tobytes(), f.response.tobytes())
+                     for f in (res.f_ref, res.f_d, res.f_c)]
+        return (series, res.gd.ts, models, responses, asdict(res.metrics),
+                res.stable)
+
+    # lattice points of the benchmark's domain_sweep: tm = 20 at m = 256
+    # clamps wmax = 100 to the band limit, 36.2 rad/s
+    @pytest.mark.parametrize("lam, mu, wgc, tm, m", [
+        (1.5, -0.5, 1.0, 2.0, 256), (0.5, -0.95, 10.0, 20.0, 256),
+        (1.95, 0.0, 0.1, 0.5, 4096), (0.1, -0.5, 1.0, 20.0, 4096)])
+    def test_models_share_one_reference(self, lam, mu, wgc, tm, m):
+        # one reference, fitted at three orders, gives irid_fcoi's bits for
+        # each, and the model stages leave it as it was; only irid_fcoi
+        # warns of the clamp
+        params = CfoiParams(lam, mu, wgc)
+        h_ref = _reference(params, tm, m)
+        before = h_ref.values.copy()
+        for norder in (2, 5, 8):
+            req = IridRequest(params=params, tm=tm, wmin=0.01, wmax=100.0,
+                              norder=norder, m=m)
+            shared = _models(req, h_ref)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "wmax=.*clamping",
+                                        UserWarning)
+                alone = irid_fcoi(req)
+            assert self.outputs(shared) == self.outputs(alone)
+        assert h_ref.values.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("mu", [-0.4, -0.2])
     def test_continuous_impulse_matches_residues(self, mu):
@@ -599,25 +650,25 @@ class TestFitQualitySweep:
     @staticmethod
     def sweep(monkeypatch, wgc_tm, m, norders=(2, 5, 8)):
         """(good discrete fits per order, good continuous fits, worst
-        discrete score per order)."""
+        discrete score per order); each integrator is inverted once, and
+        its models are fitted to that one reference at every order."""
         good = dict.fromkeys(norders, 0)
         worst = dict.fromkeys(norders, 0.0)
         good_continuous = 0
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
-            for lam, mu, (wgc, tm), norder in itertools.product(
-                    (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95), wgc_tm,
-                    norders):
-                req = IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
-                                  wmin=0.01, wmax=100.0, norder=norder, m=m)
-                res = irid_fcoi(req)
+        for lam, mu, (wgc, tm) in itertools.product(
+                (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95), wgc_tm):
+            params = CfoiParams(lam, mu, wgc)
+            h_ref = _reference(params, tm, m)
+            data = TimeSeries(h_ref.t0, h_ref.dt, h_ref.dt * h_ref.values)
+            for norder in norders:
+                req = IridRequest(params=params, tm=tm, wmin=0.01,
+                                  wmax=100.0, norder=norder, m=m)
+                res = _models(req, h_ref)
                 assert res.gd.den[0] == res.gc.den[0] == 1.0, req
                 score = res.metrics.discrete.impulse_rel_l2
                 good[norder] += score < 0.1
                 worst[norder] = max(worst[norder], score)
                 good_continuous += res.metrics.continuous.impulse_rel_l2 < 0.1
-                data = TimeSeries(res.h_ref.t0, res.h_ref.dt,
-                                  res.h_ref.dt * res.h_ref.values)
                 with monkeypatch.context() as patch:
                     patch.setattr(irid.sysid, "_PASSES", 1)
                     first = stmcb_fit(data, norder, norder)

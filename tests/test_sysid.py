@@ -284,11 +284,12 @@ class TestStmcb:
     def test_non_finite_iterate_reports_index(self):
         # finite data growing from 1e-300 to 1e300: the first (unfiltered)
         # pass fits a pole near 1.4e10, which makes the second prefilter
-        # pass overflow
+        # pass overflow the unit impulse at time index 31, the data nowhere
         n = 60
         h = TimeSeries(0.0, 1.0, 10.0 ** (600 / (n - 1) * np.arange(n) - 300))
         with pytest.raises(EvaluationError,
-                           match=r"data overflowed \(iteration 1\)"):
+                           match=r"^prefiltered impulse overflowed "
+                                 r"\(iteration 1\) \(sample 31\)$"):
             stmcb_fit(h, 0, 1)
 
     def test_overflowing_factor_raises_before_lapack(self, capfd):
