@@ -63,59 +63,80 @@ class CfoiParams:
         object.__setattr__(self, "wgc", _positive("wgc", self.wgc))
 
 
-# Arrays of this many points or more take the real form of G: from about
-# here up, numpy's complex log, exp and cos cost more than the real
-# functions they expand to (median per call on one CPU of a 2-CPU Xeon
-# VM: 17 points 11 us direct against 28 us real, 256 points 48 against
-# 43, 512 points 85 against 68, 32768 points 5.8 ms against 3.6 ms).
-# Shorter arrays keep the direct form's bits; the 17-point qd tail must,
-# because the continued fraction amplifies any change in its rounding.
+# Arrays of this many points or more take the real form of G: from here
+# up, numpy's complex log, exp and cos cost as much as the real functions
+# they expand to or more (median per call, numpy 2.4 on one CPU of a
+# 2-CPU AVX-512 Xeon VM: 17 points 6.0 us direct against 20 us real, 256
+# points 25 against 26, 512 points 47 against 34, 32768 points 2.9 ms
+# against 1.3 ms).  Shorter arrays keep the direct form's bits; the
+# 17-point qd tail must, because the continued fraction amplifies any
+# change in its rounding.
 _REAL_FORM_MIN = 256
 
 
 def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
     """G(s) in real arithmetic of the dtype of ``s``, a checked complex
-    array: L = log(wgc/s) = a + j*b with a = log(wgc/|s|) and
-    b = -arctan2(Im s, Re s), then G = exp(lam*L) * cos(mu*L) =
-    (er + j*ei) * (cr + j*ci), er + j*ei = e^(lam*a) * (cos(lam*b) +
-    j*sin(lam*b)), cr + j*ci = cos(mu*a)*cosh(mu*b) -
-    j*sin(mu*a)*sinh(mu*b).  The minus signs of b and ci ride on the
-    multiplications, which is exact, so every product and sum is the one
-    the expansion names, in its order.  Four real temporaries of the size
-    of ``s`` are allocated besides the output."""
+    array, on functions that numpy vectorises: |s| from ``np.abs`` and
+    no cos or sin, whose float64 loops (like hypot's) are scalar libm
+    calls, several times slower than abs, tan, cosh or sinh.
+
+    L = log(wgc/s) = a + j*b with a = log(wgc/|s|) and b = -arg s, then
+    G = exp(lam*L) * cos(mu*L) = (er + j*ei) * (cr + j*ci), er + j*ei =
+    e^(lam*a) * (cos(lam*b) + j*sin(lam*b)), cr + j*ci =
+    cos(mu*a)*cosh(mu*b) - j*sin(mu*a)*sinh(mu*b).  Each cosine and sine
+    comes from the tangent of the half angle, t = tan(x/2): with
+    d = 1 + t^2, cos x = (2 - d)/d and sin x = 2*(t/d).  t^2 stays far
+    inside the dtype's range at every angle, and each ratio is formed
+    before it scales e^(lam*a), cosh or sinh, so every product under- and
+    overflows only where the expansion's own factors make it.  tan and
+    sinh are odd and cosh is even, so G(conj s) = conj G(s) exactly.
+    Four real temporaries of the size of ``s`` are allocated besides the
+    output."""
     # one flat line, so that the output's storage can lend two contiguous
     # real scratch lines of its size; a C-order ``s`` is not copied
     shape, s = s.shape, s.reshape(-1)
-    x, y = s.real, s.imag
-    a = np.hypot(x, y)
+    a = np.abs(s)
     np.divide(p.wgc, a, out=a)
     np.log(a, out=a)
-    b = np.arctan2(y, x)  # holds -b: lam*b is formed as (-lam)*(-b)
+    b = np.arctan2(s.imag, s.real)  # holds -b: lam*b/2 is (-lam/2)*(-b)
     e = np.multiply(p.lam, a)
     np.exp(e, out=e)
-    t = np.multiply(-p.lam, b)
+    t = np.multiply(-0.5 * p.lam, b)
+    np.tan(t, out=t)
+    np.multiply(0.5 * p.mu, a, out=a)
+    np.tan(a, out=a)
+    np.multiply(-p.mu, b, out=b)
     # the output's storage holds the scratch lines u and v until its real
     # and imaginary parts are written
     g = np.empty_like(s)
-    u, v = g.view(x.dtype).reshape(2, -1)
-    np.cos(t, out=u)
-    np.sin(t, out=t)
-    np.multiply(e, t, out=t)  # ei
-    np.multiply(e, u, out=e)  # er
-    np.multiply(p.mu, a, out=a)
-    np.multiply(-p.mu, b, out=b)
+    u, v = g.view(a.dtype).reshape(2, -1)
     np.cosh(b, out=u)
-    np.cos(a, out=v)
     np.sinh(b, out=b)
-    np.sin(a, out=a)
-    np.multiply(a, b, out=a)  # -ci
-    np.multiply(v, u, out=b)  # cr
+    # the line a holds tan(mu*a/2): cr into it, -ci = sin(mu*a)*sinh(mu*b)
+    # into b
+    d = np.square(a, out=v)
+    np.add(1, d, out=d)
+    np.divide(a, d, out=a)
+    np.multiply(a, b, out=b)
+    np.add(b, b, out=b)
+    np.subtract(2, d, out=a)
+    np.divide(a, d, out=a)
+    np.multiply(a, u, out=a)
+    # the line t holds tan(lam*b/2): er into e, ei into t
+    d = np.square(t, out=u)
+    np.add(1, d, out=d)
+    np.divide(t, d, out=t)
+    np.add(t, t, out=t)
+    np.multiply(e, t, out=t)
+    np.subtract(2, d, out=v)
+    np.divide(v, d, out=v)
+    np.multiply(e, v, out=e)
     re, im = g.real, g.imag
     # re = er*cr - ei*ci, im = er*ci + ei*cr
-    np.multiply(e, b, out=re)
-    np.multiply(t, b, out=im)
-    np.add(re, np.multiply(t, a, out=b), out=re)
-    np.subtract(im, np.multiply(e, a, out=b), out=im)
+    np.multiply(e, a, out=re)
+    np.multiply(t, a, out=im)
+    np.add(re, np.multiply(t, b, out=a), out=re)
+    np.subtract(im, np.multiply(e, b, out=a), out=im)
     return g.reshape(shape)
 
 
@@ -128,12 +149,17 @@ def cfoi_transfer(p: CfoiParams, s):
     Scalars and arrays of fewer than 256 points, the qd tail of
     :func:`irid.nilt.nilt` among them, take the formula's complex
     operations as written; longer arrays take the same formula in real
-    arithmetic (see ``_transfer_real``), which agrees to roundoff and is
-    faster there.  On the negative real axis, outside the half-plane the
-    inversion samples, the real form takes the side of the branch cut
-    that the sign of a zero imaginary part names (G(conj s) = conj G(s)
-    exactly), where the complex division of the direct form gives
-    -2 + 0j and -2 - 0j the same value.
+    arithmetic, with cosines and sines from half-angle tangents (see
+    ``_transfer_real``), which is twice as fast on nilt's 32768-point
+    line at m = 16384.  The two agree to roundoff (within 1e-14 relative
+    on Bromwich lines across the documented domain) and underflow
+    together; the real form overflows a few samples early where
+    (wgc/|s|)**lam leaves the double range but G does not.  On the
+    negative real axis, outside the half-plane the inversion samples, the
+    real form takes the side of the branch cut that the sign of a zero
+    imaginary part names (G(conj s) = conj G(s) exactly), where the
+    complex division of the direct form gives -2 + 0j and -2 - 0j the
+    same value.
     ParamError unless every s is a finite, nonzero int, float or complex
     number (a bool, a string, bytes or None is not a number).
     """

@@ -47,6 +47,15 @@ _QR_BLOCK = 4
 _MAX_FIT_ENTRIES = 2 ** 20 * 18
 
 
+def _first_non_finite(x: np.ndarray):
+    """The index, as a tuple, of the first non-finite entry of ``x`` in C
+    order, or None when every entry is finite."""
+    bad = ~np.isfinite(x)
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), x.shape)
+
+
 def _check_fit(n: int, nb: int, na: int) -> Tuple[int, int]:
     """``(nb, na)`` as ints; raises ParamError unless :func:`stmcb_fit`
     can fit a (nb, na) model to ``n`` samples within its matrix cap."""
@@ -210,8 +219,12 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
             # R of the regression and (Q^T h_f)[:k] in one Householder QR
             qr, _, _ = dgeqrt(min(_QR_BLOCK, k + 1), mat, overwrite_a=1)
             # an overflowed factor would reach LAPACK's rescaling in gelsd
-            r = _all_finite(f"least-squares factor is non-finite "
-                            f"(iteration {it})", qr[:k, :k + 1])
+            r = qr[:k, :k + 1]
+            bad = _first_non_finite(r)
+            if bad is not None:
+                raise EvaluationError(
+                    f"least-squares factor is non-finite (iteration {it}) "
+                    f"(row {bad[0]}, column {bad[1]})")
             # R is the upper triangle; dgeqrt left its reflectors below it
             r[:, :k][below] = 0.0
             sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
@@ -219,8 +232,13 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
             if info != 0:
                 raise EvaluationError(f"least-squares solve failed, LAPACK "
                                       f"gelsd info {info} (iteration {it})")
-            _all_finite(f"least-squares solution is non-finite (iteration "
-                        f"{it})", sol)
+            bad = _first_non_finite(sol)
+            if bad is not None:
+                # sol holds a[1..na], then b[0..nb]
+                j = bad[0]
+                coef = f"a[{j + 1}]" if j < na else f"b[{j - na}]"
+                raise EvaluationError(f"least-squares solution is non-finite "
+                                      f"(iteration {it}) (coefficient {coef})")
             a = np.concatenate(([1.0], sol[:na, 0]))
             b = sol[na:, 0]
         # the last iterate's impulse response: its numerator through 1/A(z)

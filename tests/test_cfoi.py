@@ -109,7 +109,11 @@ class TestTransfer:
         # from 256 points on, G is evaluated in real arithmetic; on the
         # 512-point lines nilt builds at m = 256 for the 135 integrators of
         # TestCfoiOracle it agrees with the formula in clongdouble to
-        # 4.2e-15 relative, as the direct complex128 form does
+        # 6.5e-15 relative (the direct complex128 form: 4.2e-15).  The
+        # worst is at s = c, tm = 20, wgc = 10 and mu = -0.5, where
+        # cos(mu*a) = 0.03 takes its absolute rounding to 30 times its
+        # relative size: cos from tan(mu*a/2) rounds about twice as far
+        # as libm's cos there
         worst = 0.0
         for lam, mu, wgc, tm in itertools.product(
                 (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
@@ -125,6 +129,52 @@ class TestTransfer:
             want = np.exp(p.lam * L) * np.cos(p.mu * L)
             worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
         assert worst <= 1e-14
+
+    def test_real_form_at_scale_and_at_the_domain_edges(self):
+        # the 32768-point line nilt builds at m = 16384 and tm = 1, at the
+        # corners of the documented domain: lam 0.001 and 1.999, mu 0 and
+        # -0.999, wgc*tm from 1e-3 to 1e3.  Worst 8.5e-15 relative, at
+        # lam 1.999, mu -0.999, wgc*tm 1e-3 (the direct complex128 form:
+        # 8.4e-15)
+        s = -math.log(1e-8) / 2.0 + 1j * math.pi * np.arange(32768)
+        s_ext = s.astype(np.clongdouble)
+        worst = 0.0
+        for lam, mu, wgc in itertools.product(
+                (0.001, 1.999), (0.0, -0.999), (1e-3, 1.0, 1e3)):
+            p = CfoiParams(lam, mu, wgc)
+            got = cfoi_transfer(p, s)
+            L = np.log(p.wgc / s_ext)
+            want = np.exp(p.lam * L) * np.cos(p.mu * L)
+            rel = np.abs(got - want) / np.abs(want)
+            worst = max(worst, float(rel.max()))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("lam,wgc,tm", [
+        (1.5, 1e-250, 1.0), (1.5, 1e300, 1e-6),
+        (1.5, 1e-300, 1e6), (1.5, 1e200, 1e6),
+        # orders whose 512-point line crosses the underflow edge.  Across
+        # the overflow edge the real form overflows with e^(lam*a) a few
+        # samples before the direct form's scaled complex exp does, never
+        # at the first sample alone
+        (1.285, 1e-250, 1.0), (1.093, 1e-300, 1e6),
+    ])
+    def test_real_form_under_and_overflows_as_the_direct_form(self, lam,
+                                                               wgc, tm):
+        # the breakdown scales of the pipeline tests, on the line nilt
+        # builds at m = 256: the real form gives every value finite, zero
+        # or out of range where the direct form does, so nilt's
+        # "(sample k)" names the same first non-finite value
+        s = -math.log(1e-8) / (2.0 * tm) + 1j * math.pi / tm * np.arange(512)
+        for mu in (0.0, -0.4, -0.999):
+            p = CfoiParams(lam, mu, wgc)
+            with np.errstate(all="ignore"):
+                real = cfoi_transfer(p, s)
+                direct = np.concatenate(
+                    [cfoi_transfer(p, part) for part in np.split(s, 4)])
+            finite = np.isfinite(real)
+            assert np.array_equal(finite, np.isfinite(direct))
+            assert np.array_equal(real == 0, direct == 0)
+            assert np.argmin(finite) == np.argmin(np.isfinite(direct))
 
     @pytest.mark.parametrize("s,rtol", [
         ((0.9 + 1j * np.linspace(0.0, 500.0, 300)).astype(np.complex64), 1e-5),

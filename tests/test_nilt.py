@@ -286,7 +286,7 @@ class TestCfoiOracle:
     def test_m256_lattice_bound(self):
         # the 135 integrators of the benchmark's domain_sweep lattice at
         # m = 256 against the closed-form impulse response on [dt, 0.8*tm].
-        # The worst gap, 2.0e-5 at lambda = 0.1, mu = -0.95, sits in the
+        # The worst gap, 2.1e-5 at lambda = 0.1, mu = -0.95, sits in the
         # first samples next to the t**(lambda - 1) singularity
         gaps = []
         for lam, mu, wgc, tm in itertools.product(
@@ -305,8 +305,8 @@ class TestDoubleTailOracle:
     def test_m256_lattice_bound(self, monkeypatch):
         # TestCfoiOracle's lattice with the qd tail rounded to double, as
         # on platforms whose np.longdouble is float64 (Windows, macOS
-        # arm64): max 1.76e-4, median 3.2e-7 and 33 of 135 integrators over
-        # 2.5e-5, where the extended tail gives 2.0e-5 and none over
+        # arm64): max 1.76e-4, median 3.7e-7 and 32 of 135 integrators over
+        # 2.5e-5, where the extended tail gives 2.1e-5 and none over
         class DoubleLongdouble:
             longdouble = np.float64
 

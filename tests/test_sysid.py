@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -296,11 +297,33 @@ class TestStmcb:
         # 1.1**k up to 1.1e308: the first pass fits the pole 1.1, the
         # prefiltered unit impulse stays finite, the norm of its column,
         # and so the QR factor, does not; handing that to lstsq made LAPACK
-        # print to stderr and numpy raise LinAlgError
+        # print to stderr and numpy raise LinAlgError.  The message names
+        # the factor's first non-finite entry by row and column
         h = TimeSeries(0.0, 1.0, 1.1 ** np.arange(7443))
-        with pytest.raises(EvaluationError, match=r"\(iteration 1\)"):
+        with pytest.raises(EvaluationError,
+                           match=r"^least-squares factor is non-finite "
+                                 r"\(iteration 1\) \(row 0, column 1\)$"):
             stmcb_fit(h, 0, 1)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("j,coef", [(0, "a[1]"), (1, "a[2]"),
+                                        (2, "b[0]"), (4, "b[2]")])
+    def test_non_finite_solution_names_the_coefficient(self, monkeypatch,
+                                                       j, coef):
+        # the solution holds a[1..na], then b[0..nb]; a solve that returns
+        # NaN at entry j is reported by the coefficient it stands for
+        def nan_at_j(*args, **kwargs):
+            sol, *rest = irid.sysid._flapack.dgelsd(*args, **kwargs)
+            sol[j] = np.nan
+            return (sol, *rest)
+
+        monkeypatch.setattr(irid.sysid, "dgelsd", nan_at_j)
+        h = impulse_of([1.0, 0.5, 0.25], [1.0, -0.5, 0.06], 60)
+        with pytest.raises(EvaluationError,
+                           match=rf"^least-squares solution is non-finite "
+                                 rf"\(iteration 0\) \(coefficient "
+                                 rf"{re.escape(coef)}\)$"):
+            stmcb_fit(h, 2, 2)
 
     def test_keeps_the_iterate_with_least_output_error(self, monkeypatch):
         # the README command's data: its five iterates' output errors are
