@@ -68,9 +68,10 @@ class CfoiParams:
 # they expand to or more (median per call, numpy 2.4 on one CPU of a
 # 2-CPU AVX-512 Xeon VM: 17 points 6.0 us direct against 20 us real, 256
 # points 25 against 26, 512 points 47 against 34, 32768 points 2.9 ms
-# against 1.3 ms).  Shorter arrays keep the direct form's bits; the
-# 17-point qd tail must, because the continued fraction amplifies any
-# change in its rounding.
+# against 1.3 ms).  Shorter arrays keep the direct form's bits; nilt's
+# 19-point extended call (the qd tail and the initial-value split's two
+# points) must, because the continued fraction amplifies any change in
+# its rounding.
 _REAL_FORM_MIN = 256
 
 
@@ -146,8 +147,8 @@ def cfoi_transfer(p: CfoiParams, s):
     Array in, array out, in the input's complex dtype (real input is
     promoted to the matching complex type), so an extended-precision line
     is evaluated in extended precision; a scalar returns a scalar.
-    Scalars and arrays of fewer than 256 points, the qd tail of
-    :func:`irid.nilt.nilt` among them, take the formula's complex
+    Scalars and arrays of fewer than 256 points, the extended-precision
+    call of :func:`irid.nilt.nilt` among them, take the formula's complex
     operations as written; longer arrays take the same formula in real
     arithmetic, with cosines and sines from half-angle tangents (see
     ``_transfer_real``), which is twice as fast on nilt's 32768-point

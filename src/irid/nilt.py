@@ -16,9 +16,9 @@ absorbs wrap-around.  The subtraction of ``F_0`` half-weights the n = 0
 term (trapezoid end correction).  Two refinements sit on top:
 
 * initial-value splitting: the limit f(0+) = lim s*F(s) is estimated from
-  two line samples and carried by an exactly invertible term
-  r/(s + 1/tm), removing the jump of the damped periodic extension at
-  t = 0 that otherwise dominates the truncation error for step-like
+  two line points, n = N-2 and m-1, and carried by an exactly invertible
+  term r/(s + 1/tm), removing the jump of the damped periodic extension
+  at t = 0 that otherwise dominates the truncation error for step-like
   responses.
 * tail acceleration ("qd", de Hoog, Knight & Stokes 1982): the truncated
   part of the series is summed by a Pade-type continued fraction built
@@ -26,7 +26,10 @@ term (trapezoid end correction).  Two refinements sit on top:
   samples, which are evaluated and processed in extended precision
   because the fraction amplifies rounding in them.  It resolves
   transforms with algebraic branch points (slowly decaying spectra) and
-  makes the inversion nonlinear in F.
+  makes the inversion nonlinear in F.  The split's weight r is
+  subtracted from those samples, so its two points come from the same
+  extended-precision call; the double-precision line enters the result
+  only through the inverse FFT and F_0, linearly.
 
 The first returned sample sits at t = dt = tm/m; t = 0 is excluded because
 impulse responses of fractional integrators with order below one diverge
@@ -171,12 +174,13 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     f : callable
         Array transform ``s -> F(s)``, analytic for Re(s) > 0 with
         ``f(conj(s)) == conj(f(s))``.  Called once on the whole line of N
-        points (complex128) and once more on the 2P+1 tail points as an
-        ``np.clongdouble`` array.  A scalar return is broadcast to the
-        line.  The qd tail amplifies rounding in F, so a transform that
-        keeps the extended dtype gets a tail independent of double
-        rounding; one that returns complex128 there gets a
-        double-precision tail.
+        points (complex128) and once more on one ``np.clongdouble``
+        array: the 2P+1 tail points, then the line points N-2 and m-1,
+        from which alone the initial-value split is estimated.  A scalar
+        return is broadcast to the line.  The qd tail amplifies rounding
+        in F, so a transform that keeps the extended dtype gets a tail
+        and a split independent of double rounding; one that returns
+        complex128 there gets a double-precision tail.
     tm : float
         Window end time in seconds, a positive finite real number.
     m : int
@@ -203,21 +207,23 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     s = np.arange(N, dtype=complex)
     np.multiply(1j * dw, s, out=s)
     np.add(c, s, out=s)
-    s_tail = c + 1j * dw * np.arange(N, N + _QD_TERMS).astype(np.longdouble)
+    # the qd tail's 2P+1 points, then the split's line points N-2 and m-1:
+    # the tail amplifies rounding in both, so both come in extended precision
+    n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
+    s_ext = c + 1j * dw * n_ext.astype(np.longdouble)
     with np.errstate(all="ignore"):
         F = _all_finite("transform is not finite on the line",
                         np.broadcast_to(f(s), s.shape))
-        F_tail = _all_finite("transform is not finite on the qd tail",
-                             np.broadcast_to(f(s_tail), s_tail.shape))
-        peak = max(float(np.abs(F).max()), float(np.abs(F_tail).max()))
+        F_ext = _all_finite("transform is not finite at the extended points",
+                            np.broadcast_to(f(s_ext), s_ext.shape))
+        peak = max(float(np.abs(F).max()), float(np.abs(F_ext).max()))
 
-        # initial-value split: fit s*F(s) ~ f0 + f1/s on two line samples and
-        # peel off f0/(s + 1/tm); skipped when the estimate is wildly out of
-        # scale (improper transforms), where it would only add noise.
-        sa, sb = s[N - 2], s[m - 1]
-        va, vb = sa * F[N - 2], sb * F[m - 1]
-        f1 = (va - vb) / (1.0 / sa - 1.0 / sb)
-        r = float((va - f1 / sa).real)
+        # initial-value split: the intercept f0 of s*F(s) ~ f0 + f1/s through
+        # the two split points, peeled off as f0/(s + 1/tm); skipped when the
+        # estimate is wildly out of scale (improper transforms), where it
+        # would only add noise.
+        (sa, sb), (fa, fb) = s_ext[-2:], F_ext[-2:]
+        r = float(((sa * sa * fa - sb * sb * fb) / (sa - sb)).real)
         beta = 1.0 / tm
         if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
             r = 0.0
@@ -227,14 +233,14 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
             split = np.add(s, beta)
             np.divide(r, split, out=split)
             F = np.subtract(F, split, out=split)
-            F_tail = F_tail - r / (s_tail + beta)
+            F_ext = F_ext - r / (s_ext + beta)
         # the line is not read after this: its storage can go back before
         # the tail's buffers are allocated, unless the transform keeps it
         del s
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-        tail = _qd_eval(_qd_coeffs(F_tail), _unit_roots(m)).real
+        tail = _qd_eval(_qd_coeffs(F_ext[:_QD_TERMS]), _unit_roots(m)).real
         np.multiply(2.0, tail, out=tail)
         re = _twice_real_sum(F, m)
         np.add(re, tail, out=re)

@@ -290,7 +290,8 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
     coefficients of the substitution are beyond the double range, or when
     a continuous coefficient, or its quotient by the leading denominator
     coefficient, is not finite: the continuous model's coefficients are
-    then out of range.
+    then out of range, and the message names the first such numerator or
+    denominator coefficient, counted from the highest power of s.
     """
     deg = len(g.den) - 1
     with np.errstate(over="ignore"):
@@ -321,7 +322,10 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
         num = (g.num @ basis * powers)[::-1]
         den = (raw * powers)[::-1]
         # the quotients the monic continuous model stores
-        monic = np.concatenate((num, den)) / den[0]
-    _all_finite("continuous model coefficients are out of the double range",
-                monic)
+        for part, coef in (("numerator", num), ("denominator", den)):
+            bad = _first_non_finite(coef / den[0])
+            if bad is not None:
+                raise EvaluationError(f"continuous model coefficients are out "
+                                      f"of the double range ({part} "
+                                      f"coefficient {bad[0]})")
     return ContinuousTransferFunction(num, den)

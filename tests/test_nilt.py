@@ -18,7 +18,9 @@ def rel_l2(got, want):
 class TestConfig:
     def test_defaults(self):
         # fixed contour: Re(s) = -ln(1e-8)/T, spacing 2*pi/T, 2m line
-        # points and 17 extended-precision tail points
+        # points, then one extended-precision call: 17 tail points that
+        # continue the line, and the line points N-2 and m-1 the
+        # initial-value split reads
         seen = []
 
         def f(s):
@@ -26,14 +28,16 @@ class TestConfig:
             return 1 / (s + 1)
 
         nilt(f, 10.0, 128)
-        line, tail = seen
+        line, ext = seen
         T = 20.0
-        assert line.shape == (256,) and tail.shape == (17,)
-        assert tail.dtype == np.clongdouble
+        assert line.shape == (256,) and ext.shape == (19,)
+        assert ext.dtype == np.clongdouble
         assert np.all(line.real == -math.log(1e-8) / T)
-        assert np.all(tail.real == -math.log(1e-8) / T)
-        steps = np.diff(np.concatenate((line.imag, tail.imag)))
+        assert np.all(ext.real == -math.log(1e-8) / T)
+        steps = np.diff(np.concatenate((line.imag, ext[:17].imag)))
         np.testing.assert_allclose(steps, 2 * math.pi / T, rtol=1e-12)
+        np.testing.assert_allclose(ext[17:].imag, line[[254, 127]].imag,
+                                   rtol=1e-15)
 
     @pytest.mark.parametrize("kw,match", [
         (dict(tm=0.0, m=1024), "tm must be positive"),
@@ -282,16 +286,33 @@ class TestErrors:
             nilt(steep, tm, m)
 
 
+LATTICE = list(itertools.product(
+    (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95), (0.1, 1.0, 10.0),
+    (0.5, 2.0, 20.0)))
+
+
+class DoubleLongdouble:
+    # numpy as seen by nilt where np.longdouble is float64 (Windows, macOS
+    # arm64): its extended-precision call gets complex128 points
+    longdouble = np.float64
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def round_tail_to_double(monkeypatch):
+    # the package attribute irid.nilt is the function, not the module
+    monkeypatch.setattr(sys.modules["irid.nilt"], "np", DoubleLongdouble())
+
+
 class TestCfoiOracle:
     def test_m256_lattice_bound(self):
         # the 135 integrators of the benchmark's domain_sweep lattice at
         # m = 256 against the closed-form impulse response on [dt, 0.8*tm].
-        # The worst gap, 2.1e-5 at lambda = 0.1, mu = -0.95, sits in the
+        # The worst gap, 2.0e-5 at lambda = 0.1, mu = -0.95, sits in the
         # first samples next to the t**(lambda - 1) singularity
         gaps = []
-        for lam, mu, wgc, tm in itertools.product(
-                (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
-                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0)):
+        for lam, mu, wgc, tm in LATTICE:
             p = CfoiParams(lam, mu, wgc)
             ts = nilt(lambda s: cfoi_transfer(p, s), tm, 256)
             n = int(0.8 * 256)
@@ -305,22 +326,12 @@ class TestDoubleTailOracle:
     def test_m256_lattice_bound(self, monkeypatch):
         # TestCfoiOracle's lattice with the qd tail rounded to double, as
         # on platforms whose np.longdouble is float64 (Windows, macOS
-        # arm64): max 1.76e-4, median 3.7e-7 and 32 of 135 integrators over
-        # 2.5e-5, where the extended tail gives 2.1e-5 and none over
-        class DoubleLongdouble:
-            longdouble = np.float64
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-        # the package attribute irid.nilt is the function, not the module
-        monkeypatch.setattr(sys.modules["irid.nilt"], "np",
-                            DoubleLongdouble())
+        # arm64): max 1.76e-4, median 1.8e-7 and 30 of 135 integrators over
+        # 2.5e-5, where the extended tail gives 2.0e-5 and none over
+        round_tail_to_double(monkeypatch)
         dtypes = set()
         gaps = []
-        for lam, mu, wgc, tm in itertools.product(
-                (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
-                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0)):
+        for lam, mu, wgc, tm in LATTICE:
             p = CfoiParams(lam, mu, wgc)
 
             def f(s):
@@ -334,3 +345,34 @@ class TestDoubleTailOracle:
         assert dtypes == {np.dtype(np.complex128)}
         assert len(gaps) == 135
         assert max(gaps) <= 2.0e-4
+
+
+class TestLineRounding:
+    @pytest.mark.parametrize("tail", ["extended", "double"])
+    def test_reaches_the_reference_only_linearly(self, tail, monkeypatch):
+        # the complex128 line enters the reference only through the FFT,
+        # so 2-ulp changes to the two line samples the initial-value split
+        # stands on, N-2 and m-1, move h by about their own size (4.7e-12
+        # of its peak over this lattice in both tails). A split fitted
+        # from them instead passes them on to the qd tail through r:
+        # 4.7e-6 with the extended tail, 8.1e-4 with the double one
+        if tail == "double":
+            round_tail_to_double(monkeypatch)
+        m = 256
+        N = 2 * m
+        worst = 0.0
+        for lam, mu, wgc, tm in LATTICE:
+            p = CfoiParams(lam, mu, wgc)
+
+            def f(s, ka=0, kb=0):
+                F = cfoi_transfer(p, s)
+                if s.shape == (N,):
+                    F[N - 2] *= 1 + ka * 2.0 ** -51
+                    F[m - 1] *= 1 + kb * 2.0 ** -51
+                return F
+
+            h = nilt(f, tm, m).values
+            for ka, kb in itertools.product((-1, 1), repeat=2):
+                moved = nilt(lambda s: f(s, ka, kb), tm, m).values
+                worst = max(worst, np.abs(moved - h).max() / np.abs(h).max())
+        assert worst <= 1e-10

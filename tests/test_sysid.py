@@ -515,15 +515,24 @@ class TestBilinear:
             np.testing.assert_array_equal(irid.sysid._bilinear_basis(deg),
                                           want, err_msg=f"deg {deg}")
 
-    @pytest.mark.parametrize("num,den,ts", [
-        ([1e308, 1e308], [1.0, 0.9], 1.0),    # 2e308 in the matmul
-        ([1e300, 1e300], [1.0, 0.9], 1e-9),   # 4e310 once made monic
-        ([1.0], [1.0, 1e308, 1e308], 1.0),    # sum(|den|) in the z = -1 test
-    ], ids=["coefficient", "quotient", "root-test"])
-    def test_out_of_range_coefficients_raise(self, num, den, ts):
+    @pytest.mark.parametrize("num,den,ts,where", [
+        # 2e308 in the matmul
+        ([1e308, 1e308], [1.0, 0.9], 1.0, "numerator coefficient 1"),
+        # 4e310 once made monic
+        ([1e300, 1e300], [1.0, 0.9], 1e-9, "numerator coefficient 1"),
+        # 1.9/(0.1*ts/2) = 8.4e308, the numerator's quotients 20 and 0
+        ([1.0, -1.0], [1.0, 0.9], 4.5e-308, "denominator coefficient 1"),
+        # sum(|den|) in the z = -1 test
+        ([1.0], [1.0, 1e308, 1e308], 1.0, None),
+    ], ids=["coefficient", "quotient", "denominator", "root-test"])
+    def test_out_of_range_coefficients_raise(self, num, den, ts, where):
         # a computed overflow is a breakdown, not invalid input, and warns
-        # nothing (warnings are errors in this suite)
-        with pytest.raises(EvaluationError):
+        # nothing (warnings are errors in this suite).  The message names
+        # the first non-finite coefficient of the numerator or the
+        # denominator, counted from the highest power of s
+        match = where and (rf"^continuous model coefficients are out of "
+                           rf"the double range \({where}\)$")
+        with pytest.raises(EvaluationError, match=match):
             bilinear_d2c(DiscreteTransferFunction(num, den, ts))
 
     def test_pole_at_minus_one_rejected(self):
