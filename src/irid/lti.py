@@ -72,9 +72,11 @@ def _load_flapack():
     return module
 
 
-# the LAPACK routines irid calls: dtbtrs here, dgeqrt and dgelsd in sysid
+# the LAPACK routines irid calls: dtbtrs, dgesv and dgeev here, dgeqrf,
+# dgeqrt and dgelsd in sysid; module-level names, so that a test can
+# replace one
 _flapack = _load_flapack()
-dtbtrs = _flapack.dtbtrs
+dtbtrs, dgesv, dgeev = _flapack.dtbtrs, _flapack.dgesv, _flapack.dgeev
 
 
 def _finite_real(x) -> bool:
@@ -386,7 +388,12 @@ def _ell(abs_a: np.ndarray, norm: float) -> int:
     (||A||_1 * c), c = 1/|c_27| = 26! 27! / (13!)**2 the reciprocal of the
     leading coefficient of the approximant's error series, from the powers
     of abs(A) * 2**-e, e the exponent of ``norm``, whose 1-norm is below
-    one: none overflows."""
+    one: none overflows.  Since ||abs(A)**27||_1 <= ||A||_1**27, alpha is
+    at most ||A||_1**26 / c; where that bound is at most 2**-54, one bit
+    below the 2**-53 that gives ell = 0, the answer is 0 without the
+    powers (||A||_1 up to about 5.28), bit for bit the same."""
+    if not norm or 26 * math.log2(norm) + 54 <= _LOG2_C27:
+        return 0
     frac, e = math.frexp(norm)
     q = np.linalg.matrix_power(np.ldexp(abs_a, -e), 27).sum(axis=0).max()
     if not q:
@@ -408,8 +415,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     ||a**k||_1**(1/k), k = 6, 8, 10, not from ||a||_1 as in Higham's 2005
     algorithm: a companion matrix with a large first row has a 1-norm far
     above its spectral radius, and every squaring the 1-norm asks for
-    adds rounding error.  A 1-by-1 matrix gives ``np.exp(a)`` exactly; a
-    matrix whose 1-norm is not finite gives NaNs, without a warning.
+    adds rounding error.  The approximant's denominator is solved by LAPACK
+    gesv, LU with partial pivoting, as ``np.linalg.solve`` would, called
+    directly; a singular factor raises EvaluationError.  A 1-by-1 matrix
+    gives ``np.exp(a)`` exactly; a matrix whose 1-norm is not finite gives
+    NaNs, without a warning.
     """
     if a.shape == (1, 1):
         return np.exp(a)
@@ -447,7 +457,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     x0, x1, x2, x3 = (_PADE_TERMS @ powers[:4].reshape(4, -1)).reshape(4, n, n)
     u = b @ (powers[3] @ x0 + x1)
     v = powers[3] @ x2 + x3
-    r = np.linalg.solve(v - u, v + u)
+    _, _, r, info = dgesv(v - u, v + u, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise EvaluationError(f"the Pade denominator of exp(A) is singular, "
+                              f"LAPACK gesv info {info}")
     for _ in range(s):
         r = r @ r
     return r
@@ -460,13 +473,14 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     With sigma = s*dt the denominator's coefficients become a_i*dt**i, of
     order one for poles up to the sampling rate, and the companion
     realization (A, B, C) of the strictly proper part of g(sigma/dt) gives
-    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A), computed in numpy by
-    Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
+    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A), computed by Pade
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
     (2005) 1179-1193) at degree 13 only, which costs no more products here
     than a lower one, with the scaling chosen as in Al-Mohy and Higham,
     ibid. 31 (2009) 970-989; see :func:`_expm`.  The direct term acts at
     t = 0 only.  The columns Phi**k @ B are filled in place by doubling,
-    X <- [X, P @ X], P <- P @ P: log2(n) matrix products.
+    X <- [X, P @ X], then P <- P @ P while columns remain: ceil(log2(n))
+    fills and one squaring fewer.
 
     Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).
@@ -492,7 +506,8 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
             step = min(w, n - w)
             np.matmul(p, cols[:, :step], out=cols[:, w:w + step])
             w += step
-            p = p @ p
+            if w < n:
+                p = p @ p
         vals = rem @ cols / dt
     return TimeSeries(dt, dt, _all_finite(
         "continuous impulse response overflows; the model has a pole far "
@@ -551,7 +566,11 @@ def is_stable_discrete(g: DiscreteTransferFunction) -> Tuple[bool, float]:
     """Whether all denominator roots lie inside the unit circle.
 
     Returns (stable, margin) with margin = 1 - max root modulus; a
-    constant denominator has no poles and reports (True, 1.0).
+    constant denominator has no poles and reports (True, 1.0).  The roots
+    are the eigenvalues of the trimmed companion matrix by LAPACK geev,
+    called directly, the routine ``np.roots`` reaches through
+    ``np.linalg.eigvals``; EvaluationError if its QR iteration does not
+    converge.
     """
     den = g.den
     # the poles are the eigenvalues of the companion matrix of den without
@@ -560,7 +579,14 @@ def is_stable_discrete(g: DiscreteTransferFunction) -> Tuple[bool, float]:
     order = int(np.flatnonzero(den)[-1])
     if order == 0:
         return True, 1.0
-    companion = np.eye(order, k=-1)
+    companion = np.eye(order, k=-1, order="F")
     np.negative(den[1:order + 1], out=companion[0])
-    margin = 1.0 - float(np.abs(np.linalg.eigvals(companion)).max())
+    wr, wi, _, _, info = dgeev(companion, compute_vl=0, compute_vr=0,
+                               overwrite_a=1)
+    if info != 0:
+        raise EvaluationError(f"the poles did not converge, LAPACK geev "
+                              f"info {info}")
+    # the modulus as np.abs takes it of the complex pole, not np.hypot,
+    # whose last bits differ
+    margin = 1.0 - float(np.abs(wr + 1j * wi).max())
     return margin > 0.0, margin

@@ -163,24 +163,25 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     return err / norm, peak
 
 
-def _polar(f: FrequencyResponseSeries) -> Tuple[np.ndarray, np.ndarray]:
-    """(magnitude in dB, as ``f.magnitude_db()`` gives it, angle in
-    radians) of ``f``'s response; EvaluationError if a magnitude
+def _polar(response: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(magnitude in dB, as ``magnitude_db`` gives it, angle in radians)
+    of a complex response array; EvaluationError if a magnitude
     underflows the dB scale."""
-    mag = np.abs(f.response)
+    mag = np.abs(response)
     if mag.min() < 1e-300:
         raise EvaluationError("response magnitude underflows the dB scale")
-    return 20.0 * np.log10(mag), np.angle(f.response)
+    return 20.0 * np.log10(mag), np.angle(response)
 
 
 def _polar_errors(a: Tuple[np.ndarray, np.ndarray],
-                  b: Tuple[np.ndarray, np.ndarray]) -> Tuple[float, float]:
+                  b: Tuple[np.ndarray, np.ndarray]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`compare_frequency` of b against a from their :func:`_polar`
-    forms."""
+    forms, as arrays: b may stack responses in rows, one maximum each."""
     (a_db, a_angle), (b_db, b_angle) = a, b
     turn = b_angle - a_angle + math.pi
-    return (float(np.abs(a_db - b_db).max()),
-            float(np.degrees(np.abs(turn % (2 * math.pi) - math.pi).max())))
+    return (np.abs(a_db - b_db).max(axis=-1),
+            np.degrees(np.abs(turn % (2 * math.pi) - math.pi).max(axis=-1)))
 
 
 def compare_frequency(a: FrequencyResponseSeries,
@@ -191,7 +192,8 @@ def compare_frequency(a: FrequencyResponseSeries,
     EvaluationError if a magnitude underflows the dB scale."""
     if not np.array_equal(a.grid.omegas, b.grid.omegas):
         raise ParamError("frequency grids differ")
-    return _polar_errors(_polar(a), _polar(b))
+    mag, phase = _polar_errors(_polar(a.response), _polar(b.response))
+    return float(mag), float(phase)
 
 
 def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
@@ -229,13 +231,14 @@ def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
         f_ref = cfoi_freq_grid(req.params, req.grid)
         f_d = discrete_freq_response(gd, req.grid)
         f_c = continuous_freq_response(gc, req.grid)
-        # compare_frequency of each model, the reference's polar form
-        # computed once; the three responses share one grid
-        ref = _polar(f_ref)
+        # compare_frequency of both models at once, as the rows of one
+        # stacked array; the three responses share one grid
+        mag, phase = _polar_errors(_polar(f_ref.response), _polar(
+            np.stack((f_d.response, f_c.response))))
         metrics = ComparisonMetrics(*(
-            ModelErrors(*compare_impulse(h_ref, h),
-                        *_polar_errors(ref, _polar(f)))
-            for h, f in ((h_d, f_d), (h_c, f_c))))
+            ModelErrors(*compare_impulse(h_ref, h), mag_err, phase_err)
+            for h, mag_err, phase_err in zip((h_d, h_c), mag.tolist(),
+                                             phase.tolist())))
     except IridError as exc:
         raise PipelineStageError(stage, exc) from exc
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,

@@ -7,9 +7,11 @@ equation-error fit, and it returns the iterate with the least output
 error.  Each pass copies its regression's lag columns, one block at a
 time, from strided views over the filtered data and impulse, each stored
 behind its zero prehistory.  It solves its least-squares problem by one
-blocked Householder QR (LAPACK geqrt) of [regression | data], then a
-minimum-norm solve of the small triangular factor R with the eps*n rank
-rule, by LAPACK gelsd called directly with one workspace query per fit.
+Householder QR of [regression | data], chosen by size: LAPACK geqrf,
+column by column, for a matrix of at most 2**13 entries, and geqrt,
+blocked in panels, above that; then a minimum-norm solve of the small
+triangular factor R with the eps*n rank rule, by LAPACK gelsd called
+directly, its workspace queried once per shape.
 A bilinear (Tustin) substitution converts the fitted discrete model to a
 continuous one of the same order.
 """
@@ -31,14 +33,21 @@ from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
 __all__ = ["stmcb_fit", "bilinear_d2c"]
 
 # module-level names, so that a test can replace one
-dgelsd, dgelsd_lwork, dgeqrt = (_flapack.dgelsd, _flapack.dgelsd_lwork,
-                                _flapack.dgeqrt)
+dgelsd, dgelsd_lwork = _flapack.dgelsd, _flapack.dgelsd_lwork
+dgeqrf, dgeqrt = _flapack.dgeqrf, _flapack.dgeqrt
 
 # least-squares passes per fit, as in MATLAB's stmcb
 _PASSES = 5
+# the QR's size rule: a fit's matrix of at most this many entries goes to
+# dgeqrf, which runs unblocked below 32 columns, a larger one to dgeqrt.
+# Per call on one CPU of a 2-CPU Xeon VM, in two runs: at 256 rows by 12
+# columns dgeqrf takes 8-14 us and dgeqrt 13-23 us; the two cross between
+# 2**13 and 2**14 entries at 12 and 18 columns (768 by 12 and 512 by 18
+# tie, and dgeqrt is 1.1x as fast at 1024 by 12), beyond 2048 rows at 6
+_QR_UNBLOCKED_MAX = 2 ** 13
 # dgeqrt's panel width, at most the k + 1 >= 3 columns of the fit's
-# matrix: a fit has a dozen or so, fewer than dgeqrf's block size of 32,
-# below which dgeqrf runs unblocked
+# matrix: a fit has a dozen or so, fewer than dgeqrf's block size of 32;
+# blocked, it is 1.3-1.4x as fast as dgeqrf at 16384 rows by 12 columns
 _QR_BLOCK = 4
 # most entries of a fit's n-by-(nb + na + 2) [regression | data] matrix,
 # about 151 MB of doubles: its size at m = 2**20 and norder 8.  The filter's
@@ -50,10 +59,10 @@ _MAX_FIT_ENTRIES = 2 ** 20 * 18
 def _first_non_finite(x: np.ndarray):
     """The index, as a tuple, of the first non-finite entry of ``x`` in C
     order, or None when every entry is finite."""
-    bad = ~np.isfinite(x)
-    if not bad.any():
+    finite = np.isfinite(x)
+    if finite.all():
         return None
-    return np.unravel_index(int(np.argmax(bad)), x.shape)
+    return np.unravel_index(int(np.argmin(finite)), x.shape)
 
 
 def _check_fit(n: int, nb: int, na: int) -> Tuple[int, int]:
@@ -76,6 +85,14 @@ def _lag_view(src: np.ndarray, n: int, lags: int) -> np.ndarray:
     step = src.itemsize
     return np.ndarray((n, lags), src.dtype, src, (lags - 1) * step,
                       (step, -step))
+
+
+@functools.lru_cache(maxsize=64)
+def _gelsd_work(k: int, rcond: float) -> Tuple[int, int]:
+    """``(lwork, liwork)`` of gelsd's k-by-k, one-column solves with
+    ``rcond``: one workspace query, shared by every fit of that shape."""
+    lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
+    return int(lwork), int(liwork)
 
 
 def _keep(best: tuple, resp: np.ndarray, y: np.ndarray, a: np.ndarray,
@@ -115,18 +132,21 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     and of delta_f behind nb of 0.0; -0.0 is what negating lagged zeros
     gives, so the bits are those of a column-by-column build.  The solve
     is one Householder QR of the n-by-(k + 1) matrix [regression | data],
-    k = na + nb + 1, by LAPACK geqrt, blocked in panels of
-    min(4, k + 1) columns (compact WY), which leaves R in its top k-by-k
-    block and (Q^T h_f)[:k] above it in the last column; then the
+    k = na + nb + 1, which leaves R in its top k-by-k block and
+    (Q^T h_f)[:k] above it in the last column: by LAPACK geqrf, one
+    column at a time, when n*(k + 1) <= 2**13 (m = 256 at every order),
+    and above that by LAPACK geqrt, blocked in panels of min(4, k + 1)
+    columns (compact WY), the faster of the two at those sizes; then the
     minimum-norm solution of that k-by-k triangular system with the eps*n
     rank rule, the rule ``np.linalg.lstsq`` applies to the full regression
     matrix.  A rank-deficient (overparameterized) fit therefore gets the
     same minimum-norm answer as a full-matrix solve.  That solve calls
     LAPACK gelsd (the SVD routine lstsq wraps) directly, with its
-    workspace sized by one query per fit; a solve LAPACK reports as failed
-    (gelsd's SVD did not converge) raises EvaluationError naming the
-    iteration, as does a non-finite factor or solution.  A(z) = 1 leaves the
-    data as it is, so the first pass uses it unfiltered and is the
+    workspace sized by one query per (k, rcond), cached; a solve LAPACK
+    reports as failed (gelsd's SVD did not converge) raises
+    EvaluationError naming the iteration, as does a non-finite factor or
+    solution.  A(z) = 1 leaves the data as it is, so the first pass uses
+    it unfiltered and is the
     equation-error fit.
 
     Of the five iterates, the one with the least output error
@@ -180,15 +200,14 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     filtered = src_x[nb:].reshape((n, 2), order="F")
     xf, hf = filtered[:, 0], filtered[:, 1]
     # -h_f behind na values of -0.0, refilled each pass, and the lag blocks
-    # of both signals; the -0.0 in row 0 sets the sign of dgeqrt's first
+    # of both signals; the -0.0 in row 0 sets the sign of the QR's first
     # reflector, so +0.0 there would change last bits
     src_h = np.full(n + na, -0.0)
     lags_h, lags_x = _lag_view(src_h, n, na), _lag_view(src_x, n, nb + 1)
     # lstsq's default rank rule for the full n-by-k matrix (n > k)
     rcond = sys.float_info.epsilon * n
-    # one workspace query for all passes' k-by-k solves
-    lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
-    lwork = int(lwork)
+    lwork, liwork = _gelsd_work(k, rcond)
+    unblocked = n * (k + 1) <= _QR_UNBLOCKED_MAX
     below = np.tri(k, k, -1, dtype=bool)
     # the iterate with the least output error so far: (error, a, b)
     best = (math.inf, None, None)
@@ -203,9 +222,10 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
             if it:
                 _allpole(a, filtered, band)
                 # each column on its own, so "(sample k)" names a time index
-                for name, col in (("impulse", xf), ("data", hf)):
-                    _all_finite(f"prefiltered {name} overflowed "
-                                f"(iteration {it})", col)
+                if not np.isfinite(filtered).all():
+                    for name, col in (("impulse", xf), ("data", hf)):
+                        _all_finite(f"prefiltered {name} overflowed "
+                                    f"(iteration {it})", col)
             np.negative(hf, out=src_h[na:])
             np.copyto(mat[:, :na], lags_h)
             np.copyto(mat[:, na:k], lags_x)
@@ -217,7 +237,10 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                 resp = np.matmul(mat[:, na:k], b, out=hf)
                 best = _keep(best, resp, data, a, b)
             # R of the regression and (Q^T h_f)[:k] in one Householder QR
-            qr, _, _ = dgeqrt(min(_QR_BLOCK, k + 1), mat, overwrite_a=1)
+            if unblocked:
+                qr = dgeqrf(mat, overwrite_a=1)[0]
+            else:
+                qr = dgeqrt(min(_QR_BLOCK, k + 1), mat, overwrite_a=1)[0]
             # an overflowed factor would reach LAPACK's rescaling in gelsd
             r = qr[:k, :k + 1]
             bad = _first_non_finite(r)
@@ -225,7 +248,7 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                 raise EvaluationError(
                     f"least-squares factor is non-finite (iteration {it}) "
                     f"(row {bad[0]}, column {bad[1]})")
-            # R is the upper triangle; dgeqrt left its reflectors below it
+            # R is the upper triangle; the QR left its reflectors below it
             r[:, :k][below] = 0.0
             sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
                                      cond=rcond)

@@ -450,12 +450,39 @@ class TestExpm:
         # ||abs(A)**27||_1 / (||A||_1 / |c_27|), computed here directly;
         # 1/|c_27| is the value scipy.sparse.linalg's expm uses
         recip_c = 113250775606021113483283660800000000.0
-        a = np.random.default_rng(seed).standard_normal((4, 4)) * 10.0 ** seed
-        norm = np.abs(a).sum(axis=0).max()
-        alpha = (np.linalg.matrix_power(np.abs(a), 27).sum(axis=0).max()
-                 / (norm * recip_c))
-        want = max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / 26))
-        assert _ell(np.abs(a), norm) == want
+
+        def check(a):
+            norm = np.abs(a).sum(axis=0).max()
+            alpha = (np.linalg.matrix_power(np.abs(a), 27).sum(axis=0).max()
+                     / (norm * recip_c))
+            want = max(0, math.ceil(math.log2(alpha / 2.0 ** -53) / 26))
+            assert _ell(np.abs(a), norm) == want, a
+            return want
+
+        rng = np.random.default_rng(seed)
+        check(rng.standard_normal((4, 4)) * 10.0 ** seed)
+        # _ell answers 0 without the powers when ||A||_1**26 / (1/|c_27|)
+        # <= 2**-54: matrices of orders 2-8 whose 1-norms straddle that
+        # bound.  A matrix whose columns of abs(A) have equal sums meets it
+        # with equality, ||abs(A)**27||_1 = ||A||_1**27, so those at norms
+        # 2**(d/26) times the bound's, d from -1.45 to 2.95 in log2(alpha),
+        # take ell = 0 below d = 1 and 1 above it; a threshold a bit too
+        # high answers 0 there.  Random normal matrices at norms 1 to 20
+        # most often sit far below the bound
+        log2_bound = (math.log2(recip_c) - 54) / 26
+        wants = set()
+        for d in np.arange(-1.45, 3.0, 0.1):
+            n = int(rng.integers(2, 9))
+            cols = rng.uniform(0.1, 1.0, (n, n))
+            signs = rng.choice([-1.0, 1.0], (n, n))
+            a = signs * cols / cols.sum(axis=0) * 2.0 ** (log2_bound + d / 26)
+            wants.add((d > 1.0, check(a)))
+        assert wants == {(False, 0), (True, 1)}
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            a = rng.standard_normal((n, n))
+            check(a * 10.0 ** rng.uniform(0.0, math.log10(20.0))
+                  / np.abs(a).sum(axis=0).max())
 
     @pytest.mark.parametrize("x", [-745.0, -1.5, 0.0, 0.3, 709.0])
     def test_one_by_one_is_exp(self, x):

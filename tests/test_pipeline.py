@@ -15,6 +15,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import irid.lti
 import irid.pipeline
 import irid.sysid
 from irid.cfoi import CfoiParams, gamma_complex
@@ -488,6 +489,29 @@ class TestIridFcoi:
             irid_fcoi(req)
         assert err.value.stage == "fit"
         assert isinstance(err.value.cause, EvaluationError)
+
+    @pytest.mark.parametrize("routine, stage, match", [
+        ("dgeev", "fit", r"LAPACK geev info 1"),
+        ("dgesv", "conversion", r"LAPACK gesv info 1"),
+    ])
+    def test_failed_lapack_call_is_stage_labelled(self, monkeypatch, routine,
+                                                  stage, match):
+        # the stability test's eigenvalues and the matrix exponential's
+        # solve, each reporting info = 1 (no convergence, a singular
+        # factor): an EvaluationError of its stage, not numpy's LinAlgError
+        real = getattr(irid.lti, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+        monkeypatch.setattr(irid.lti, routine, failing)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=256)
+        with pytest.raises(PipelineStageError) as err:
+            irid_fcoi(req)
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, EvaluationError)
+        assert re.search(match, str(err.value.cause))
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("mu", [-0.2, -0.4])

@@ -15,7 +15,8 @@ import irid.sysid
 from irid.cfoi import CfoiParams, cfoi_transfer
 from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, TimeSeries, _allpole,
-                      discrete_impulse, is_stable_discrete)
+                      continuous_impulse, discrete_impulse,
+                      is_stable_discrete)
 from irid.nilt import nilt
 from irid.pipeline import IridRequest, irid_fcoi
 from irid.sysid import bilinear_d2c, stmcb_fit
@@ -159,35 +160,54 @@ class TestStmcb:
         norm = np.linalg.norm(np.concatenate((g.den[1:], g.num)))
         ref_norm = np.linalg.norm(np.concatenate((ref.den[1:], ref.num)))
         assert norm == pytest.approx(ref_norm, rel=1e-6)
+        # full rank above the size rule, 2048 rows by 7 columns, where
+        # dgeqrt factors the matrix in panels
+        clean = impulse_of([1.0, 0.5, -0.3], [1.0, -1.2, 0.6, -0.1], 2048)
+        h = TimeSeries(0.0, 1.0, clean.values + 1e-3 * rng.normal(size=2048))
+        assert 2048 * 7 > irid.sysid._QR_UNBLOCKED_MAX
+        g, ref = stmcb_fit(h, 2, 3), full_matrix_stmcb(h, 2, 3)
+        np.testing.assert_allclose(g.num, ref.num, rtol=1e-9)
+        np.testing.assert_allclose(g.den, ref.den, rtol=1e-9)
 
     @pytest.mark.parametrize("nb,na", [(3, 3), (2, 4), (0, 3)],
                              ids=["nb=na", "nb!=na", "nb=0"])
     def test_lag_blocks_equal_column_slices(self, monkeypatch, nb, na):
-        # every pass's matrix, as dgeqrt receives it, holds the lag blocks
-        # the column-slice construction gives for its own h_f (last column)
-        # and delta_f (the lag-0 column), bit for bit, -0.0 included
-        mats, real = [], irid.sysid.dgeqrt
-
-        def dgeqrt(nb_, mat, **kwargs):
-            mats.append(mat.copy(order="F"))
-            return real(nb_, mat, **kwargs)
-        monkeypatch.setattr(irid.sysid, "dgeqrt", dgeqrt)
-        rng = np.random.default_rng(3)
-        h = impulse_of([1.0, 0.5, -0.3], [1.0, -1.2, 0.6, -0.1], 60)
-        h = TimeSeries(0.0, 1.0, h.values + 1e-3 * rng.normal(size=60))
-        stmcb_fit(h, nb, na)
+        # every pass's matrix, as the QR routine of the size rule receives
+        # it, dgeqrf at 60 rows and dgeqrt at 2048, holds the lag blocks
+        # the column-slice construction gives for its own h_f (last
+        # column) and delta_f (the lag-0 column), bit for bit, -0.0
+        # included
         k = na + nb + 1
-        assert len(mats) == 5
-        for mat in mats:
-            want = np.empty_like(mat, order="F")
-            want[:, k] = mat[:, k]
-            lagged_blocks(mat[:, k], mat[:, na], nb, na, want)
-            assert mat.tobytes(order="F") == want.tobytes(order="F")
-            assert np.signbit(mat[0, 0]) and mat[0, 0] == 0.0
-        # pass 0 regresses the data, scaled to peak in [0.5, 1), on the
-        # unit impulse
-        assert np.array_equal(mats[0][:, k], h.values / 2.0)
-        assert np.array_equal(mats[0][:, na], np.eye(60)[0])
+        mats, used = [], []
+
+        def spy(name):
+            real = getattr(irid.sysid, name)
+
+            def qr(*args, **kwargs):
+                used.append(name)
+                mats.append(args[-1].copy(order="F"))
+                return real(*args, **kwargs)
+            return qr
+        for name in ("dgeqrf", "dgeqrt"):
+            monkeypatch.setattr(irid.sysid, name, spy(name))
+        rng = np.random.default_rng(3)
+        for n, routine in ((60, "dgeqrf"), (2048, "dgeqrt")):
+            mats.clear()
+            used.clear()
+            h = impulse_of([1.0, 0.5, -0.3], [1.0, -1.2, 0.6, -0.1], n)
+            h = TimeSeries(0.0, 1.0, h.values + 1e-3 * rng.normal(size=n))
+            stmcb_fit(h, nb, na)
+            assert used == [routine] * 5
+            for mat in mats:
+                want = np.empty_like(mat, order="F")
+                want[:, k] = mat[:, k]
+                lagged_blocks(mat[:, k], mat[:, na], nb, na, want)
+                assert mat.tobytes(order="F") == want.tobytes(order="F")
+                assert np.signbit(mat[0, 0]) and mat[0, 0] == 0.0
+            # pass 0 regresses the data, scaled to peak in [0.5, 1), on the
+            # unit impulse
+            assert np.array_equal(mats[0][:, k], h.values / 2.0)
+            assert np.array_equal(mats[0][:, na], np.eye(n)[0])
 
     def test_peak_memory_near_its_matrix(self):
         # the 18-column matrix of an (8, 8) fit is its one large buffer:
@@ -376,27 +396,35 @@ class TestStmcb:
 
     def test_path_loaded_lapack_gives_scipy_linalg_bits(self, monkeypatch):
         # irid loads scipy's LAPACK extension by file path, not through
-        # scipy.linalg: the showcase fit at m = 16384 comes out bit for bit
-        # as with scipy.linalg.lapack's routines, which are other objects
+        # scipy.linalg: the showcase fit at m = 256 (dgeqrf) and m = 16384
+        # (dgeqrt), its stability margin (dgeev) and its continuous
+        # model's impulse response (dgesv) come out bit for bit as with
+        # scipy.linalg.lapack's routines, which are other objects
         lapack = scipy.linalg.lapack
-        routines = [(irid.sysid, "dgeqrt"), (irid.sysid, "dgelsd"),
-                    (irid.sysid, "dgelsd_lwork"), (irid.lti, "dtbtrs")]
+        routines = [(irid.sysid, "dgeqrf"), (irid.sysid, "dgeqrt"),
+                    (irid.sysid, "dgelsd"), (irid.sysid, "dgelsd_lwork"),
+                    (irid.lti, "dtbtrs"), (irid.lti, "dgesv"),
+                    (irid.lti, "dgeev")]
         for module, name in routines:
             assert getattr(module, name) is not getattr(lapack, name), name
-        m = 16384
-        h_ref = nilt(lambda s: cfoi_transfer(CfoiParams(1.5, -0.4, 1.0), s),
-                     2.0, m)
-        data = TimeSeries(h_ref.t0, h_ref.dt, h_ref.dt * h_ref.values)
-        fits = []
-        for patched in (False, True):
-            with monkeypatch.context() as patch:
-                if patched:
-                    for module, name in routines:
-                        patch.setattr(module, name, getattr(lapack, name))
-                g = stmcb_fit(data, 5, 5)
-                fits.append((g.num, g.den, regenerate(g, m)))
-        for got, want in zip(*fits):
-            np.testing.assert_array_equal(got, want)
+        for m in (256, 16384):
+            h_ref = nilt(lambda s: cfoi_transfer(CfoiParams(1.5, -0.4, 1.0),
+                                                 s), 2.0, m)
+            data = TimeSeries(h_ref.t0, h_ref.dt, h_ref.dt * h_ref.values)
+            fits = []
+            for patched in (False, True):
+                with monkeypatch.context() as patch:
+                    if patched:
+                        for module, name in routines:
+                            patch.setattr(module, name, getattr(lapack, name))
+                    # each side queries gelsd's workspace with its own routine
+                    irid.sysid._gelsd_work.cache_clear()
+                    g = stmcb_fit(data, 5, 5)
+                    h_c = continuous_impulse(bilinear_d2c(g), h_ref.dt, m)
+                    fits.append((g.num, g.den, regenerate(g, m), h_c.values,
+                                 is_stable_discrete(g)[1]))
+            for got, want in zip(*fits):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestBilinear:
