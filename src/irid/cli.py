@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import List, Optional
 
 from .cfoi import CfoiParams
@@ -54,11 +55,12 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     """Parse flags, run the pipeline, write outputs, print the summary.
 
     Exit codes: 0 success, 2 invalid input, 1 computation failure or a
-    file that could not be written.  A standard output closed early
-    (``irid-cfoi ... | head -1``) is not a failure: the artifacts are
-    written before the summary is printed, so the rest of the summary is
-    dropped, output goes to os.devnull from then on, and the exit code
-    stays 0.
+    file that could not be written.  Errors and warnings are printed as
+    one line each on standard error, "error: ..." and "warning: ...".  A
+    standard output closed early (``irid-cfoi ... | head -1``) is not a
+    failure: the artifacts are written before the summary is printed, so
+    the rest of the summary is dropped, output goes to os.devnull from
+    then on, and the exit code stays 0.
     """
     parser = build_parser()
     try:
@@ -72,7 +74,15 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             tm=args.tm, wmin=args.wmin, wmax=args.wmax,
             norder=args.norder, m=args.samples, npoints=args.points,
         )
-        result = irid_fcoi(request)
+        # a warning (the Nyquist clamp) as one line, like the error lines,
+        # also when a stage then fails
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = irid_fcoi(request)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
         paths = write_outputs(result, args.out_dir, svg=not args.no_svg)
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,11 +23,11 @@ class EvaluationError(IridError, ArithmeticError):
     """A computation broke down: a vanishing denominator, all-zero data to
     fit or a reference that underflows to zero, a fit none of whose
     iterates has a finite output error, a least-squares solve, a
-    stability test's eigenvalues or a matrix exponential's solve that
-    LAPACK reports as failed, a pole at z = -1 or coefficients out of the
-    double range under the bilinear map, a magnitude below the dB scale,
-    or a computed array with a NaN or Inf in it, among them a qd tail
-    whose first value is beyond the double range.  The last is always raised
+    stability test's eigenvalues or a matrix exponential's balancing or
+    solve that LAPACK reports as failed, a pole at z = -1 or coefficients
+    out of the double range under the bilinear map, a magnitude below the
+    dB scale, or a computed array with a NaN or Inf in it, among them a qd
+    tail whose first value is beyond the double range.  The last is always raised
     by ``irid.lti._all_finite``: the message ends "(sample k)", k the
     first bad flat index."""
 

@@ -72,11 +72,12 @@ def _load_flapack():
     return module
 
 
-# the LAPACK routines irid calls: dtbtrs, dgesv and dgeev here, dgeqrf,
-# dgeqrt and dgelsd in sysid; module-level names, so that a test can
-# replace one
+# the LAPACK routines irid calls: dtbtrs, dgebal, dgesv and dgeev here,
+# dgeqrf, dgeqrt and dgelsd in sysid; module-level names, so that a test
+# can replace one
 _flapack = _load_flapack()
-dtbtrs, dgesv, dgeev = _flapack.dtbtrs, _flapack.dgesv, _flapack.dgeev
+dtbtrs, dgebal = _flapack.dtbtrs, _flapack.dgebal
+dgesv, dgeev = _flapack.dgesv, _flapack.dgeev
 
 
 def _finite_real(x) -> bool:
@@ -375,87 +376,58 @@ def _pade_terms() -> np.ndarray:
 
 
 _PADE_TERMS = _pade_terms()
-# log2 of 1/|c_27|, see _ell
-_LOG2_C27 = math.log2(
-    math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2)
-
-
-def _ell(abs_a: np.ndarray, norm: float) -> int:
-    """Al-Mohy and Higham's ell(A, 13), with ``abs_a`` = abs(A) and
-    ``norm`` = ||A||_1: how many more squarings keep the rounding error
-    of the degree-13 approximant of a nonnormal A near the unit roundoff.
-    It is ceil(log2(alpha * 2**53) / 26), alpha = ||abs(A)**27||_1 /
-    (||A||_1 * c), c = 1/|c_27| = 26! 27! / (13!)**2 the reciprocal of the
-    leading coefficient of the approximant's error series, from the powers
-    of abs(A) * 2**-e, e the exponent of ``norm``, whose 1-norm is below
-    one: none overflows.  Since ||abs(A)**27||_1 <= ||A||_1**27, alpha is
-    at most ||A||_1**26 / c; where that bound is at most 2**-54, one bit
-    below the 2**-53 that gives ell = 0, the answer is 0 without the
-    powers (||A||_1 up to about 5.28), bit for bit the same."""
-    if not norm or 26 * math.log2(norm) + 54 <= _LOG2_C27:
-        return 0
-    frac, e = math.frexp(norm)
-    q = np.linalg.matrix_power(np.ldexp(abs_a, -e), 27).sum(axis=0).max()
-    if not q:
-        return 0
-    log2_alpha = 26 * e + math.log2(q / frac) - _LOG2_C27
-    return max(0, math.ceil((log2_alpha + 53) / 26))
+# theta_13: for ||X||_1 up to it the degree-13 approximant's backward error
+# is below 2**-53 (Higham 2005)
+_THETA_13 = 5.371920351148152
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square float64 matrix by Pade scaling and squaring: the
-    algorithm of A. H. Al-Mohy and N. J. Higham, "A new scaling and
-    squaring algorithm for the matrix exponential", SIAM J. Matrix Anal.
-    Appl. 31 (2009) 970-989, which scipy's ``expm`` implements as well,
-    at degree 13 only: their search over lower degrees saves matrix
-    products, but here a**2 ... a**10 are formed for the norm estimates
-    anyway and any degree takes the same four sums, so it would save none.
+    """exp(a) of a square float64 matrix by balancing and Pade scaling and
+    squaring: the algorithm of N. J. Higham, "The scaling and squaring
+    method for the matrix exponential revisited", SIAM J. Matrix Anal.
+    Appl. 26 (2005) 1179-1193, after LAPACK gebal has balanced a, at
+    degree 13 only, also where that algorithm would pick a lower degree
+    for a small 1-norm and save up to three products of these small
+    matrices.
 
-    The scaling 2**-s is chosen from the exact 1-norms d_k =
-    ||a**k||_1**(1/k), k = 6, 8, 10, not from ||a||_1 as in Higham's 2005
-    algorithm: a companion matrix with a large first row has a 1-norm far
-    above its spectral radius, and every squaring the 1-norm asks for
-    adds rounding error.  The approximant's denominator is solved by LAPACK
-    gesv, LU with partial pivoting, as ``np.linalg.solve`` would, called
-    directly; a singular factor raises EvaluationError.  A 1-by-1 matrix
-    gives ``np.exp(a)`` exactly; a matrix whose 1-norm is not finite gives
+    A companion matrix with a large first row has a 1-norm far above its
+    spectral radius, and every squaring that 1-norm would ask for adds
+    rounding error.  gebal's similarity B = D**-1 a D, D a diagonal of
+    powers of two (scaling only, no permutation), brings a companion
+    matrix's 1-norm down near the scale of its poles; then s >= 0 is the least number of
+    squarings with ||B||_1 * 2**-s <= theta_13, and exp(a) = D exp(B)
+    D**-1 is undone exactly by powers of two.  The approximant's
+    denominator is solved by LAPACK gesv, LU with partial pivoting, as
+    ``np.linalg.solve`` would, called directly; a failed balancing or a
+    singular factor raises EvaluationError.  A 1-by-1 matrix gives
+    ``np.exp(a)`` exactly; a matrix whose 1-norm is not finite gives
     NaNs, without a warning.
     """
     if a.shape == (1, 1):
         return np.exp(a)
-    abs_a = np.abs(a)
     with np.errstate(over="ignore"):
-        norm = abs_a.sum(axis=0).max()
+        norm = np.abs(a).sum(axis=0).max()
     if not np.isfinite(norm):
         return np.full(a.shape, np.nan)
+    b, _, _, d, info = dgebal(a, scale=1, permute=0)
+    if info != 0:
+        raise EvaluationError(f"the balancing of exp(A) failed, LAPACK gebal "
+                              f"info {info}")
+    # the least s >= 0 with ||b||_1 * 2**-s <= theta_13, from the binary
+    # exponent of their quotient (frexp, unlike ceil of log2, takes any
+    # float without raising)
+    frac, s = math.frexp(np.abs(b).sum(axis=0).max() / _THETA_13)
+    s = max(0, s - (frac == 0.5))
+    x = np.ldexp(b, -s)
     n = len(a)
-    # b = a * 2**-t, t >= 0 just large enough for ||b||_1 < 2**64, so that
-    # no power of b up to the 10th overflows
-    t = max(0, math.frexp(norm)[1] - 64)
-    b = np.ldexp(a, -t)
-    # I, b**2, b**4, b**6, b**8, b**10
-    powers = np.empty((6, n, n))
+    # I, x**2, x**4, x**6
+    powers = np.empty((4, n, n))
     powers[0] = np.eye(n)
-    np.matmul(b, b, out=powers[1])
+    np.matmul(x, x, out=powers[1])
     np.matmul(powers[1], powers[1], out=powers[2])
     np.matmul(powers[2], powers[1], out=powers[3])
-    np.matmul(powers[2], powers[2], out=powers[4])
-    np.matmul(powers[2], powers[3], out=powers[5])
-    d6, d8, d10 = (np.abs(powers[3:]).sum(axis=1).max(axis=1)
-                   ** (1.0 / np.arange(6, 12, 2)) * 2.0 ** t).tolist()
-    # theta_13 = 4.25: for eta up to it the approximant's backward error
-    # is below 2**-53 (Al-Mohy and Higham 2009)
-    eta = min(max(d6, d8), max(d8, d10))
-    s = math.ceil(math.log2(eta / 4.25)) if eta > 4.25 else 0
-    s += _ell(np.ldexp(abs_a, -s), math.ldexp(norm, -s))
-    if s != t:
-        # b and its powers for b = a * 2**-s
-        with np.errstate(over="ignore", under="ignore"):
-            b = np.ldexp(b, t - s)
-            np.ldexp(powers[1:4], (t - s) * np.arange(2, 8, 2)[:, None, None],
-                     out=powers[1:4])
-    x0, x1, x2, x3 = (_PADE_TERMS @ powers[:4].reshape(4, -1)).reshape(4, n, n)
-    u = b @ (powers[3] @ x0 + x1)
+    x0, x1, x2, x3 = (_PADE_TERMS @ powers.reshape(4, -1)).reshape(4, n, n)
+    u = x @ (powers[3] @ x0 + x1)
     v = powers[3] @ x2 + x3
     _, _, r, info = dgesv(v - u, v + u, overwrite_a=1, overwrite_b=1)
     if info != 0:
@@ -463,7 +435,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
                               f"LAPACK gesv info {info}")
     for _ in range(s):
         r = r @ r
-    return r
+    # D r D**-1: exact, or saturated to 0 or inf, never 0 * inf
+    e = np.frexp(d)[1]
+    return np.ldexp(r, e[:, None] - e[None, :])
 
 
 def continuous_impulse(g: ContinuousTransferFunction, dt: float,
@@ -473,14 +447,12 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
     With sigma = s*dt the denominator's coefficients become a_i*dt**i, of
     order one for poles up to the sampling rate, and the companion
     realization (A, B, C) of the strictly proper part of g(sigma/dt) gives
-    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A), computed by Pade
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
-    (2005) 1179-1193) at degree 13 only, which costs no more products here
-    than a lower one, with the scaling chosen as in Al-Mohy and Higham,
-    ibid. 31 (2009) 970-989; see :func:`_expm`.  The direct term acts at
-    t = 0 only.  The columns Phi**k @ B are filled in place by doubling,
-    X <- [X, P @ X], then P <- P @ P while columns remain: ceil(log2(n))
-    fills and one squaring fewer.
+    h(k*dt) = C @ Phi**k @ B / dt with Phi = expm(A), computed by
+    balancing and Pade scaling and squaring at degree 13 (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005) 1179-1193); see :func:`_expm`.  The
+    direct term acts at t = 0 only.  The columns Phi**k @ B are filled in
+    place by doubling, X <- [X, P @ X], then P <- P @ P while columns
+    remain: ceil(log2(n)) fills and one squaring fewer.
 
     Raises ParamError for an improper g and EvaluationError when the
     response overflows (a pole far in the right half-plane).

@@ -11,7 +11,7 @@ Householder QR of [regression | data], chosen by size: LAPACK geqrf,
 column by column, for a matrix of at most 2**13 entries, and geqrt,
 blocked in panels, above that; then a minimum-norm solve of the small
 triangular factor R with the eps*n rank rule, by LAPACK gelsd called
-directly, its workspace queried once per shape.
+directly, its workspace queried once per fit.
 A bilinear (Tustin) substitution converts the fitted discrete model to a
 continuous one of the same order.
 """
@@ -87,14 +87,6 @@ def _lag_view(src: np.ndarray, n: int, lags: int) -> np.ndarray:
                       (step, -step))
 
 
-@functools.lru_cache(maxsize=64)
-def _gelsd_work(k: int, rcond: float) -> Tuple[int, int]:
-    """``(lwork, liwork)`` of gelsd's k-by-k, one-column solves with
-    ``rcond``: one workspace query, shared by every fit of that shape."""
-    lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
-    return int(lwork), int(liwork)
-
-
 def _keep(best: tuple, resp: np.ndarray, y: np.ndarray, a: np.ndarray,
           b: np.ndarray) -> tuple:
     """``(error, a, b)`` of the iterate b/a, whose impulse response is
@@ -142,12 +134,11 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     matrix.  A rank-deficient (overparameterized) fit therefore gets the
     same minimum-norm answer as a full-matrix solve.  That solve calls
     LAPACK gelsd (the SVD routine lstsq wraps) directly, with its
-    workspace sized by one query per (k, rcond), cached; a solve LAPACK
-    reports as failed (gelsd's SVD did not converge) raises
-    EvaluationError naming the iteration, as does a non-finite factor or
-    solution.  A(z) = 1 leaves the data as it is, so the first pass uses
-    it unfiltered and is the
-    equation-error fit.
+    workspace sized by one query per fit; a solve LAPACK reports as
+    failed (gelsd's SVD did not converge) raises EvaluationError naming
+    the iteration, as does a non-finite factor or solution.  A(z) = 1
+    leaves the data as it is, so the first pass uses it unfiltered and is
+    the equation-error fit.
 
     Of the five iterates, the one with the least output error
     ||h - impulse response of B(z)/A(z)||, over all samples, is returned;
@@ -206,7 +197,9 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     lags_h, lags_x = _lag_view(src_h, n, na), _lag_view(src_x, n, nb + 1)
     # lstsq's default rank rule for the full n-by-k matrix (n > k)
     rcond = sys.float_info.epsilon * n
-    lwork, liwork = _gelsd_work(k, rcond)
+    # gelsd's workspace for the k-by-k, one-column solves of every pass
+    lwork, liwork, _ = dgelsd_lwork(k, k, 1, cond=rcond)
+    lwork, liwork = int(lwork), int(liwork)
     unblocked = n * (k + 1) <= _QR_UNBLOCKED_MAX
     below = np.tri(k, k, -1, dtype=bool)
     # the iterate with the least output error so far: (error, a, b)

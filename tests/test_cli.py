@@ -135,6 +135,21 @@ def test_overflowing_transform_exits_1_with_one_line(tmp_path, capfd):
         assert not (tmp_path / "out").exists()
 
 
+def test_nyquist_clamp_is_one_warning_line(tmp_path, capfd):
+    # the clamp is printed as "warning: <message>", without the file,
+    # line and source line of Python's warning format; the run succeeds,
+    # and when a stage then fails the warning comes before the error
+    assert run(tmp_path, "--wmax", "1e6", "--no-svg") == 0
+    err = capfd.readouterr().err
+    assert err == ("warning: wmax=1e+06 rad/s exceeds 180.956; clamping to "
+                   "it\n")
+    assert run(tmp_path / "failed", "--wmax", "1e6", "--wgc", "1e300") == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("warning: wmax=1e+06 rad/s exceeds")
+    assert lines[1].startswith("error: nilt stage failed")
+
+
 def test_missing_required_flag(capsys):
     assert cli_main(["--lambda", "1.5"]) == 2
 

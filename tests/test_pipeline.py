@@ -492,13 +492,15 @@ class TestIridFcoi:
 
     @pytest.mark.parametrize("routine, stage, match", [
         ("dgeev", "fit", r"LAPACK geev info 1"),
+        ("dgebal", "conversion", r"LAPACK gebal info 1"),
         ("dgesv", "conversion", r"LAPACK gesv info 1"),
     ])
     def test_failed_lapack_call_is_stage_labelled(self, monkeypatch, routine,
                                                   stage, match):
         # the stability test's eigenvalues and the matrix exponential's
-        # solve, each reporting info = 1 (no convergence, a singular
-        # factor): an EvaluationError of its stage, not numpy's LinAlgError
+        # balancing and solve, each reporting info = 1 (no convergence, a
+        # failed balancing, a singular factor): an EvaluationError of its
+        # stage, not numpy's LinAlgError
         real = getattr(irid.lti, routine)
 
         def failing(*args, **kwargs):

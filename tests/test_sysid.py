@@ -398,13 +398,13 @@ class TestStmcb:
         # irid loads scipy's LAPACK extension by file path, not through
         # scipy.linalg: the showcase fit at m = 256 (dgeqrf) and m = 16384
         # (dgeqrt), its stability margin (dgeev) and its continuous
-        # model's impulse response (dgesv) come out bit for bit as with
-        # scipy.linalg.lapack's routines, which are other objects
+        # model's impulse response (dgebal, dgesv) come out bit for bit as
+        # with scipy.linalg.lapack's routines, which are other objects
         lapack = scipy.linalg.lapack
         routines = [(irid.sysid, "dgeqrf"), (irid.sysid, "dgeqrt"),
                     (irid.sysid, "dgelsd"), (irid.sysid, "dgelsd_lwork"),
-                    (irid.lti, "dtbtrs"), (irid.lti, "dgesv"),
-                    (irid.lti, "dgeev")]
+                    (irid.lti, "dtbtrs"), (irid.lti, "dgebal"),
+                    (irid.lti, "dgesv"), (irid.lti, "dgeev")]
         for module, name in routines:
             assert getattr(module, name) is not getattr(lapack, name), name
         for m in (256, 16384):
@@ -417,8 +417,6 @@ class TestStmcb:
                     if patched:
                         for module, name in routines:
                             patch.setattr(module, name, getattr(lapack, name))
-                    # each side queries gelsd's workspace with its own routine
-                    irid.sysid._gelsd_work.cache_clear()
                     g = stmcb_fit(data, 5, 5)
                     h_c = continuous_impulse(bilinear_d2c(g), h_ref.dt, m)
                     fits.append((g.num, g.den, regenerate(g, m), h_c.values,
