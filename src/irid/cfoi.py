@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import EvaluationError, ParamError
 from .lti import (FrequencyGrid, FrequencyResponseSeries, _all_finite,
                   _finite_real, _number_array, _positive)
 
@@ -237,11 +237,30 @@ _LANCZOS_C = (
 )
 
 
+def _lanczos(z: complex) -> complex:
+    """Gamma(z) for Re(z) >= 0.5 by the Lanczos sum; OverflowError, or a
+    value that is not finite, where its power leaves the double range."""
+    zz = z - 1.0
+    t = zz + _LANCZOS_G + 0.5
+    series = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        series += _LANCZOS_C[k] / (zz + k)
+    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * series
+
+
 def gamma_complex(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos; reflection for
     Re(z) < 0.5).  Poles at the non-positive integers raise ParamError,
     as does a z that is not a finite int, float or complex number (a
-    bool, a string, bytes or None is not a number)."""
+    bool, a string, bytes or None is not a number).
+
+    EvaluationError where the value or a factor of it leaves the double
+    range: the Lanczos power t**(z - 0.5), t = z + 607/128 - 0.5, times
+    sqrt(2*pi), for real z from about 142.58 up (Gamma itself overflows
+    only from 171.62 on) and, by the reflection, for real z below about
+    -141.58; and, for Re(z) < 0.5, sin(pi*z) or its product with
+    Gamma(1 - z), from about |Im(z)| = 226 on near the imaginary axis.
+    """
     # a real z is checked against the double range first: cmath.isfinite
     # raises OverflowError for an int beyond it
     if not (_finite_real(z) if isinstance(z, numbers.Real)
@@ -249,16 +268,19 @@ def gamma_complex(z: complex) -> complex:
         raise ParamError(f"gamma argument must be a finite number, "
                          f"got {z!r}")
     z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == int(z.real):
-            raise ParamError(f"gamma pole at z = {z.real:g}")
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    zz = z - 1.0
-    t = zz + _LANCZOS_G + 0.5
-    series = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[k] / (zz + k)
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * series
+    if z.real < 0.5 and z.imag == 0.0 and z.real == int(z.real):
+        raise ParamError(f"gamma pole at z = {z.real:g}")
+    try:
+        if z.real < 0.5:
+            g = math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
+        else:
+            g = _lanczos(z)
+    except OverflowError:
+        g = cmath.nan
+    if not cmath.isfinite(g):
+        raise EvaluationError(f"gamma(z) at z = {z} is out of the double "
+                              f"range of its Lanczos evaluation")
+    return g
 
 
 def cfoi_analytic_impulse(p: CfoiParams, t):
@@ -270,9 +292,18 @@ def cfoi_analytic_impulse(p: CfoiParams, t):
     Array in, array out, gamma(nu) evaluated once per call; a scalar
     returns an ``np.float64``.  Singular at t = 0 when lam < 1, hence
     every t must be a positive, finite int or float, else ParamError (a
-    string or a bool is not a number).
+    string or a bool is not a number).  EvaluationError where wgc**nu or
+    t**(nu-1) alone leaves the double range, even where the value would
+    not; for t**(nu-1), as for any value that is not finite, the message
+    ends "(sample k)".
     """
     t = _positive_points("t", t)
     nu = complex(p.lam, p.mu)
-    val = p.wgc ** nu * t ** (nu - 1.0) / gamma_complex(nu)
-    return val.real
+    try:
+        scale = p.wgc ** nu
+    except OverflowError:
+        raise EvaluationError(f"wgc**nu = {p.wgc:g}**{nu} is out of the "
+                              f"double range") from None
+    with np.errstate(all="ignore"):
+        val = scale * t ** (nu - 1.0) / gamma_complex(nu)
+    return _all_finite("analytic impulse response is not finite", val.real)

@@ -25,8 +25,9 @@ class EvaluationError(IridError, ArithmeticError):
     iterates has a finite output error, a least-squares solve, a
     stability test's eigenvalues or a matrix exponential's balancing or
     solve that LAPACK reports as failed, a pole at z = -1 or coefficients
-    out of the double range under the bilinear map, a magnitude below the
-    dB scale, or a computed array with a NaN or Inf in it, among them a qd
+    out of the double range under the bilinear map, a gamma value or an
+    oracle power out of the double range, a magnitude below the dB
+    scale, or a computed array with a NaN or Inf in it, among them a qd
     tail whose first value is beyond the double range.  The last is always raised
     by ``irid.lti._all_finite``: the message ends "(sample k)", k the
     first bad flat index."""

@@ -138,13 +138,22 @@ def _vector(name: str, x, dtype=float) -> np.ndarray:
     return arr
 
 
+def _first_non_finite(x: np.ndarray):
+    """The flat C-order index of the first non-finite entry of ``x``, or
+    None when every entry is finite."""
+    finite = np.isfinite(x)
+    if finite.all():
+        return None
+    return int(np.argmin(finite))
+
+
 def _all_finite(what: str, x: np.ndarray) -> np.ndarray:
     """``x`` unchanged, or EvaluationError("<what> (sample k)") at its
     first non-finite entry, k the flat index.  Numpy arithmetic whose
     result this checks runs with floating-point warnings off."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise EvaluationError(f"{what} (sample {int(np.argmin(finite))})")
+    bad = _first_non_finite(x)
+    if bad is not None:
+        raise EvaluationError(f"{what} (sample {bad})")
     return x
 
 
@@ -488,23 +497,11 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
 
 def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,
                        grid: FrequencyGrid) -> FrequencyResponseSeries:
-    """num/den at ``points``, both polynomials evaluated by one Horner loop
-    over their coefficients stacked in two rows, the shorter one behind
-    leading zeros.  Each row takes the operations ``np.polyval`` makes,
-    and from the start value 0 a leading zero leaves it 0, so the bits
-    are those of ``np.polyval``."""
-    size = max(len(num), len(den))
-    coeffs = np.zeros((size, 2, 1))
-    coeffs[size - len(num):, 0, 0] = num
-    coeffs[size - len(den):, 1, 0] = den
-    vals = np.zeros((2, len(points)), dtype=points.dtype)
+    """num/den at ``points``, each polynomial evaluated by ``np.polyval``."""
     with np.errstate(all="ignore"):
-        for c in coeffs:
-            np.multiply(vals, points, out=vals)
-            np.add(vals, c, out=vals)
-        nv, dv = vals
+        dv = np.polyval(den, points)
         small = np.abs(dv) < 1e-300
-        ratio = nv / dv
+        ratio = np.polyval(num, points) / dv
     if small.any():
         w = grid.omegas[np.argmax(small)]
         raise EvaluationError(f"denominator vanishes near omega={w:g} rad/s")

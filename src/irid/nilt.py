@@ -39,8 +39,14 @@ error of 9.4e-9, 3.2e-8 and 1.2e-8 on (0.8*tm, tm] against 9.1e-9,
 5.2e-8 and 1.0e-8 on [dt, 0.8*tm], and a max absolute error there at
 most 1.1x that before it.  1/(s+1) reads 3.3e-6 relative on the last
 fifth only because e^-t is ~5e-5 there; its absolute error is the
-smaller one, 6.1e-10 against 1.3-1.4e-8.  The transform must be analytic
-for Re(s) > 0 and conjugate-symmetric (real time function); neither is
+smaller one, 6.1e-10 against 1.3-1.4e-8.
+
+The transform must be conjugate-symmetric (real time function), and the
+1e-8 aliasing bound assumes it is analytic for Re(s) > 0.  A singularity
+p with 0 < Re(p) < c increases the aliasing error to about
+exp(-(c - Re(p))*T): 1/(s - 0.3) at tm = 20, where c = 0.46, reads
+1.6e-3 relative L2.  A singularity at or right of the line Re(s) = c
+returns a wrong series without any error.  Neither condition is
 detected, only documented.
 """
 
@@ -173,9 +179,12 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     ----------
     f : callable
         Array transform ``s -> F(s)``, analytic for Re(s) > 0 with
-        ``f(conj(s)) == conj(f(s))``.  Called once on the whole line of N
-        points (complex128) and once more on one ``np.clongdouble``
-        array: the 2P+1 tail points, then the line points N-2 and m-1,
+        ``f(conj(s)) == conj(f(s))``: a singularity right of 0 increases
+        the aliasing error, and one at or right of the line Re(s) = c
+        gives a wrong series without an error (see the module
+        docstring).  Called once on the whole line of N points
+        (complex128) and once more on one ``np.clongdouble`` array: the
+        2P+1 tail points, then the line points N-2 and m-1,
         from which alone the initial-value split is estimated.  A scalar
         return is broadcast to the line.  The qd tail amplifies rounding
         in F, so a transform that keeps the extended dtype gets a tail

@@ -109,7 +109,11 @@ class IridRequest:
 
 @dataclass(frozen=True)
 class ModelErrors:
-    """Closeness of one approximate model to the exact integrator."""
+    """Closeness of one approximate model to the integrator: the impulse
+    scores by :func:`compare_impulse` against ``h_ref``, the numerically
+    inverted reference, not the exact response, and the frequency scores
+    by :func:`compare_frequency` against the exact G(j*omega) of
+    ``cfoi_freq_response``."""
 
     impulse_rel_l2: float
     impulse_max_abs: float
@@ -126,7 +130,9 @@ class ComparisonMetrics:
 @dataclass(frozen=True, eq=False)
 class IridResult:
     """Fitted models, the three impulse/frequency series on shared grids,
-    and the comparison metrics."""
+    and the comparison metrics: each model's impulse response scored
+    against the reference ``h_ref``, inverted numerically, and its
+    frequency response against the exact one, ``f_ref``."""
 
     request: IridRequest
     gd: DiscreteTransferFunction
@@ -163,36 +169,20 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     return err / norm, peak
 
 
-def _polar(response: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(magnitude in dB, as ``magnitude_db`` gives it, angle in radians)
-    of a complex response array; EvaluationError if a magnitude
-    underflows the dB scale."""
-    mag = np.abs(response)
-    if mag.min() < 1e-300:
-        raise EvaluationError("response magnitude underflows the dB scale")
-    return 20.0 * np.log10(mag), np.angle(response)
-
-
-def _polar_errors(a: Tuple[np.ndarray, np.ndarray],
-                  b: Tuple[np.ndarray, np.ndarray]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`compare_frequency` of b against a from their :func:`_polar`
-    forms, as arrays: b may stack responses in rows, one maximum each."""
-    (a_db, a_angle), (b_db, b_angle) = a, b
-    turn = b_angle - a_angle + math.pi
-    return (np.abs(a_db - b_db).max(axis=-1),
-            np.degrees(np.abs(turn % (2 * math.pi) - math.pi).max(axis=-1)))
-
-
 def compare_frequency(a: FrequencyResponseSeries,
                       b: FrequencyResponseSeries) -> Tuple[float, float]:
     """(max |magnitude difference| in dB, max |phase difference| in
-    degrees) of b against a on their shared grid, the phase difference
-    np.angle(b) - np.angle(a) taken per point and wrapped to [-180, 180);
-    EvaluationError if a magnitude underflows the dB scale."""
+    degrees) of b against a on their shared grid, the magnitudes from
+    ``magnitude_db`` and the phase difference np.angle(b) - np.angle(a)
+    taken per point and wrapped to [-180, 180); EvaluationError if a
+    magnitude underflows the dB scale."""
     if not np.array_equal(a.grid.omegas, b.grid.omegas):
         raise ParamError("frequency grids differ")
-    mag, phase = _polar_errors(_polar(a.response), _polar(b.response))
+    if min(np.abs(a.response).min(), np.abs(b.response).min()) < 1e-300:
+        raise EvaluationError("response magnitude underflows the dB scale")
+    mag = np.abs(a.magnitude_db() - b.magnitude_db()).max()
+    turn = np.angle(b.response) - np.angle(a.response) + math.pi
+    phase = np.degrees(np.abs(turn % (2 * math.pi) - math.pi).max())
     return float(mag), float(phase)
 
 
@@ -231,14 +221,10 @@ def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
         f_ref = cfoi_freq_grid(req.params, req.grid)
         f_d = discrete_freq_response(gd, req.grid)
         f_c = continuous_freq_response(gc, req.grid)
-        # compare_frequency of both models at once, as the rows of one
-        # stacked array; the three responses share one grid
-        mag, phase = _polar_errors(_polar(f_ref.response), _polar(
-            np.stack((f_d.response, f_c.response))))
         metrics = ComparisonMetrics(*(
-            ModelErrors(*compare_impulse(h_ref, h), mag_err, phase_err)
-            for h, mag_err, phase_err in zip((h_d, h_c), mag.tolist(),
-                                             phase.tolist())))
+            ModelErrors(*compare_impulse(h_ref, h),
+                        *compare_frequency(f_ref, f))
+            for h, f in ((h_d, f_d), (h_c, f_c))))
     except IridError as exc:
         raise PipelineStageError(stage, exc) from exc
     return IridResult(request=req, gd=gd, gc=gc, h_ref=h_ref, h_d=h_d,

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import EvaluationError, ParamError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
-                  TimeSeries, _all_finite, _allpole, _count, _flapack,
-                  _sum_squares)
+                  TimeSeries, _all_finite, _allpole, _count,
+                  _first_non_finite, _flapack, _sum_squares)
 
 __all__ = ["stmcb_fit", "bilinear_d2c"]
 
@@ -54,15 +54,6 @@ _QR_BLOCK = 4
 # band lives in the matrix's storage, so the fit peaks near the matrix
 # itself: 187 MB there, 1.24 times it (tracemalloc)
 _MAX_FIT_ENTRIES = 2 ** 20 * 18
-
-
-def _first_non_finite(x: np.ndarray):
-    """The index, as a tuple, of the first non-finite entry of ``x`` in C
-    order, or None when every entry is finite."""
-    finite = np.isfinite(x)
-    if finite.all():
-        return None
-    return np.unravel_index(int(np.argmin(finite)), x.shape)
 
 
 def _check_fit(n: int, nb: int, na: int) -> Tuple[int, int]:
@@ -238,9 +229,10 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
             r = qr[:k, :k + 1]
             bad = _first_non_finite(r)
             if bad is not None:
+                row, col = divmod(bad, k + 1)
                 raise EvaluationError(
                     f"least-squares factor is non-finite (iteration {it}) "
-                    f"(row {bad[0]}, column {bad[1]})")
+                    f"(row {row}, column {col})")
             # R is the upper triangle; the QR left its reflectors below it
             r[:, :k][below] = 0.0
             sol, _, _, info = dgelsd(r[:, :k], r[:, k:], lwork, liwork,
@@ -250,9 +242,8 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
                                       f"gelsd info {info} (iteration {it})")
             bad = _first_non_finite(sol)
             if bad is not None:
-                # sol holds a[1..na], then b[0..nb]
-                j = bad[0]
-                coef = f"a[{j + 1}]" if j < na else f"b[{j - na}]"
+                # sol holds a[1..na], then b[0..nb], in one column
+                coef = f"a[{bad + 1}]" if bad < na else f"b[{bad - na}]"
                 raise EvaluationError(f"least-squares solution is non-finite "
                                       f"(iteration {it}) (coefficient {coef})")
             a = np.concatenate(([1.0], sol[:na, 0]))
@@ -343,5 +334,5 @@ def bilinear_d2c(g: DiscreteTransferFunction) -> ContinuousTransferFunction:
             if bad is not None:
                 raise EvaluationError(f"continuous model coefficients are out "
                                       f"of the double range ({part} "
-                                      f"coefficient {bad[0]})")
+                                      f"coefficient {bad})")
     return ContinuousTransferFunction(num, den)

@@ -336,6 +336,20 @@ class TestGamma:
         with pytest.raises(ParamError, match="gamma pole at z = -3"):
             gamma_complex(-3.0)
 
+    @pytest.mark.parametrize("z", [142.7, 143.0, 150.0, 171.0, -150.5,
+                                   complex(-0.5, 230.0)])
+    def test_out_of_double_range_raises(self, z):
+        # math.gamma(143) = 2.7e245 is finite, but the Lanczos power
+        # t**(z - 0.5) is not; at 142.7 only its product with sqrt(2*pi)
+        # leaves the double range, and at Im(z) = 230 sin(pi*z) does
+        with pytest.raises(EvaluationError, match="out of the double range"):
+            gamma_complex(z)
+
+    @pytest.mark.parametrize("z", [141.0, 142.5, -141.5])
+    def test_exact_near_the_range_limit(self, z):
+        assert gamma_complex(z).real == pytest.approx(math.gamma(z),
+                                                      rel=1e-14)
+
 
 class TestAnalyticImpulse:
     def test_unit_step(self):
@@ -379,3 +393,19 @@ class TestAnalyticImpulse:
             cfoi_analytic_impulse(CfoiParams(0.5, 0.0, 1.0), -1.0)
         with pytest.raises(ParamError, match="t must hold real numbers"):
             cfoi_analytic_impulse(CfoiParams(0.5, 0.0, 1.0), "0.5")
+
+    @pytest.mark.parametrize("t,k", [(5e-324, 0), ([1.0, 5e-324], 1)])
+    def test_non_finite_value_raises(self, t, k):
+        # t**(nu - 1) = 5e-324**-0.99 overflows, without a warning
+        with pytest.raises(EvaluationError,
+                           match=rf"not finite \(sample {k}\)$"):
+            cfoi_analytic_impulse(CfoiParams(0.01, 0.0, 1.0), t)
+
+    @pytest.mark.parametrize("lam,mu,wgc,t", [(1.5, -0.4, 1e250, 1.0),
+                                              (1.9, -0.5, 1e300, 1e-300)])
+    def test_power_out_of_double_range_raises(self, lam, mu, wgc, t):
+        # wgc**nu overflows, though at t = 1e-300 the value, about 1e300,
+        # would not
+        with pytest.raises(EvaluationError,
+                           match=r"^wgc\*\*nu = .* out of the double range$"):
+            cfoi_analytic_impulse(CfoiParams(lam, mu, wgc), t)
