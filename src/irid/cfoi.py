@@ -75,11 +75,16 @@ class CfoiParams:
 _REAL_FORM_MIN = 256
 
 
-def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
-    """G(s) in real arithmetic of the dtype of ``s``, a checked complex
-    array, on functions that numpy vectorises: |s| from ``np.abs`` and
-    no cos or sin, whose float64 loops (like hypot's) are scalar libm
-    calls, several times slower than abs, tan, cosh or sinh.
+def _transfer_polar(p: CfoiParams, modulus: np.ndarray,
+                    angle: np.ndarray) -> np.ndarray:
+    """G(s) in real arithmetic of the dtype of the flat arrays ``modulus``
+    = |s| and ``angle`` = arg s of a checked complex line s, on functions
+    that numpy vectorises: no cos or sin, whose float64 loops (like
+    hypot's) are scalar libm calls, several times slower than abs, tan,
+    cosh or sinh.  ``modulus`` and ``angle`` serve as two of the four
+    real temporaries, of their size, when they are writeable, and are
+    only read when they are not, as the polar form that
+    :mod:`irid.nilt` keeps for its line; the output is allocated besides.
 
     L = log(wgc/s) = a + j*b with a = log(wgc/|s|) and b = -arg s, then
     G = exp(lam*L) * cos(mu*L) = (er + j*ei) * (cr + j*ci), er + j*ei =
@@ -90,26 +95,21 @@ def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
     inside the dtype's range at every angle, and each ratio is formed
     before it scales e^(lam*a), cosh or sinh, so every product under- and
     overflows only where the expansion's own factors make it.  tan and
-    sinh are odd and cosh is even, so G(conj s) = conj G(s) exactly.
-    Four real temporaries of the size of ``s`` are allocated besides the
-    output."""
-    # one flat line, so that the output's storage can lend two contiguous
-    # real scratch lines of its size; a C-order ``s`` is not copied
-    shape, s = s.shape, s.reshape(-1)
-    a = np.abs(s)
-    np.divide(p.wgc, a, out=a)
+    sinh are odd and cosh is even, so G(conj s) = conj G(s) exactly."""
+    a = np.divide(p.wgc, modulus,
+                  out=modulus if modulus.flags.writeable else None)
     np.log(a, out=a)
-    b = np.arctan2(s.imag, s.real)  # holds -b: lam*b/2 is (-lam/2)*(-b)
     e = np.multiply(p.lam, a)
     np.exp(e, out=e)
-    t = np.multiply(-0.5 * p.lam, b)
+    # angle holds -b: lam*b/2 is (-lam/2)*(-b)
+    t = np.multiply(-0.5 * p.lam, angle)
     np.tan(t, out=t)
     np.multiply(0.5 * p.mu, a, out=a)
     np.tan(a, out=a)
-    np.multiply(-p.mu, b, out=b)
+    b = np.multiply(-p.mu, angle, out=angle if angle.flags.writeable else None)
     # the output's storage holds the scratch lines u and v until its real
     # and imaginary parts are written
-    g = np.empty_like(s)
+    g = np.empty(a.shape, np.promote_types(a.dtype, np.complex64))
     u, v = g.view(a.dtype).reshape(2, -1)
     np.cosh(b, out=u)
     np.sinh(b, out=b)
@@ -138,7 +138,19 @@ def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
     np.multiply(t, a, out=im)
     np.add(re, np.multiply(t, b, out=a), out=re)
     np.subtract(im, np.multiply(e, b, out=a), out=im)
-    return g.reshape(shape)
+    return g
+
+
+def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
+    """G(s) for a checked complex array ``s`` by :func:`_transfer_polar`
+    on its polar form, |s| from ``np.abs`` and arg s from ``np.arctan2``,
+    which serve as two of its four real temporaries; the same bits as
+    that function on a kept polar form of the same ``s``."""
+    # one flat line, so that the output's storage can lend two contiguous
+    # real scratch lines of its size; a C-order ``s`` is not copied
+    shape, s = s.shape, s.reshape(-1)
+    return _transfer_polar(p, np.abs(s),
+                           np.arctan2(s.imag, s.real)).reshape(shape)
 
 
 def cfoi_transfer(p: CfoiParams, s):

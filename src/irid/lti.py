@@ -14,7 +14,6 @@ import importlib.util
 import math
 import numbers
 import os
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -84,9 +83,15 @@ def _finite_real(x) -> bool:
     """Whether ``x`` is an int, float or numpy real scalar in the double
     range, so ``float(x)`` is finite; a bool, a string or bytes is not a
     number."""
-    # float first: isinstance tries it before the slower abstract class
-    return (isinstance(x, (float, numbers.Real)) and not isinstance(x, bool)
-            and -sys.float_info.max <= x <= sys.float_info.max)
+    # float first: isinstance tries it before the slower abstract class.
+    # math.isfinite converts to float, where a comparison with the double
+    # range would cast that range into a float16 or float32 scalar's dtype
+    if not isinstance(x, (float, numbers.Real)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the double range
+        return False
 
 
 def _positive(name: str, x) -> float:

@@ -124,6 +124,11 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
                        np.divide(q, p, out=q))
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
 @functools.lru_cache(maxsize=4)
 def _unit_roots(m: int) -> np.ndarray:
     """Read-only array of the m sample points z_k = exp(2j*pi*k/N) of a
@@ -131,9 +136,94 @@ def _unit_roots(m: int) -> np.ndarray:
     z = np.arange(1, m + 1, dtype=complex)
     np.multiply(2j * np.pi, z, out=z)
     np.divide(z, 2 * m, out=z)
-    np.exp(z, out=z)
-    z.flags.writeable = False
-    return z
+    return _read_only(np.exp(z, out=z))
+
+
+# windows of at most this many samples are kept, the 8 last used: a
+# window at m = 2**14 holds about 1.25 MiB beyond its _unit_roots entry.
+# Larger ones are built per call and keep nothing once nilt returns
+_KEEP_MAX_M = 2 ** 14
+
+
+class _Window:
+    """The arrays of one inversion that depend on (tm, m) alone, read-only.
+
+    Built at once: the line s_n = c + j*n*dw, n = 0 .. N-1, and the
+    extended points in np.longdouble, the qd tail's 2P+1 points n = N ..
+    N+2P, then the split's line points N-2 and m-1.  Computed the first
+    time they are read, so that a window built for one call allocates
+    them only after nilt has let go of its line: the tail's sample points
+    ``z`` of :func:`_unit_roots`, the damping e^(c*t)/T and the split's
+    decay e^(-t/tm) at t = dt .. tm, and the line's polar form
+    (|s|, arg s), which :mod:`irid.pipeline` evaluates its transform
+    from."""
+
+    def __init__(self, tm: float, m: int):
+        self.tm, self.m = tm, m
+        self.T = 2.0 * tm
+        self.c = -math.log(_REL_ERR) / self.T
+        self.dt = tm / m
+        N, dw = 2 * m, 2.0 * math.pi / self.T
+        s = np.arange(N, dtype=complex)
+        np.multiply(1j * dw, s, out=s)
+        np.add(self.c, s, out=s)
+        self.s = _read_only(s)
+        # the tail amplifies rounding in both its own and the split's
+        # points, so both come in extended precision
+        n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
+        self.s_ext = _read_only(self.c + 1j * dw * n_ext.astype(np.longdouble))
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        return _unit_roots(self.m)
+
+    @functools.cached_property
+    def damping(self) -> np.ndarray:
+        d = np.arange(1, self.m + 1) * self.dt
+        np.multiply(self.c, d, out=d)
+        np.exp(d, out=d)
+        return _read_only(np.divide(d, self.T, out=d))
+
+    @functools.cached_property
+    def decay(self) -> np.ndarray:
+        d = np.arange(1, self.m + 1) * self.dt
+        np.multiply(-(1.0 / self.tm), d, out=d)
+        return _read_only(np.exp(d, out=d))
+
+    @functools.cached_property
+    def polar(self) -> Tuple[np.ndarray, np.ndarray]:
+        s = self.s
+        return (_read_only(np.abs(s)),
+                _read_only(np.arctan2(s.imag, s.real)))
+
+
+@functools.lru_cache(maxsize=8)
+def _kept(tm: float, m: int) -> _Window:
+    # eight hold the benchmark lattice's six (tm, m) pairs
+    return _Window(tm, m)
+
+
+def _kept_window(tm: float, m: int):
+    """The kept :class:`_Window` of a checked ``(tm, m)``, None for m above
+    2**14, whose windows are not kept."""
+    return _kept(tm, m) if m <= _KEEP_MAX_M else None
+
+
+def _transform_values(f, s: np.ndarray, where: str) -> np.ndarray:
+    """``f(s)`` broadcast to the shape of ``s``; ParamError unless it
+    holds numbers of that shape or one that broadcasts to it,
+    EvaluationError("transform is not finite <where> (sample k)") at its
+    first non-finite entry."""
+    F = np.asarray(f(s))
+    if F.dtype.kind not in "iufc":
+        raise ParamError(f"transform must return numbers, got dtype "
+                         f"{F.dtype} {where}")
+    try:
+        F = np.broadcast_to(F, s.shape)
+    except ValueError:
+        raise ParamError(f"transform returned shape {F.shape} for "
+                         f"{len(s)} points {where}") from None
+    return _all_finite(f"transform is not finite {where}", F)
 
 
 def _twice_real_sum(F: np.ndarray, m: int) -> np.ndarray:
@@ -173,7 +263,10 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
     The N = 2m line samples are summed by one real inverse FFT of their
     Hermitian fold, and the qd tail is evaluated at the m sample points
-    z_k = exp(2j*pi*k/N), which are computed once per m and cached.
+    z_k = exp(2j*pi*k/N).  The arrays that depend on (tm, m) alone, the
+    line, the extended points, the z_k and the damping, are one
+    read-only window: windows of m <= 2**14 are kept, the 8 last used,
+    about 1.25 MiB each at m = 2**14, and larger ones are built per call.
 
     Parameters
     ----------
@@ -186,10 +279,14 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         (complex128) and once more on one ``np.clongdouble`` array: the
         2P+1 tail points, then the line points N-2 and m-1,
         from which alone the initial-value split is estimated.  A scalar
-        return is broadcast to the line.  The qd tail amplifies rounding
-        in F, so a transform that keeps the extended dtype gets a tail
-        and a split independent of double rounding; one that returns
-        complex128 there gets a double-precision tail.
+        return is broadcast to the line; a return that holds no numbers
+        or does not broadcast to its points raises ParamError.  Both
+        arrays are read-only, so a transform that writes into its
+        argument raises ValueError instead of changing a kept window.
+        The qd tail amplifies rounding in F, so a transform that keeps
+        the extended dtype gets a tail and a split independent of double
+        rounding; one that returns complex128 there gets a
+        double-precision tail.
     tm : float
         Window end time in seconds, a positive finite real number.
     m : int
@@ -202,29 +299,18 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
     Raises
     ------
-    ParamError for an invalid ``tm`` or ``m``; EvaluationError, naming the
+    ParamError for an invalid ``tm`` or ``m`` or a return of ``f`` that
+    is not numbers of its argument's shape; EvaluationError, naming the
     first bad sample, if ``f`` returns NaN/Inf, the qd tail is out of the
     double range or has a pole at a sample point, or a sample overflows.
     """
     tm, m = _check_window(tm, m)
-    T = 2.0 * tm
-    c = -math.log(_REL_ERR) / T
-    N = 2 * m
-    dw = 2.0 * math.pi / T
-    dt = tm / m
-
-    s = np.arange(N, dtype=complex)
-    np.multiply(1j * dw, s, out=s)
-    np.add(c, s, out=s)
-    # the qd tail's 2P+1 points, then the split's line points N-2 and m-1:
-    # the tail amplifies rounding in both, so both come in extended precision
-    n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
-    s_ext = c + 1j * dw * n_ext.astype(np.longdouble)
+    kept = _kept_window(tm, m)
+    w = kept or _Window(tm, m)
+    s, s_ext = w.s, w.s_ext
     with np.errstate(all="ignore"):
-        F = _all_finite("transform is not finite on the line",
-                        np.broadcast_to(f(s), s.shape))
-        F_ext = _all_finite("transform is not finite at the extended points",
-                            np.broadcast_to(f(s_ext), s_ext.shape))
+        F = _transform_values(f, s, "on the line")
+        F_ext = _transform_values(f, s_ext, "at the extended points")
         peak = max(float(np.abs(F).max()), float(np.abs(F_ext).max()))
 
         # initial-value split: the intercept f0 of s*F(s) ~ f0 + f1/s through
@@ -234,36 +320,31 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         (sa, sb), (fa, fb) = s_ext[-2:], F_ext[-2:]
         r = float(((sa * sa * fa - sb * sb * fb) / (sa - sb)).real)
         beta = 1.0 / tm
-        if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
+        if not math.isfinite(r) or abs(r) > 100.0 * w.c * max(peak, 1e-300):
             r = 0.0
         if r != 0.0:
-            # into a new buffer: F may be the transform's own array, and the
-            # transform may have kept s
+            # into a new buffer: F may be the transform's own array
             split = np.add(s, beta)
             np.divide(r, split, out=split)
             F = np.subtract(F, split, out=split)
             F_ext = F_ext - r / (s_ext + beta)
-        # the line is not read after this: its storage can go back before
-        # the tail's buffers are allocated, unless the transform keeps it
+        # the line is not read after this: a window built for this call
+        # gives its storage back before the tail's buffers are allocated,
+        # unless the transform keeps it
         del s
+        if kept is None:
+            del w.s
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-        tail = _qd_eval(_qd_coeffs(F_ext[:_QD_TERMS]), _unit_roots(m)).real
+        tail = _qd_eval(_qd_coeffs(F_ext[:_QD_TERMS]), w.z).real
         np.multiply(2.0, tail, out=tail)
         re = _twice_real_sum(F, m)
         np.add(re, tail, out=re)
         # vals = (exp(c*t)/T) * (2*Re(line sum + tail) - Re(F_0)), in place
-        t = np.arange(1, m + 1) * dt
-        vals = np.multiply(c, t)
-        np.exp(vals, out=vals)
-        np.divide(vals, T, out=vals)
         np.subtract(re, F[0].real, out=re)
-        np.multiply(vals, re, out=vals)
+        vals = np.multiply(w.damping, re, out=re)
         if r != 0.0:
-            # t is not needed after this
-            np.multiply(-beta, t, out=t)
-            np.exp(t, out=t)
-            np.multiply(r, t, out=t)
-            np.add(vals, t, out=vals)
+            np.add(vals, np.multiply(r, w.decay), out=vals)
+    dt = w.dt
     return TimeSeries(dt, dt, _all_finite("inverted samples overflow", vals))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -7,8 +8,8 @@ import pytest
 
 from irid.cfoi import CfoiParams, cfoi_analytic_impulse, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
-from irid.nilt import (_qd_coeffs, _qd_eval, _twice_real_sum, _unit_roots,
-                       nilt)
+from irid.nilt import (_Window, _kept, _kept_window, _qd_coeffs, _qd_eval,
+                       _twice_real_sum, _unit_roots, nilt)
 
 
 def rel_l2(got, want):
@@ -88,6 +89,46 @@ class TestLineSum:
         assert got is _unit_roots(m)
         assert not got.flags.writeable
         np.testing.assert_array_equal(got, want)
+
+
+class TestWindow:
+    def test_kept_read_only_and_as_built(self):
+        w = _kept_window(2.0, 1024)
+        assert w is _kept_window(2.0, 1024)
+        new = _Window(2.0, 1024)
+        for name in ("s", "s_ext", "z", "damping", "decay"):
+            assert not getattr(w, name).flags.writeable, name
+            assert np.array_equal(getattr(w, name), getattr(new, name)), name
+        for got, want in zip(w.polar, new.polar):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+        np.testing.assert_array_equal(w.polar[0], np.abs(w.s))
+
+    def test_above_2_14_not_kept(self):
+        assert _kept_window(2.0, 2 ** 14) is not None
+        assert _kept_window(2.0, 2 ** 15) is None
+        before = _kept.cache_info()
+        nilt(lambda s: 1 / (s + 1), 2.0, 2 ** 15)
+        assert _kept.cache_info() == before
+
+    @pytest.mark.parametrize("m", [64, 2 ** 15])
+    def test_writing_into_the_line_raises(self, m):
+        def writes(s):
+            s *= 2.0
+            return 1 / s
+
+        with pytest.raises(ValueError, match="read-only"):
+            nilt(writes, 2.0, m)
+        if m <= 2 ** 14:
+            assert np.array_equal(_kept_window(2.0, m).s, _Window(2.0, m).s)
+
+    def test_same_bits_after_the_cache_is_cleared(self):
+        def f(s):
+            return 1 / (s + 1) + 1 / s ** 2
+
+        kept = nilt(f, 2.0, 1024).values
+        _kept.cache_clear()
+        assert np.array_equal(nilt(f, 2.0, 1024).values, kept)
 
 
 class TestOraclePairs:
@@ -242,6 +283,18 @@ class TestErrors:
         with pytest.raises(EvaluationError, match=r"\(sample 9\)"):
             nilt(spiky, 1.0, 64)
 
+    @pytest.mark.parametrize("f,match", [
+        (lambda s: np.ones(3), r"shape \(3,\) for 128 points on the line"),
+        (lambda s: np.ones(128),
+         r"shape \(128,\) for 19 points at the extended points"),
+        (lambda s: None, "must return numbers, got dtype object on the line"),
+        (lambda s: np.full(s.shape, "a"),
+         "must return numbers, got dtype <U1 on the line"),
+    ], ids=["short", "line-length", "none", "strings"])
+    def test_transform_result_not_numbers_of_the_shape(self, f, match):
+        with pytest.raises(ParamError, match=match):
+            nilt(f, 1.0, 64)
+
     @pytest.mark.parametrize("lam,mu", itertools.product(
         (0.1, 0.5, 1.5, 1.95), (0.0, -0.5, -0.95)))
     def test_qd_eval_matches_nested_divisions(self, lam, mu):
@@ -301,8 +354,14 @@ class DoubleLongdouble:
 
 
 def round_tail_to_double(monkeypatch):
-    # the package attribute irid.nilt is the function, not the module
-    monkeypatch.setattr(sys.modules["irid.nilt"], "np", DoubleLongdouble())
+    # the package attribute irid.nilt is the function, not the module.
+    # The patched runs get a window cache of their own: a window kept
+    # before the patch holds extended-precision points, and one built
+    # under it double ones
+    module = sys.modules["irid.nilt"]
+    monkeypatch.setattr(module, "np", DoubleLongdouble())
+    monkeypatch.setattr(module, "_kept",
+                        functools.lru_cache(maxsize=8)(module._Window))
 
 
 class TestCfoiOracle:

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import irid.lti
 import irid.pipeline
 import irid.sysid
-from irid.cfoi import CfoiParams, gamma_complex
+from irid.cfoi import CfoiParams, cfoi_transfer, gamma_complex
 from irid.errors import EvaluationError, ParamError, PipelineStageError
+from irid.nilt import _kept
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
@@ -226,6 +227,28 @@ class TestRequestValidation:
         with pytest.raises(ParamError, match=match):
             make()
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("make,want", [
+        (lambda x: CfoiParams(x(1.5), -0.4, 1.0).lam, lambda x: 1.5),
+        (lambda x: IridRequest(params=CfoiParams(1.5, -0.4, 1.0),
+                               tm=x(2.0), wmin=0.01, wmax=100.0,
+                               norder=5).tm, lambda x: 2.0),
+        (lambda x: TimeSeries(0.0, x(0.1), [1.0]).dt,
+         lambda x: float(x(0.1))),
+        (lambda x: gamma_complex(x(0.5)), lambda x: gamma_complex(0.5)),
+    ], ids=["params", "request", "series", "gamma"])
+    def test_half_and_single_scalars_accepted(self, make, want, dtype):
+        # the double range is not compared in the scalar's own dtype, where
+        # it overflows with a RuntimeWarning
+        assert make(dtype) == want(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_half_and_single_non_finite_rejected(self, dtype):
+        with pytest.raises(ParamError, match="wgc must be positive"):
+            CfoiParams(1.5, -0.4, dtype(math.inf))
+        with pytest.raises(ParamError, match="must be a finite number"):
+            gamma_complex(dtype(math.nan))
+
     def test_integral_counts_accepted(self):
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0),
                           tm=np.float64(2.0), wmin=np.float64(0.01),
@@ -263,6 +286,48 @@ class TestIridFcoi:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 2 ** 20
+
+    @pytest.mark.parametrize("m", [64, 256, 16384])
+    def test_kept_window_gives_the_bits_of_a_new_one(self, m):
+        # the second request reads the window and its polar form that the
+        # first kept; the third builds them again
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=50.0, norder=5, m=m)
+        irid_fcoi(req)
+        kept = irid_fcoi(req)
+        _kept.cache_clear()
+        new = irid_fcoi(req)
+        for name in ("h_ref", "h_d", "h_c"):
+            assert np.array_equal(getattr(kept, name).values,
+                                  getattr(new, name).values), name
+        for name in ("gd", "gc"):
+            assert np.array_equal(getattr(kept, name).num,
+                                  getattr(new, name).num), name
+            assert np.array_equal(getattr(kept, name).den,
+                                  getattr(new, name).den), name
+        assert kept.metrics == new.metrics
+
+    @pytest.mark.parametrize("m,sizes", [
+        (64, [128, 19]), (256, [19]), (2 ** 14, [19]),
+        (2 ** 15, [2 ** 16, 19])])
+    def test_kept_line_skips_cfoi_transfer(self, m, sizes, monkeypatch):
+        # the kept line, from 256 points up, is evaluated from the
+        # window's polar form; every other array goes to cfoi_transfer
+        seen = []
+
+        def counted(p, s):
+            seen.append(np.size(s))
+            return cfoi_transfer(p, s)
+
+        monkeypatch.setattr(irid.pipeline, "cfoi_transfer", counted)
+        _reference(CfoiParams(1.5, -0.4, 1.0), 2.0, m)
+        assert seen == sizes
+
+    def test_request_above_2_14_keeps_no_window(self):
+        _kept.cache_clear()
+        irid_fcoi(IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                              wmin=0.01, wmax=100.0, norder=2, m=2 ** 15))
+        assert _kept.cache_info().currsize == 0
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is in KiB on Linux")
