@@ -141,18 +141,6 @@ def _transfer_polar(p: CfoiParams, modulus: np.ndarray,
     return g
 
 
-def _transfer_real(p: CfoiParams, s: np.ndarray) -> np.ndarray:
-    """G(s) for a checked complex array ``s`` by :func:`_transfer_polar`
-    on its polar form, |s| from ``np.abs`` and arg s from ``np.arctan2``,
-    which serve as two of its four real temporaries; the same bits as
-    that function on a kept polar form of the same ``s``."""
-    # one flat line, so that the output's storage can lend two contiguous
-    # real scratch lines of its size; a C-order ``s`` is not copied
-    shape, s = s.shape, s.reshape(-1)
-    return _transfer_polar(p, np.abs(s),
-                           np.arctan2(s.imag, s.real)).reshape(shape)
-
-
 def cfoi_transfer(p: CfoiParams, s):
     """G(s) by direct evaluation with the principal-branch logarithm.
 
@@ -162,16 +150,16 @@ def cfoi_transfer(p: CfoiParams, s):
     Scalars and arrays of fewer than 256 points, the extended-precision
     call of :func:`irid.nilt.nilt` among them, take the formula's complex
     operations as written; longer arrays take the same formula in real
-    arithmetic, with cosines and sines from half-angle tangents (see
-    ``_transfer_real``), which is twice as fast on nilt's 32768-point
-    line at m = 16384.  The two agree to roundoff (within 1e-14 relative
-    on Bromwich lines across the documented domain) and underflow
-    together; the real form overflows a few samples early where
-    (wgc/|s|)**lam leaves the double range but G does not.  On the
-    negative real axis, outside the half-plane the inversion samples, the
-    real form takes the side of the branch cut that the sign of a zero
-    imaginary part names (G(conj s) = conj G(s) exactly), where the
-    complex division of the direct form gives -2 + 0j and -2 - 0j the
+    arithmetic, on the polar form |s|, arg s, with cosines and sines from
+    half-angle tangents (see ``_transfer_polar``), which is twice as fast
+    on nilt's 32768-point line at m = 16384.  The two agree to roundoff
+    (within 1e-14 relative on Bromwich lines across the documented
+    domain) and underflow together; the real form overflows a few samples
+    early where (wgc/|s|)**lam leaves the double range but G does not.
+    On the negative real axis, outside the half-plane the inversion
+    samples, the real form takes the side of the branch cut that the sign
+    of a zero imaginary part names (G(conj s) = conj G(s) exactly), where
+    the complex division of the direct form gives -2 + 0j and -2 - 0j the
     same value.
     ParamError unless every s is a finite, nonzero int, float or complex
     number (a bool, a string, bytes or None is not a number).
@@ -186,7 +174,12 @@ def cfoi_transfer(p: CfoiParams, s):
     if (s == 0).any():
         raise ParamError("transfer function is singular at s = 0")
     if s.size >= _REAL_FORM_MIN:
-        return _transfer_real(p, s)
+        # one flat line, so that the output's storage can lend two
+        # contiguous real scratch lines of its size; a C-order ``s`` is not
+        # copied
+        shape, s = s.shape, s.reshape(-1)
+        return _transfer_polar(p, np.abs(s),
+                               np.arctan2(s.imag, s.real)).reshape(shape)
     # the formula's own operations in its order, in two new buffers:
     # L = log(wgc/s) becomes cos(mu*L), lam*L becomes exp(lam*L), then G
     log_w = np.divide(p.wgc, s, out=np.empty_like(s))

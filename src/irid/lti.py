@@ -290,7 +290,8 @@ class FrequencyGrid:
     @classmethod
     def log_spaced(cls, wmin: float, wmax: float, npoints: int) -> "FrequencyGrid":
         """Logarithmically spaced grid over [wmin, wmax], inclusive, of 2
-        to 2**20 points."""
+        to 2**20 points; ParamError, naming the band and the count, when
+        the band holds fewer distinct doubles than that."""
         wmin, wmax = _positive("wmin", wmin), _positive("wmax", wmax)
         if not wmin < wmax:
             raise ParamError("need 0 < wmin < wmax")
@@ -301,7 +302,14 @@ class FrequencyGrid:
         omegas = np.logspace(math.log10(wmin), math.log10(wmax), npoints)
         # pin the endpoints exactly; logspace only hits them to roundoff
         omegas[0], omegas[-1] = wmin, wmax
-        return cls(omegas)
+        try:
+            return cls(omegas)
+        except ParamError:
+            # the only check the grid can fail: adjacent points rounded to
+            # the same double
+            raise ParamError(f"band [{wmin!r}, {wmax!r}] is too narrow for "
+                             f"{npoints} strictly increasing frequencies"
+                             ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,6 +546,10 @@ def continuous_freq_response(g: ContinuousTransferFunction,
 
 def is_stable_discrete(g: DiscreteTransferFunction) -> Tuple[bool, float]:
     """Whether all denominator roots lie inside the unit circle.
+
+    The verdict describes the fitted model only: no integrator of the
+    documented domain is BIBO-stable, since its impulse response
+    h(t) ~ t^(lam-1) is not integrable on (0, inf).
 
     Returns (stable, margin) with margin = 1 - max root modulus; a
     constant denominator has no poles and reports (True, 1.0).  The roots

@@ -129,18 +129,8 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=4)
-def _unit_roots(m: int) -> np.ndarray:
-    """Read-only array of the m sample points z_k = exp(2j*pi*k/N) of a
-    line of N = 2m points, k = 1 .. m."""
-    z = np.arange(1, m + 1, dtype=complex)
-    np.multiply(2j * np.pi, z, out=z)
-    np.divide(z, 2 * m, out=z)
-    return _read_only(np.exp(z, out=z))
-
-
 # windows of at most this many samples are kept, the 8 last used: a
-# window at m = 2**14 holds about 1.25 MiB beyond its _unit_roots entry.
+# window at m = 2**14 holds 1 MiB, 1.5 MiB once its polar form is read.
 # Larger ones are built per call and keep nothing once nilt returns
 _KEEP_MAX_M = 2 ** 14
 
@@ -148,15 +138,14 @@ _KEEP_MAX_M = 2 ** 14
 class _Window:
     """The arrays of one inversion that depend on (tm, m) alone, read-only.
 
-    Built at once: the line s_n = c + j*n*dw, n = 0 .. N-1, and the
-    extended points in np.longdouble, the qd tail's 2P+1 points n = N ..
-    N+2P, then the split's line points N-2 and m-1.  Computed the first
-    time they are read, so that a window built for one call allocates
-    them only after nilt has let go of its line: the tail's sample points
-    ``z`` of :func:`_unit_roots`, the damping e^(c*t)/T and the split's
-    decay e^(-t/tm) at t = dt .. tm, and the line's polar form
+    Built at once: the line s_n = c + j*n*dw, n = 0 .. N-1; the extended
+    points in np.longdouble, the qd tail's 2P+1 points n = N .. N+2P, then
+    the split's line points N-2 and m-1; the tail's sample points
+    z_k = exp(2j*pi*k/N), k = 1 .. m; and the damping e^(c*t)/T and the
+    split's decay e^(-t/tm) at t = dt .. tm.  Only the line's polar form
     (|s|, arg s), which :mod:`irid.pipeline` evaluates its transform
-    from."""
+    from, is computed the first time it is read, so public nilt never
+    computes it."""
 
     def __init__(self, tm: float, m: int):
         self.tm, self.m = tm, m
@@ -172,23 +161,16 @@ class _Window:
         # points, so both come in extended precision
         n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
         self.s_ext = _read_only(self.c + 1j * dw * n_ext.astype(np.longdouble))
-
-    @functools.cached_property
-    def z(self) -> np.ndarray:
-        return _unit_roots(self.m)
-
-    @functools.cached_property
-    def damping(self) -> np.ndarray:
-        d = np.arange(1, self.m + 1) * self.dt
-        np.multiply(self.c, d, out=d)
+        z = np.arange(1, m + 1, dtype=complex)
+        np.multiply(2j * np.pi, z, out=z)
+        np.divide(z, N, out=z)
+        self.z = _read_only(np.exp(z, out=z))
+        t = np.arange(1, m + 1) * self.dt
+        d = np.multiply(self.c, t)
         np.exp(d, out=d)
-        return _read_only(np.divide(d, self.T, out=d))
-
-    @functools.cached_property
-    def decay(self) -> np.ndarray:
-        d = np.arange(1, self.m + 1) * self.dt
-        np.multiply(-(1.0 / self.tm), d, out=d)
-        return _read_only(np.exp(d, out=d))
+        self.damping = _read_only(np.divide(d, self.T, out=d))
+        np.multiply(-(1.0 / tm), t, out=t)
+        self.decay = _read_only(np.exp(t, out=t))
 
     @functools.cached_property
     def polar(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -228,7 +210,8 @@ def _transform_values(f, s: np.ndarray, where: str) -> np.ndarray:
 
 def _twice_real_sum(F: np.ndarray, m: int) -> np.ndarray:
     """2*Re(sum_n F[n] * z_k**n) over the N = 2m line samples F, at the
-    points z_k of :func:`_unit_roots`, by one real inverse FFT of length N.
+    points z_k = exp(2j*pi*k/N), k = 1 .. m, by one real inverse FFT of
+    length N.
 
     The sum is real, so it is the inverse FFT of the Hermitian fold
     H_0 = 2*Re(F_0), H_n = F_n + conj(F_{N-n}) for 0 < n < m and
@@ -264,9 +247,10 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     The N = 2m line samples are summed by one real inverse FFT of their
     Hermitian fold, and the qd tail is evaluated at the m sample points
     z_k = exp(2j*pi*k/N).  The arrays that depend on (tm, m) alone, the
-    line, the extended points, the z_k and the damping, are one
-    read-only window: windows of m <= 2**14 are kept, the 8 last used,
-    about 1.25 MiB each at m = 2**14, and larger ones are built per call.
+    line, the extended points, the z_k, the damping and the decay, are
+    one read-only window, built at once: windows of m <= 2**14 are kept,
+    the 8 last used, 1 MiB each at m = 2**14, and larger ones are built
+    per call and keep nothing once nilt returns.
 
     Parameters
     ----------
@@ -305,8 +289,7 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     double range or has a pole at a sample point, or a sample overflows.
     """
     tm, m = _check_window(tm, m)
-    kept = _kept_window(tm, m)
-    w = kept or _Window(tm, m)
+    w = _kept_window(tm, m) or _Window(tm, m)
     s, s_ext = w.s, w.s_ext
     with np.errstate(all="ignore"):
         F = _transform_values(f, s, "on the line")
@@ -328,12 +311,6 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
             np.divide(r, split, out=split)
             F = np.subtract(F, split, out=split)
             F_ext = F_ext - r / (s_ext + beta)
-        # the line is not read after this: a window built for this call
-        # gives its storage back before the tail's buffers are allocated,
-        # unless the transform keeps it
-        del s
-        if kept is None:
-            del w.s
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)

@@ -153,21 +153,27 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
 
     Both series must share t0, dt and length.  A zero reference with a
     nonzero b reports an infinite relative error.  Both are scaled by the
-    power of two that brings the larger peak into [0.5, 1) before the
-    norms square them, so neither overflows nor underflows to zero:
-    exact, and it cancels in the quotient.
+    power of two that brings the larger of their peaks into [0.5, 1)
+    before they are subtracted and the norms square them, so nothing
+    overflows or underflows to zero: exact, and it cancels in the
+    quotient.  The max absolute deviation is +inf only where it exceeds
+    the double range.
     """
     if a.t0 != b.t0 or a.dt != b.dt or len(a) != len(b):
         raise ParamError("time series grids differ")
-    diff = a.values - b.values
-    peak = float(np.abs(diff).max())
-    top = math.frexp(max(peak, float(np.abs(a.values).max())))[1]
+    peak = max(float(np.abs(a.values).max()), float(np.abs(b.values).max()))
+    top = math.frexp(peak)[1]
     # np.ldexp, since 2.0**-top overflows for a subnormal peak
-    err = math.sqrt(_sum_squares(np.ldexp(diff, -top)))
-    norm = math.sqrt(_sum_squares(np.ldexp(a.values, -top)))
+    ref = np.ldexp(a.values, -top)
+    diff = np.ldexp(b.values, -top)
+    np.subtract(ref, diff, out=diff)
+    err = math.sqrt(_sum_squares(diff))
+    norm = math.sqrt(_sum_squares(ref))
+    with np.errstate(over="ignore"):
+        dev = float(np.ldexp(np.abs(diff).max(), top))
     if norm == 0.0:
-        return (0.0 if err == 0.0 else math.inf), peak
-    return err / norm, peak
+        return (0.0 if err == 0.0 else math.inf), dev
+    return err / norm, dev
 
 
 def compare_frequency(a: FrequencyResponseSeries,

@@ -67,10 +67,12 @@ def test_no_svg_flag(tmp_path):
     (("--tm", "1e-305", "--samples", "1024"), "beyond the double range"),
     (("--tm", "1e308"), "beyond the double range"),
     (("--tm", "1e308", "--wmin", "1e-320"), "beyond the double range"),
+    (("--wmin", "1", "--wmax", "1.0000000000000004"),
+     "band [1.0, 1.0000000000000004] is too narrow for 200 "),
 ], ids=["lambda", "samples", "norder0", "points1", "wmin200", "wgc0",
         "norder11", "out-dir-empty", "samples2**21", "points2**21",
         "fit-matrix-cap", "tm1e-321", "tm1e-305", "tm1e308",
-        "tm1e308-wmin1e-320"])
+        "tm1e308-wmin1e-320", "narrow-band"])
 def test_invalid_input_exits_2(tmp_path, capfd, flags, fragment):
     assert run(tmp_path, *flags) == 2
     err = capfd.readouterr().err

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from irid.cfoi import CfoiParams, cfoi_analytic_impulse, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
 from irid.nilt import (_Window, _kept, _kept_window, _qd_coeffs, _qd_eval,
-                       _twice_real_sum, _unit_roots, nilt)
+                       _twice_real_sum, nilt)
 
 
 def rel_l2(got, want):
@@ -81,15 +82,6 @@ class TestLineSum:
         eps = np.finfo(float).eps
         assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("m", [64, 16384])
-    def test_unit_roots_are_cached_read_only(self, m):
-        z = np.arange(1, m + 1, dtype=complex)
-        want = np.exp(2j * np.pi * z / (2 * m))
-        got = _unit_roots(m)
-        assert got is _unit_roots(m)
-        assert not got.flags.writeable
-        np.testing.assert_array_equal(got, want)
-
 
 class TestWindow:
     def test_kept_read_only_and_as_built(self):
@@ -104,12 +96,36 @@ class TestWindow:
             assert np.array_equal(got, want)
         np.testing.assert_array_equal(w.polar[0], np.abs(w.s))
 
+    @pytest.mark.parametrize("m", [64, 16384])
+    def test_unit_roots_are_read_only(self, m):
+        z = np.arange(1, m + 1, dtype=complex)
+        want = np.exp(2j * np.pi * z / (2 * m))
+        got = _Window(2.0, m).z
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
     def test_above_2_14_not_kept(self):
         assert _kept_window(2.0, 2 ** 14) is not None
         assert _kept_window(2.0, 2 ** 15) is None
         before = _kept.cache_info()
         nilt(lambda s: 1 / (s + 1), 2.0, 2 ** 15)
         assert _kept.cache_info() == before
+
+    @pytest.mark.parametrize("m", [2 ** 15, 2 ** 17])
+    def test_above_2_14_nothing_left_behind(self, m):
+        # the warm-up call at m = 64 makes the first-call allocations; a
+        # window that is not kept leaves none of its arrays behind
+        def f(s):
+            return 1 / (s + 1)
+
+        nilt(f, 2.0, 64)
+        tracemalloc.start()
+        try:
+            nilt(f, 2.0, m)
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 4096
 
     @pytest.mark.parametrize("m", [64, 2 ** 15])
     def test_writing_into_the_line_raises(self, m):

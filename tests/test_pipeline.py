@@ -77,6 +77,17 @@ class TestCompareImpulse:
         assert rel == pytest.approx(2.0 / math.sqrt(14.0), rel=1e-15)
         assert mabs == a.values[2]
 
+    def test_samples_near_the_double_range(self):
+        # a - b overflows unless both are scaled first; the deviation is
+        # +inf only where it exceeds the double range
+        a = TimeSeries(0.0, 1.0, [1e308, 0.0])
+        b = TimeSeries(0.0, 1.0, [-1e308, 0.0])
+        assert compare_impulse(a, b) == (2.0, math.inf)
+        c = TimeSeries(0.0, 1.0, [-1e307, 0.0])
+        rel, mabs = compare_impulse(a, c)
+        assert rel == pytest.approx(1.1, rel=1e-15)
+        assert mabs == 1e308 + 1e307
+
     def test_zero_reference(self):
         # a nonzero series against a zero reference is infinitely far off
         # in relative terms; a zero series against it is not off at all
@@ -179,7 +190,8 @@ class TestRequestValidation:
         (dict(m=1000), "power of two"),
         (dict(m=32), ">= 64"),
         (dict(tm=20.0, wmin=10.0, m=64), "below 0.9x the Nyquist rate"),
-        (dict(wmin=1.0, wmax=1.0 + 1e-14, m=256), "strictly increasing"),
+        (dict(wmin=1.0, wmax=1.0 + 1e-14, m=256),
+         r"band \[1\.0, 1\.00000000000001\] is too narrow for 200 "),
         (dict(norder=5.7), "norder must be an integer"),
         (dict(m=1024.5), "m must be an integer"),
         (dict(m="1024"), "m must be an integer"),
@@ -333,8 +345,8 @@ class TestIridFcoi:
                         reason="ru_maxrss is in KiB on Linux")
     def test_max_rss_at_the_top_of_the_domain(self):
         # m = 2**20 and norder 8 in a fresh process, the largest fit the
-        # matrix cap admits: 250 MiB measured on Linux x86-64 (Python 3.11,
-        # numpy 2.4, scipy 1.17); the bound leaves 50 MiB for other
+        # matrix cap admits: 235 MiB measured on Linux x86-64 (Python 3.11,
+        # numpy 2.4, scipy 1.17); the bound leaves 65 MiB for other
         # interpreters and numpy/OpenBLAS builds, and a fit that allocated
         # its own filter band (346 MiB) fails it
         code = ("import resource\n"
