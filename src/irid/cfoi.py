@@ -45,7 +45,8 @@ class CfoiParams:
     Real numbers (not strings or bools), stored as floats: ``lam`` strictly
     inside (0, 2), ``mu`` in (-1, 0] and ``wgc`` positive and finite.  The
     realizable form above assumes a non-positive imaginary part, and
-    ``mu = 0`` is admitted as the real-integrator limit.
+    ``mu = 0`` is admitted as the real-integrator limit; ``mu = -0.0`` is
+    stored as +0.0, so that the order prints as ``+0j``.
     """
 
     lam: float
@@ -59,7 +60,8 @@ class CfoiParams:
         if not (_finite_real(mu) and -1.0 < mu <= 0.0):
             raise ParamError(f"mu must lie in (-1, 0], got {mu!r}")
         object.__setattr__(self, "lam", float(lam))
-        object.__setattr__(self, "mu", float(mu))
+        # -0.0 + 0.0 is +0.0; G is the same on either zero
+        object.__setattr__(self, "mu", float(mu) + 0.0)
         object.__setattr__(self, "wgc", _positive("wgc", self.wgc))
 
 

@@ -148,29 +148,19 @@ class _Window:
     computes it."""
 
     def __init__(self, tm: float, m: int):
-        self.tm, self.m = tm, m
-        self.T = 2.0 * tm
-        self.c = -math.log(_REL_ERR) / self.T
+        T = 2.0 * tm
+        self.c = -math.log(_REL_ERR) / T
         self.dt = tm / m
-        N, dw = 2 * m, 2.0 * math.pi / self.T
-        s = np.arange(N, dtype=complex)
-        np.multiply(1j * dw, s, out=s)
-        np.add(self.c, s, out=s)
-        self.s = _read_only(s)
+        N, dw = 2 * m, 2.0 * math.pi / T
+        self.s = _read_only(self.c + 1j * dw * np.arange(N))
         # the tail amplifies rounding in both its own and the split's
         # points, so both come in extended precision
         n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
         self.s_ext = _read_only(self.c + 1j * dw * n_ext.astype(np.longdouble))
-        z = np.arange(1, m + 1, dtype=complex)
-        np.multiply(2j * np.pi, z, out=z)
-        np.divide(z, N, out=z)
-        self.z = _read_only(np.exp(z, out=z))
+        self.z = _read_only(np.exp(2j * np.pi * np.arange(1, m + 1) / N))
         t = np.arange(1, m + 1) * self.dt
-        d = np.multiply(self.c, t)
-        np.exp(d, out=d)
-        self.damping = _read_only(np.divide(d, self.T, out=d))
-        np.multiply(-(1.0 / tm), t, out=t)
-        self.decay = _read_only(np.exp(t, out=t))
+        self.damping = _read_only(np.exp(self.c * t) / T)
+        self.decay = _read_only(np.exp(-(1.0 / tm) * t))
 
     @functools.cached_property
     def polar(self) -> Tuple[np.ndarray, np.ndarray]:

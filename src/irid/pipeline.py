@@ -20,8 +20,8 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .cfoi import (_REAL_FORM_MIN, CfoiParams, _transfer_polar,
-                   cfoi_freq_grid, cfoi_transfer)
+from .cfoi import (CfoiParams, _transfer_polar, cfoi_freq_grid,
+                   cfoi_transfer)
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
@@ -197,17 +197,15 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
     """The reference: the integrator's impulse response on (0, tm],
     inverted numerically; EvaluationError if it underflows to zero at
     every sample."""
-    # nilt's kept line, long enough for G's real form, is recognised by
-    # identity and evaluated from the window's polar form, without
-    # cfoi_transfer's check: nilt builds it finite and nonzero.  Any other
-    # array takes cfoi_transfer.  nilt and cfoi_transfer stay module-level
-    # lookups, which the benchmark's layer tracer wraps by name
+    # nilt's kept line is recognised by identity and evaluated from the
+    # window's polar form, without cfoi_transfer's check: nilt builds it
+    # finite and nonzero.  Any other array, the extended points or a line
+    # above 2**14, takes cfoi_transfer.  nilt and cfoi_transfer stay
+    # module-level lookups, which the benchmark's layer tracer wraps by name
     window = _kept_window(tm, m)
-    line = (window.s if window is not None
-            and window.s.size >= _REAL_FORM_MIN else None)
 
     def transfer(s):
-        if s is line:
+        if window is not None and s is window.s:
             return _transfer_polar(params, *window.polar)
         return cfoi_transfer(params, s)
 

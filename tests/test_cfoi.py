@@ -41,6 +41,9 @@ class TestParams:
     def test_tiny_negative_mu_admitted(self):
         assert CfoiParams(0.5, -1e-5, 1.0).mu == -1e-5
 
+    def test_negative_zero_mu_stored_as_positive_zero(self):
+        assert math.copysign(1.0, CfoiParams(1.5, -0.0, 1.0).mu) == 1.0
+
 
 class TestTransfer:
     def test_plain_integrator(self):

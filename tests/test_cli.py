@@ -49,6 +49,13 @@ def test_no_svg_flag(tmp_path):
                 == (tmp_path / "out" / name).read_bytes()), name
 
 
+def test_negative_zero_mu_prints_as_positive_zero(tmp_path, capsys):
+    assert run(tmp_path, "--mu", "-0") == 0
+    assert "order: 1.5 +0j " in capsys.readouterr().out
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "order: 1.5 +0j " in summary
+
+
 # invalid input exits 2 with the validating message, before any file is
 # written; later flags override the defaults of run()
 @pytest.mark.parametrize("flags,fragment", [

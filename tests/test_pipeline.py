@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import irid.lti
 import irid.pipeline
 import irid.sysid
-from irid.cfoi import CfoiParams, cfoi_transfer, gamma_complex
+from irid.cfoi import (CfoiParams, _transfer_polar, cfoi_transfer,
+                       gamma_complex)
 from irid.errors import EvaluationError, ParamError, PipelineStageError
-from irid.nilt import _kept
+from irid.nilt import _kept, _Window
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
@@ -320,11 +321,11 @@ class TestIridFcoi:
         assert kept.metrics == new.metrics
 
     @pytest.mark.parametrize("m,sizes", [
-        (64, [128, 19]), (256, [19]), (2 ** 14, [19]),
+        (64, [19]), (256, [19]), (2 ** 14, [19]),
         (2 ** 15, [2 ** 16, 19])])
     def test_kept_line_skips_cfoi_transfer(self, m, sizes, monkeypatch):
-        # the kept line, from 256 points up, is evaluated from the
-        # window's polar form; every other array goes to cfoi_transfer
+        # every kept line is evaluated from the window's polar form; every
+        # other array goes to cfoi_transfer
         seen = []
 
         def counted(p, s):
@@ -334,6 +335,26 @@ class TestIridFcoi:
         monkeypatch.setattr(irid.pipeline, "cfoi_transfer", counted)
         _reference(CfoiParams(1.5, -0.4, 1.0), 2.0, m)
         assert seen == sizes
+
+    @pytest.mark.parametrize("m", [64, 128, 4096, 2 ** 15])
+    def test_kept_polar_form_gives_the_bits_of_writeable_copies(self, m):
+        # a kept window's read-only polar form and cfoi_transfer's own
+        # writeable |s|, arg s give one G, so that a kept and an unkept
+        # window give one reference; cfoi_transfer takes the polar form
+        # from 256 points, m = 128, up
+        for tm in (0.5, 2.0, 20.0):
+            w = _Window(tm, m)
+            s = w.s
+            for lam, mu, wgc in itertools.product(
+                    (0.1, 1.95), (0.0, -0.5, -0.95), (0.1, 10.0)):
+                p = CfoiParams(lam, mu, wgc)
+                kept = _transfer_polar(p, *w.polar)
+                copies = _transfer_polar(p, np.abs(s),
+                                         np.arctan2(s.imag, s.real))
+                assert np.array_equal(kept, copies), (lam, mu, wgc, tm)
+                if m >= 128:
+                    assert np.array_equal(kept, cfoi_transfer(p, s)), (
+                        lam, mu, wgc, tm)
 
     def test_request_above_2_14_keeps_no_window(self):
         _kept.cache_clear()
