@@ -11,6 +11,7 @@ and reports impulse- and frequency-domain closeness for both.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -29,7 +30,7 @@ from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
-from .nilt import _check_window, _kept_window, nilt
+from .nilt import _KEEP_MAX_M, _check_window, _kept_window, nilt
 from .sysid import _check_fit, bilinear_d2c, stmcb_fit
 
 __all__ = [
@@ -217,6 +218,13 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
     return h_ref
 
 
+# references of at most _KEEP_MAX_M samples, as nilt keeps their windows,
+# are kept, the 8 last used, and shared read-only: every model order of
+# one integrator fits the same reference.  An inversion that raises keeps
+# nothing, so it raises again on every call
+_kept_reference = functools.lru_cache(maxsize=8)(_reference)
+
+
 def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
     """Stages "fit", "conversion" and "compare" of :func:`irid_fcoi` on
     the reference ``h_ref`` of ``req``, which they leave unchanged."""
@@ -256,6 +264,10 @@ def irid_fcoi(req: IridRequest) -> IridResult:
 
     Four stages, each run once and in this order.  The reference stage,
     "nilt", numerically inverts the exact transfer function on (0, tm].
+    The last 8 references with m <= 2**14 are kept, keyed by (params, tm,
+    m), and a request that repeats one shares its read-only series
+    instead of inverting again, so every model order of one integrator
+    fits one inversion; an inversion that raises is not kept.
     The model stages fit models to that reference: "fit" scales it by
     dt, fits a (norder, norder) discrete model, computes its impulse
     response by its difference equation, rescaled back by 1/dt so all
@@ -284,7 +296,8 @@ def irid_fcoi(req: IridRequest) -> IridResult:
         warnings.warn(f"wmax={req.wmax:g} rad/s exceeds {top:g}; clamping "
                       f"to it", stacklevel=2)
     try:
-        h_ref = _reference(req.params, req.tm, req.m)
+        invert = _kept_reference if req.m <= _KEEP_MAX_M else _reference
+        h_ref = invert(req.params, req.tm, req.m)
     except IridError as exc:
         raise PipelineStageError("nilt", exc) from exc
     return _models(req, h_ref)

@@ -155,7 +155,13 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     fit peaks at 1.24 times its matrix.
 
     Noiseless data from a model inside the (nb, na) class is recovered to
-    roundoff; the iteration is then a fixed point.  No stabilization is
+    roundoff, and is then a fixed point of the iteration, only while the
+    coefficients of A(z) hold the model, at coarse sampling: fine sampling
+    crowds the poles of z toward 1, where rounding the coefficients moves
+    the model.  The exact samples of a (5, 5) continuous model with poles
+    from -229 to +0.065 rad/s on (0, 2] fit to 1.8e-9 relative L2 at n =
+    256, 2.1e-6 at 1024, 5.6e-4 at 4096, 6.0e-4 at 16384 and 9.9e-4 at
+    65536.  No stabilization is
     applied: data that grows without bound fits to a model with poles
     outside the unit circle, and the stability flag is left to the caller
     (see :func:`irid.lti.is_stable_discrete`).

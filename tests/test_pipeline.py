@@ -25,9 +25,9 @@ from irid.nilt import _kept, _Window
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
-from irid.pipeline import (IridRequest, _band_limit, _models, _reference,
-                           compare_frequency, compare_impulse, irid_fcoi,
-                           write_outputs)
+from irid.pipeline import (IridRequest, _band_limit, _kept_reference,
+                           _models, _reference, compare_frequency,
+                           compare_impulse, irid_fcoi, write_outputs)
 from irid.sysid import stmcb_fit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -291,6 +291,9 @@ class TestIridFcoi:
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                           wmin=0.01, wmax=100.0, norder=5, m=16384)
         irid_fcoi(req)
+        # the measured request inverts again instead of sharing the kept
+        # reference
+        _kept_reference.cache_clear()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -303,12 +306,15 @@ class TestIridFcoi:
     @pytest.mark.parametrize("m", [64, 256, 16384])
     def test_kept_window_gives_the_bits_of_a_new_one(self, m):
         # the second request reads the window and its polar form that the
-        # first kept; the third builds them again
+        # first kept; the third builds them again.  Both invert again
+        # instead of sharing the first's kept reference
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                           wmin=0.01, wmax=50.0, norder=5, m=m)
         irid_fcoi(req)
+        _kept_reference.cache_clear()
         kept = irid_fcoi(req)
         _kept.cache_clear()
+        _kept_reference.cache_clear()
         new = irid_fcoi(req)
         for name in ("h_ref", "h_d", "h_c"):
             assert np.array_equal(getattr(kept, name).values,
@@ -357,10 +363,73 @@ class TestIridFcoi:
                         lam, mu, wgc, tm)
 
     def test_request_above_2_14_keeps_no_window(self):
+        # nor its reference
         _kept.cache_clear()
+        _kept_reference.cache_clear()
         irid_fcoi(IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                               wmin=0.01, wmax=100.0, norder=2, m=2 ** 15))
         assert _kept.cache_info().currsize == 0
+        assert _kept_reference.cache_info().currsize == 0
+
+    # lattice points of the benchmark's domain_sweep, tm = 20 clamping
+    # wmax = 100 at m = 64 and 256
+    @pytest.mark.parametrize("m", [64, 256, 4096, 2 ** 14])
+    @pytest.mark.parametrize("lam, mu, wgc, tm", [
+        (1.5, -0.5, 1.0, 2.0), (0.1, -0.95, 10.0, 20.0),
+        (1.95, 0.0, 0.1, 0.5)])
+    def test_kept_reference_gives_the_bits_of_a_new_one(self, lam, mu, wgc,
+                                                        tm, m):
+        # the three orders of one integrator share one read-only reference
+        # and give the bits of requests that each invert it again
+        reqs = [IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
+                            wmin=0.01, wmax=100.0, norder=norder, m=m)
+                for norder in (2, 5, 8)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
+            _kept_reference.cache_clear()
+            kept = [irid_fcoi(req) for req in reqs]
+            new = []
+            for req in reqs:
+                _kept_reference.cache_clear()
+                new.append(irid_fcoi(req))
+        h_ref = kept[0].h_ref
+        assert all(res.h_ref is h_ref for res in kept)
+        assert not h_ref.values.flags.writeable
+        for a, b in zip(kept, new):
+            assert self.outputs(a) == self.outputs(b), a.request
+
+    def test_kept_reference_is_one_per_params_tm_and_m(self):
+        # another integrator, window or sample count inverts again; the
+        # order and the band do not, and mu = -0.0 is stored as +0.0
+        def run(lam=1.5, mu=-0.4, wgc=1.0, tm=2.0, m=256, norder=5,
+                wmax=100.0):
+            return irid_fcoi(IridRequest(
+                params=CfoiParams(lam, mu, wgc), tm=tm, wmin=0.01,
+                wmax=wmax, norder=norder, m=m)).h_ref
+
+        _kept_reference.cache_clear()
+        h_ref = run()
+        others = [run(lam=1.4), run(mu=-0.2), run(wgc=2.0), run(tm=1.0),
+                  run(m=512)]
+        assert len({id(h) for h in (h_ref, *others)}) == 6
+        assert run(norder=2, wmax=50.0) is h_ref
+        assert run(mu=-0.0) is run(mu=0.0)
+        assert _kept_reference.cache_info().currsize == 7
+
+    def test_underflowing_reference_is_not_kept(self):
+        # G underflows to zero on the whole line, so every call inverts
+        # again and raises again
+        req = IridRequest(params=CfoiParams(1.9, 0.0, 1e-300), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=256)
+        _kept_reference.cache_clear()
+        for _ in range(2):
+            with pytest.raises(PipelineStageError) as err:
+                irid_fcoi(req)
+            assert err.value.stage == "nilt"
+            assert isinstance(err.value.cause, EvaluationError)
+            assert str(err.value.cause) == ("the reference underflows to "
+                                            "zero at every sample")
+        assert _kept_reference.cache_info().currsize == 0
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is in KiB on Linux")
