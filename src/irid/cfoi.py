@@ -65,16 +65,19 @@ class CfoiParams:
         object.__setattr__(self, "wgc", _positive("wgc", self.wgc))
 
 
-# Arrays of this many points or more take the real form of G: from here
-# up, numpy's complex log, exp and cos cost as much as the real functions
-# they expand to or more (median per call, numpy 2.4 on one CPU of a
-# 2-CPU AVX-512 Xeon VM: 17 points 6.0 us direct against 20 us real, 256
-# points 25 against 26, 512 points 47 against 34, 32768 points 2.9 ms
-# against 1.3 ms).  Shorter arrays keep the direct form's bits; nilt's
-# 19-point extended call (the qd tail and the initial-value split's two
-# points) must, because the continued fraction amplifies any change in
-# its rounding.
-_REAL_FORM_MIN = 256
+# Arrays of this many points or more take the real form of G.  From 256
+# points up, numpy's complex log, exp and cos cost as much as the real
+# functions they expand to or more; at 128 points the real form costs a
+# third more (median per cfoi_transfer call, numpy 2.4 on one CPU of a
+# 2-CPU AVX-512 Xeon VM: 17 points 9.1 us direct against 22 us real, 128
+# points 17 against 24, 256 points 27 against 27, 512 points 47 against
+# 36, 32768 points 2.8 ms against 1.4 ms).  128 is the length of the
+# shortest Bromwich line, nilt's at m = 64, so every line takes the one
+# real form.  Shorter arrays keep the direct form's bits; nilt's 19-point
+# extended call (the qd tail and the initial-value split's two points)
+# must, because the continued fraction amplifies any change in its
+# rounding.
+_REAL_FORM_MIN = 128
 
 
 def _transfer_polar(p: CfoiParams, modulus: np.ndarray,
@@ -83,10 +86,9 @@ def _transfer_polar(p: CfoiParams, modulus: np.ndarray,
     = |s| and ``angle`` = arg s of a checked complex line s, on functions
     that numpy vectorises: no cos or sin, whose float64 loops (like
     hypot's) are scalar libm calls, several times slower than abs, tan,
-    cosh or sinh.  ``modulus`` and ``angle`` serve as two of the four
-    real temporaries, of their size, when they are writeable, and are
-    only read when they are not, as the polar form that
-    :mod:`irid.nilt` keeps for its line; the output is allocated besides.
+    cosh or sinh.  ``modulus`` and ``angle`` are overwritten: they serve
+    as two of the four real temporaries, of their size, and the output
+    is allocated besides.
 
     L = log(wgc/s) = a + j*b with a = log(wgc/|s|) and b = -arg s, then
     G = exp(lam*L) * cos(mu*L) = (er + j*ei) * (cr + j*ci), er + j*ei =
@@ -98,8 +100,7 @@ def _transfer_polar(p: CfoiParams, modulus: np.ndarray,
     before it scales e^(lam*a), cosh or sinh, so every product under- and
     overflows only where the expansion's own factors make it.  tan and
     sinh are odd and cosh is even, so G(conj s) = conj G(s) exactly."""
-    a = np.divide(p.wgc, modulus,
-                  out=modulus if modulus.flags.writeable else None)
+    a = np.divide(p.wgc, modulus, out=modulus)
     np.log(a, out=a)
     e = np.multiply(p.lam, a)
     np.exp(e, out=e)
@@ -108,7 +109,7 @@ def _transfer_polar(p: CfoiParams, modulus: np.ndarray,
     np.tan(t, out=t)
     np.multiply(0.5 * p.mu, a, out=a)
     np.tan(a, out=a)
-    b = np.multiply(-p.mu, angle, out=angle if angle.flags.writeable else None)
+    b = np.multiply(-p.mu, angle, out=angle)
     # the output's storage holds the scratch lines u and v until its real
     # and imaginary parts are written
     g = np.empty(a.shape, np.promote_types(a.dtype, np.complex64))
@@ -149,15 +150,16 @@ def cfoi_transfer(p: CfoiParams, s):
     Array in, array out, in the input's complex dtype (real input is
     promoted to the matching complex type), so an extended-precision line
     is evaluated in extended precision; a scalar returns a scalar.
-    Scalars and arrays of fewer than 256 points, the extended-precision
+    Scalars and arrays of fewer than 128 points, the extended-precision
     call of :func:`irid.nilt.nilt` among them, take the formula's complex
-    operations as written; longer arrays take the same formula in real
-    arithmetic, on the polar form |s|, arg s, with cosines and sines from
-    half-angle tangents (see ``_transfer_polar``), which is twice as fast
-    on nilt's 32768-point line at m = 16384.  The two agree to roundoff
-    (within 1e-14 relative on Bromwich lines across the documented
-    domain) and underflow together; the real form overflows a few samples
-    early where (wgc/|s|)**lam leaves the double range but G does not.
+    operations as written; longer arrays, every Bromwich line of nilt
+    among them, take the same formula in real arithmetic, on the polar
+    form |s|, arg s, with cosines and sines from half-angle tangents (see
+    ``_transfer_polar``), which is twice as fast on nilt's 32768-point
+    line at m = 16384.  The two agree to roundoff (within 1e-14 relative
+    on Bromwich lines across the documented domain) and underflow
+    together; the real form overflows a few samples early where
+    (wgc/|s|)**lam leaves the double range but G does not.
     On the negative real axis, outside the half-plane the inversion
     samples, the real form takes the side of the branch cut that the sign
     of a zero imaginary part names (G(conj s) = conj G(s) exactly), where

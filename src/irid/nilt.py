@@ -130,8 +130,8 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 # windows of at most this many samples are kept, the 8 last used: a
-# window at m = 2**14 holds 1 MiB, 1.5 MiB once its polar form is read.
-# Larger ones are built per call and keep nothing once nilt returns
+# window at m = 2**14 holds 1 MiB.  Larger ones are built per call and
+# keep nothing once nilt returns
 _KEEP_MAX_M = 2 ** 14
 
 
@@ -142,10 +142,7 @@ class _Window:
     points in np.longdouble, the qd tail's 2P+1 points n = N .. N+2P, then
     the split's line points N-2 and m-1; the tail's sample points
     z_k = exp(2j*pi*k/N), k = 1 .. m; and the damping e^(c*t)/T and the
-    split's decay e^(-t/tm) at t = dt .. tm.  Only the line's polar form
-    (|s|, arg s), which :mod:`irid.pipeline` evaluates its transform
-    from, is computed the first time it is read, so public nilt never
-    computes it."""
+    split's decay e^(-t/tm) at t = dt .. tm."""
 
     def __init__(self, tm: float, m: int):
         T = 2.0 * tm
@@ -161,12 +158,6 @@ class _Window:
         t = np.arange(1, m + 1) * self.dt
         self.damping = _read_only(np.exp(self.c * t) / T)
         self.decay = _read_only(np.exp(-(1.0 / tm) * t))
-
-    @functools.cached_property
-    def polar(self) -> Tuple[np.ndarray, np.ndarray]:
-        s = self.s
-        return (_read_only(np.abs(s)),
-                _read_only(np.arctan2(s.imag, s.real)))
 
 
 @functools.lru_cache(maxsize=8)

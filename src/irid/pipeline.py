@@ -21,8 +21,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .cfoi import (CfoiParams, _transfer_polar, cfoi_freq_grid,
-                   cfoi_transfer)
+from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
@@ -30,7 +29,7 @@ from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
-from .nilt import _KEEP_MAX_M, _check_window, _kept_window, nilt
+from .nilt import _check_window, nilt
 from .sysid import _check_fit, bilinear_d2c, stmcb_fit
 
 __all__ = [
@@ -198,19 +197,9 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
     """The reference: the integrator's impulse response on (0, tm],
     inverted numerically; EvaluationError if it underflows to zero at
     every sample."""
-    # nilt's kept line is recognised by identity and evaluated from the
-    # window's polar form, without cfoi_transfer's check: nilt builds it
-    # finite and nonzero.  Any other array, the extended points or a line
-    # above 2**14, takes cfoi_transfer.  nilt and cfoi_transfer stay
-    # module-level lookups, which the benchmark's layer tracer wraps by name
-    window = _kept_window(tm, m)
-
-    def transfer(s):
-        if window is not None and s is window.s:
-            return _transfer_polar(params, *window.polar)
-        return cfoi_transfer(params, s)
-
-    h_ref = nilt(transfer, tm, m)
+    # nilt and cfoi_transfer stay module-level lookups, which the
+    # benchmark's layer tracer wraps by name
+    h_ref = nilt(lambda s: cfoi_transfer(params, s), tm, m)
     # G is nowhere zero, so an all-zero reference is an underflow
     if not h_ref.values.any():
         raise EvaluationError("the reference underflows to zero at every "
@@ -218,10 +207,11 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
     return h_ref
 
 
-# references of at most _KEEP_MAX_M samples, as nilt keeps their windows,
-# are kept, the 8 last used, and shared read-only: every model order of
-# one integrator fits the same reference.  An inversion that raises keeps
-# nothing, so it raises again on every call
+# references of at most this many samples, 128 KiB each, are kept, the 8
+# last used, and shared read-only: every model order of one integrator
+# fits the same reference.  An inversion that raises keeps nothing, so it
+# raises again on every call
+_KEEP_REFERENCE_MAX_M = 2 ** 14
 _kept_reference = functools.lru_cache(maxsize=8)(_reference)
 
 
@@ -263,7 +253,9 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     """Run the discretization pipeline for one integrator.
 
     Four stages, each run once and in this order.  The reference stage,
-    "nilt", numerically inverts the exact transfer function on (0, tm].
+    "nilt", numerically inverts the exact transfer function on (0, tm],
+    which :func:`irid.cfoi.cfoi_transfer` evaluates at every point nilt
+    asks for: the Bromwich line and the 19 extended points.
     The last 8 references with m <= 2**14 are kept, keyed by (params, tm,
     m), and a request that repeats one shares its read-only series
     instead of inverting again, so every model order of one integrator
@@ -296,7 +288,8 @@ def irid_fcoi(req: IridRequest) -> IridResult:
         warnings.warn(f"wmax={req.wmax:g} rad/s exceeds {top:g}; clamping "
                       f"to it", stacklevel=2)
     try:
-        invert = _kept_reference if req.m <= _KEEP_MAX_M else _reference
+        invert = (_kept_reference if req.m <= _KEEP_REFERENCE_MAX_M
+                  else _reference)
         h_ref = invert(req.params, req.tm, req.m)
     except IridError as exc:
         raise PipelineStageError("nilt", exc) from exc
@@ -399,10 +392,13 @@ def write_outputs(res: IridResult, out_dir: Union[str, Path],
         "summary.txt": format_summary(res) + "\n",
     }
     if svg:
-        labels = ["exact", "discrete", "continuous"]
-        texts["impulse.svg"] = _svg_chart(res.h_ref.times, h, labels,
+        # h_ref is the numerical inversion, f_ref the closed form
+        models = ["discrete", "continuous"]
+        texts["impulse.svg"] = _svg_chart(res.h_ref.times, h,
+                                          ["reference (NILT)", *models],
                                           "impulse responses")
-        texts["freq.svg"] = _svg_chart(res.f_ref.grid.omegas, db, labels,
+        texts["freq.svg"] = _svg_chart(res.f_ref.grid.omegas, db,
+                                       ["exact", *models],
                                        "magnitude (dB) vs log10 omega",
                                        logx=True)
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irid.cfoi import (CfoiParams, cfoi_analytic_impulse, cfoi_freq_grid,
-                       cfoi_freq_response, cfoi_transfer, gamma_complex)
+from irid.cfoi import (CfoiParams, _transfer_polar, cfoi_analytic_impulse,
+                       cfoi_freq_grid, cfoi_freq_response, cfoi_transfer,
+                       gamma_complex)
 from irid.errors import EvaluationError, ParamError
 from irid.lti import FrequencyGrid
 
@@ -95,7 +96,7 @@ class TestTransfer:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
     def test_bit_equal_to_the_formula(self, dtype):
-        # below 256 points the in-place evaluation does the formula's own
+        # below 128 points the in-place evaluation does the formula's own
         # operations, in its own order and dtype: nilt's 17-point qd tail
         # array, whose rounding the continued fraction amplifies
         p = CfoiParams(1.5, -0.4, 2.0)
@@ -109,25 +110,28 @@ class TestTransfer:
         assert np.array_equal(s, s_before)
 
     def test_real_form_on_bromwich_lines(self):
-        # from 256 points on, G is evaluated in real arithmetic; on the
-        # 512-point lines nilt builds at m = 256 for the 135 integrators of
-        # TestCfoiOracle it agrees with the formula in clongdouble to
-        # 6.5e-15 relative (the direct complex128 form: 4.2e-15).  The
-        # worst is at s = c, tm = 20, wgc = 10 and mu = -0.5, where
-        # cos(mu*a) = 0.03 takes its absolute rounding to 30 times its
-        # relative size: cos from tan(mu*a/2) rounds about twice as far
-        # as libm's cos there
+        # from 128 points on, G is evaluated in real arithmetic, so every
+        # line nilt builds takes it, the 128-point lines of m = 64 too; on
+        # those and on the 512-point lines of m = 256, for the 135
+        # integrators of TestCfoiOracle, it agrees with the formula in
+        # clongdouble to 6.5e-15 relative (the direct complex128 form:
+        # 4.2e-15).  The worst is at s = c, tm = 20, wgc = 10 and mu =
+        # -0.5, where cos(mu*a) = 0.03 takes its absolute rounding to 30
+        # times its relative size: cos from tan(mu*a/2) rounds about twice
+        # as far as libm's cos there
         worst = 0.0
-        for lam, mu, wgc, tm in itertools.product(
+        for lam, mu, wgc, tm, n in itertools.product(
                 (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95),
-                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0)):
+                (0.1, 1.0, 10.0), (0.5, 2.0, 20.0), (128, 512)):
             p = CfoiParams(lam, mu, wgc)
             T = 2.0 * tm
-            s = -math.log(1e-8) / T + 2j * math.pi / T * np.arange(512)
+            s = -math.log(1e-8) / T + 2j * math.pi / T * np.arange(n)
             s_before = s.copy()
             got = cfoi_transfer(p, s)
             assert got.dtype == np.complex128
             assert np.array_equal(s, s_before)
+            assert np.array_equal(got, _transfer_polar(
+                p, np.abs(s), np.arctan2(s.imag, s.real)))
             L = np.log(p.wgc / s.astype(np.clongdouble))
             want = np.exp(p.lam * L) * np.cos(p.mu * L)
             worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))

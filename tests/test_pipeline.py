@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 import irid.lti
 import irid.pipeline
 import irid.sysid
-from irid.cfoi import (CfoiParams, _transfer_polar, cfoi_transfer,
-                       gamma_complex)
+from irid.cfoi import CfoiParams, cfoi_transfer, gamma_complex
 from irid.errors import EvaluationError, ParamError, PipelineStageError
-from irid.nilt import _kept, _Window
+from irid.nilt import _kept
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
@@ -305,9 +304,9 @@ class TestIridFcoi:
 
     @pytest.mark.parametrize("m", [64, 256, 16384])
     def test_kept_window_gives_the_bits_of_a_new_one(self, m):
-        # the second request reads the window and its polar form that the
-        # first kept; the third builds them again.  Both invert again
-        # instead of sharing the first's kept reference
+        # the second request reads the window that the first kept; the
+        # third builds it again.  Both invert again instead of sharing the
+        # first's kept reference
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                           wmin=0.01, wmax=50.0, norder=5, m=m)
         irid_fcoi(req)
@@ -326,12 +325,10 @@ class TestIridFcoi:
                                   getattr(new, name).den), name
         assert kept.metrics == new.metrics
 
-    @pytest.mark.parametrize("m,sizes", [
-        (64, [19]), (256, [19]), (2 ** 14, [19]),
-        (2 ** 15, [2 ** 16, 19])])
-    def test_kept_line_skips_cfoi_transfer(self, m, sizes, monkeypatch):
-        # every kept line is evaluated from the window's polar form; every
-        # other array goes to cfoi_transfer
+    @pytest.mark.parametrize("m", [64, 256, 2 ** 14, 2 ** 15])
+    def test_reference_hands_cfoi_transfer_the_line_and_extended_points(
+            self, m, monkeypatch):
+        # one path for G: the 2m-point line, then the 19 extended points
         seen = []
 
         def counted(p, s):
@@ -340,27 +337,7 @@ class TestIridFcoi:
 
         monkeypatch.setattr(irid.pipeline, "cfoi_transfer", counted)
         _reference(CfoiParams(1.5, -0.4, 1.0), 2.0, m)
-        assert seen == sizes
-
-    @pytest.mark.parametrize("m", [64, 128, 4096, 2 ** 15])
-    def test_kept_polar_form_gives_the_bits_of_writeable_copies(self, m):
-        # a kept window's read-only polar form and cfoi_transfer's own
-        # writeable |s|, arg s give one G, so that a kept and an unkept
-        # window give one reference; cfoi_transfer takes the polar form
-        # from 256 points, m = 128, up
-        for tm in (0.5, 2.0, 20.0):
-            w = _Window(tm, m)
-            s = w.s
-            for lam, mu, wgc in itertools.product(
-                    (0.1, 1.95), (0.0, -0.5, -0.95), (0.1, 10.0)):
-                p = CfoiParams(lam, mu, wgc)
-                kept = _transfer_polar(p, *w.polar)
-                copies = _transfer_polar(p, np.abs(s),
-                                         np.arctan2(s.imag, s.real))
-                assert np.array_equal(kept, copies), (lam, mu, wgc, tm)
-                if m >= 128:
-                    assert np.array_equal(kept, cfoi_transfer(p, s)), (
-                        lam, mu, wgc, tm)
+        assert seen == [2 * m, 19]
 
     def test_request_above_2_14_keeps_no_window(self):
         # nor its reference
@@ -843,25 +820,29 @@ class TestFitQualitySweep:
     @staticmethod
     def sweep(monkeypatch, wgc_tm, m, norders=(2, 5, 8)):
         """(good discrete fits per order, good continuous fits, worst
-        discrete score per order); each integrator is inverted once, and
-        its models are fitted to that one reference at every order."""
+        discrete score per order); each integrator is inverted once, by
+        the first of its requests, and irid_fcoi fits its models to that
+        one kept reference at every order."""
         good = dict.fromkeys(norders, 0)
         worst = dict.fromkeys(norders, 0.0)
         good_continuous = 0
         for lam, mu, (wgc, tm) in itertools.product(
                 (0.1, 0.5, 1.0, 1.5, 1.95), (0.0, -0.5, -0.95), wgc_tm):
             params = CfoiParams(lam, mu, wgc)
-            h_ref = _reference(params, tm, m)
-            data = TimeSeries(h_ref.t0, h_ref.dt, h_ref.dt * h_ref.values)
             for norder in norders:
                 req = IridRequest(params=params, tm=tm, wmin=0.01,
                                   wmax=100.0, norder=norder, m=m)
-                res = _models(req, h_ref)
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "wmax=.*clamping",
+                                            UserWarning)
+                    res = irid_fcoi(req)
                 assert res.gd.den[0] == res.gc.den[0] == 1.0, req
                 score = res.metrics.discrete.impulse_rel_l2
                 good[norder] += score < 0.1
                 worst[norder] = max(worst[norder], score)
                 good_continuous += res.metrics.continuous.impulse_rel_l2 < 0.1
+                h_ref = res.h_ref
+                data = TimeSeries(h_ref.t0, h_ref.dt, h_ref.dt * h_ref.values)
                 with monkeypatch.context() as patch:
                     patch.setattr(irid.sysid, "_PASSES", 1)
                     first = stmcb_fit(data, norder, norder)
@@ -997,6 +978,19 @@ class TestWriteOutputs:
         assert self.polylines(freq) == self.reference_points(
             r.f_ref.grid.omegas,
             [f.magnitude_db() for f in (r.f_ref, r.f_d, r.f_c)], logx=True)
+
+    def test_svg_labels(self, small_result, tmp_path):
+        # the impulse reference is the numerical inversion, the frequency
+        # reference the closed form
+        write_outputs(small_result, tmp_path)
+
+        def labels(name):
+            return re.findall(r'font-size="12" fill="[^"]*">([^<]*)</text>',
+                              (tmp_path / name).read_text())
+
+        assert labels("impulse.svg") == ["reference (NILT)", "discrete",
+                                         "continuous"]
+        assert labels("freq.svg") == ["exact", "discrete", "continuous"]
 
     def test_svg_points_single_point_range(self, tmp_path):
         # log10 of both band ends rounds to 3.0: the x range is widened to
