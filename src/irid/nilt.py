@@ -52,7 +52,6 @@ detected, only documented.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Tuple
 
@@ -124,54 +123,6 @@ def _qd_eval(cf: np.ndarray, z: np.ndarray) -> np.ndarray:
                        np.divide(q, p, out=q))
 
 
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
-
-
-# windows of at most this many samples are kept, the 8 last used: a
-# window at m = 2**14 holds 1 MiB.  Larger ones are built per call and
-# keep nothing once nilt returns
-_KEEP_MAX_M = 2 ** 14
-
-
-class _Window:
-    """The arrays of one inversion that depend on (tm, m) alone, read-only.
-
-    Built at once: the line s_n = c + j*n*dw, n = 0 .. N-1; the extended
-    points in np.longdouble, the qd tail's 2P+1 points n = N .. N+2P, then
-    the split's line points N-2 and m-1; the tail's sample points
-    z_k = exp(2j*pi*k/N), k = 1 .. m; and the damping e^(c*t)/T and the
-    split's decay e^(-t/tm) at t = dt .. tm."""
-
-    def __init__(self, tm: float, m: int):
-        T = 2.0 * tm
-        self.c = -math.log(_REL_ERR) / T
-        self.dt = tm / m
-        N, dw = 2 * m, 2.0 * math.pi / T
-        self.s = _read_only(self.c + 1j * dw * np.arange(N))
-        # the tail amplifies rounding in both its own and the split's
-        # points, so both come in extended precision
-        n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
-        self.s_ext = _read_only(self.c + 1j * dw * n_ext.astype(np.longdouble))
-        self.z = _read_only(np.exp(2j * np.pi * np.arange(1, m + 1) / N))
-        t = np.arange(1, m + 1) * self.dt
-        self.damping = _read_only(np.exp(self.c * t) / T)
-        self.decay = _read_only(np.exp(-(1.0 / tm) * t))
-
-
-@functools.lru_cache(maxsize=8)
-def _kept(tm: float, m: int) -> _Window:
-    # eight hold the benchmark lattice's six (tm, m) pairs
-    return _Window(tm, m)
-
-
-def _kept_window(tm: float, m: int):
-    """The kept :class:`_Window` of a checked ``(tm, m)``, None for m above
-    2**14, whose windows are not kept."""
-    return _kept(tm, m) if m <= _KEEP_MAX_M else None
-
-
 def _transform_values(f, s: np.ndarray, where: str) -> np.ndarray:
     """``f(s)`` broadcast to the shape of ``s``; ParamError unless it
     holds numbers of that shape or one that broadcasts to it,
@@ -227,11 +178,8 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
     The N = 2m line samples are summed by one real inverse FFT of their
     Hermitian fold, and the qd tail is evaluated at the m sample points
-    z_k = exp(2j*pi*k/N).  The arrays that depend on (tm, m) alone, the
-    line, the extended points, the z_k, the damping and the decay, are
-    one read-only window, built at once: windows of m <= 2**14 are kept,
-    the 8 last used, 1 MiB each at m = 2**14, and larger ones are built
-    per call and keep nothing once nilt returns.
+    z_k = exp(2j*pi*k/N).  Every array is built per call, and nothing is
+    kept once nilt returns.
 
     Parameters
     ----------
@@ -246,8 +194,9 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         from which alone the initial-value split is estimated.  A scalar
         return is broadcast to the line; a return that holds no numbers
         or does not broadcast to its points raises ParamError.  Both
-        arrays are read-only, so a transform that writes into its
-        argument raises ValueError instead of changing a kept window.
+        arrays are read-only, since the split reads them again after
+        the transform returns: a transform that writes into its
+        argument raises ValueError instead of moving the split.
         The qd tail amplifies rounding in F, so a transform that keeps
         the extended dtype gets a tail and a split independent of double
         rounding; one that returns complex128 there gets a
@@ -270,8 +219,16 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
     double range or has a pole at a sample point, or a sample overflows.
     """
     tm, m = _check_window(tm, m)
-    w = _kept_window(tm, m) or _Window(tm, m)
-    s, s_ext = w.s, w.s_ext
+    T = 2.0 * tm
+    c = -math.log(_REL_ERR) / T
+    N, dw = 2 * m, 2.0 * math.pi / T
+    s = c + 1j * dw * np.arange(N)
+    # the tail amplifies rounding in both its own and the split's points,
+    # n = N .. N+2P, then N-2 and m-1, so both come in extended precision
+    n_ext = np.concatenate((np.arange(N, N + _QD_TERMS), (N - 2, m - 1)))
+    s_ext = c + 1j * dw * n_ext.astype(np.longdouble)
+    # the split reads both again after the transform returns
+    s.flags.writeable = s_ext.flags.writeable = False
     with np.errstate(all="ignore"):
         F = _transform_values(f, s, "on the line")
         F_ext = _transform_values(f, s_ext, "at the extended points")
@@ -284,7 +241,7 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
         (sa, sb), (fa, fb) = s_ext[-2:], F_ext[-2:]
         r = float(((sa * sa * fa - sb * sb * fb) / (sa - sb)).real)
         beta = 1.0 / tm
-        if not math.isfinite(r) or abs(r) > 100.0 * w.c * max(peak, 1e-300):
+        if not math.isfinite(r) or abs(r) > 100.0 * c * max(peak, 1e-300):
             r = 0.0
         if r != 0.0:
             # into a new buffer: F may be the transform's own array
@@ -295,14 +252,17 @@ def nilt(f: Callable[[np.ndarray], np.ndarray], tm: float,
 
         # the tail sum_{n >= N} F_n z^n = z^N * sum_i F_{N+i} z^i, and
         # z^N = 1 at every sample point z = exp(2j*pi*k/N)
-        tail = _qd_eval(_qd_coeffs(F_ext[:_QD_TERMS]), w.z).real
+        z = np.exp(2j * np.pi * np.arange(1, m + 1) / N)
+        tail = _qd_eval(_qd_coeffs(F_ext[:_QD_TERMS]), z).real
         np.multiply(2.0, tail, out=tail)
         re = _twice_real_sum(F, m)
         np.add(re, tail, out=re)
         # vals = (exp(c*t)/T) * (2*Re(line sum + tail) - Re(F_0)), in place
         np.subtract(re, F[0].real, out=re)
-        vals = np.multiply(w.damping, re, out=re)
+        dt = tm / m
+        t = np.arange(1, m + 1) * dt
+        vals = np.multiply(np.exp(c * t) / T, re, out=re)
         if r != 0.0:
-            np.add(vals, np.multiply(r, w.decay), out=vals)
-    dt = w.dt
+            # the split's decay e^(-t/tm)
+            np.add(vals, np.multiply(r, np.exp(-beta * t)), out=vals)
     return TimeSeries(dt, dt, _all_finite("inverted samples overflow", vals))

@@ -209,8 +209,9 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
 
 # references of at most this many samples, 128 KiB each, are kept, the 8
 # last used, and shared read-only: every model order of one integrator
-# fits the same reference.  An inversion that raises keeps nothing, so it
-# raises again on every call
+# fits the same reference.  This memo, at most 1 MiB, is the only state
+# irid keeps between requests.  An inversion that raises keeps nothing,
+# so it raises again on every call
 _KEEP_REFERENCE_MAX_M = 2 ** 14
 _kept_reference = functools.lru_cache(maxsize=8)(_reference)
 
@@ -259,7 +260,8 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     The last 8 references with m <= 2**14 are kept, keyed by (params, tm,
     m), and a request that repeats one shares its read-only series
     instead of inverting again, so every model order of one integrator
-    fits one inversion; an inversion that raises is not kept.
+    fits one inversion; an inversion that raises is not kept.  These
+    references are the only state kept between requests.
     The model stages fit models to that reference: "fit" scales it by
     dt, fits a (norder, norder) discrete model, computes its impulse
     response by its difference equation, rescaled back by 1/dt so all
@@ -411,8 +413,10 @@ def write_outputs(res: IridResult, out_dir: Union[str, Path],
 
 
 def format_summary(res: IridResult) -> str:
+    """The human-readable report: each model's impulse scores against
+    the NILT reference ``h_ref`` and its frequency scores against the
+    exact G(j*omega)."""
     p = res.request.params
-    md, mc = res.metrics.discrete, res.metrics.continuous
     lines = [
         "impulse-response-invariant discretization summary",
         f"  order: {p.lam:g} {p.mu:+g}j   wgc: {p.wgc:g} rad/s",
@@ -422,15 +426,15 @@ def format_summary(res: IridResult) -> str:
         f"{res.f_ref.grid.omegas[-1]:.6g}] rad/s"
         f" ({len(res.f_ref.grid)} points)",
         f"  discrete model stable: {res.stable}",
-        "  discrete vs exact:",
-        f"    impulse rel L2: {md.impulse_rel_l2:.4e}"
-        f"   max abs: {md.impulse_max_abs:.4e}",
-        f"    mag max err: {md.mag_max_err_db:.3f} dB"
-        f"   phase max err: {md.phase_max_err_deg:.3f} deg",
-        "  continuous vs exact:",
-        f"    impulse rel L2: {mc.impulse_rel_l2:.4e}"
-        f"   max abs: {mc.impulse_max_abs:.4e}",
-        f"    mag max err: {mc.mag_max_err_db:.3f} dB"
-        f"   phase max err: {mc.phase_max_err_deg:.3f} deg",
     ]
+    for name, e in (("discrete", res.metrics.discrete),
+                    ("continuous", res.metrics.continuous)):
+        lines += [
+            f"  {name} model:",
+            f"    impulse vs NILT reference   rel L2: "
+            f"{e.impulse_rel_l2:.4e}   max abs: {e.impulse_max_abs:.4e}",
+            f"    frequency vs exact G(jw)    mag max err: "
+            f"{e.mag_max_err_db:.3f} dB   phase max err: "
+            f"{e.phase_max_err_deg:.3f} deg",
+        ]
     return "\n".join(lines)

@@ -32,7 +32,9 @@ def test_successful_run(tmp_path, capsys):
     for name in ARTIFACTS:
         assert (out_dir / name).exists()
     stdout = capsys.readouterr().out
-    assert "discrete vs exact" in stdout
+    assert ("  discrete model:\n"
+            "    impulse vs NILT reference   rel L2: ") in stdout
+    assert "    frequency vs exact G(jw)    mag max err: " in stdout
     coeffs = json.loads((out_dir / "coeffs.json").read_text())
     assert len(coeffs["discrete"]["den"]) == 6
 

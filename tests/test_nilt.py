@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import sys
@@ -9,8 +8,7 @@ import pytest
 
 from irid.cfoi import CfoiParams, cfoi_analytic_impulse, cfoi_transfer
 from irid.errors import EvaluationError, ParamError
-from irid.nilt import (_Window, _kept, _kept_window, _qd_coeffs, _qd_eval,
-                       _twice_real_sum, nilt)
+from irid.nilt import _qd_coeffs, _qd_eval, _twice_real_sum, nilt
 
 
 def rel_l2(got, want):
@@ -84,40 +82,18 @@ class TestLineSum:
 
 
 class TestWindow:
-    def test_kept_read_only_and_as_built(self):
-        w = _kept_window(2.0, 1024)
-        assert w is _kept_window(2.0, 1024)
-        new = _Window(2.0, 1024)
-        for name in ("s", "s_ext", "z", "damping", "decay"):
-            assert not getattr(w, name).flags.writeable, name
-            assert np.array_equal(getattr(w, name), getattr(new, name)), name
-
-    @pytest.mark.parametrize("m", [64, 16384])
-    def test_unit_roots_are_read_only(self, m):
-        z = np.arange(1, m + 1, dtype=complex)
-        want = np.exp(2j * np.pi * z / (2 * m))
-        got = _Window(2.0, m).z
-        assert not got.flags.writeable
-        np.testing.assert_array_equal(got, want)
-
-    def test_above_2_14_not_kept(self):
-        assert _kept_window(2.0, 2 ** 14) is not None
-        assert _kept_window(2.0, 2 ** 15) is None
-        before = _kept.cache_info()
-        nilt(lambda s: 1 / (s + 1), 2.0, 2 ** 15)
-        assert _kept.cache_info() == before
-
-    @pytest.mark.parametrize("m", [2 ** 15, 2 ** 17])
+    @pytest.mark.parametrize("m", [64, 2 ** 10, 2 ** 14, 2 ** 15, 2 ** 17])
     def test_above_2_14_nothing_left_behind(self, m):
-        # the warm-up call at m = 64 makes the first-call allocations; a
-        # window that is not kept leaves none of its arrays behind
+        # at every m, not only above 2**14: the warm-up call at tm = 2,
+        # m = 64 makes the first-call allocations, and a call at another
+        # tm leaves none of its arrays behind
         def f(s):
             return 1 / (s + 1)
 
         nilt(f, 2.0, 64)
         tracemalloc.start()
         try:
-            nilt(f, 2.0, m)
+            nilt(f, 3.0, m)
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -131,16 +107,6 @@ class TestWindow:
 
         with pytest.raises(ValueError, match="read-only"):
             nilt(writes, 2.0, m)
-        if m <= 2 ** 14:
-            assert np.array_equal(_kept_window(2.0, m).s, _Window(2.0, m).s)
-
-    def test_same_bits_after_the_cache_is_cleared(self):
-        def f(s):
-            return 1 / (s + 1) + 1 / s ** 2
-
-        kept = nilt(f, 2.0, 1024).values
-        _kept.cache_clear()
-        assert np.array_equal(nilt(f, 2.0, 1024).values, kept)
 
 
 class TestOraclePairs:
@@ -366,14 +332,9 @@ class DoubleLongdouble:
 
 
 def round_tail_to_double(monkeypatch):
-    # the package attribute irid.nilt is the function, not the module.
-    # The patched runs get a window cache of their own: a window kept
-    # before the patch holds extended-precision points, and one built
-    # under it double ones
+    # the package attribute irid.nilt is the function, not the module
     module = sys.modules["irid.nilt"]
     monkeypatch.setattr(module, "np", DoubleLongdouble())
-    monkeypatch.setattr(module, "_kept",
-                        functools.lru_cache(maxsize=8)(module._Window))
 
 
 class TestCfoiOracle:

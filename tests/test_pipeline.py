@@ -20,7 +20,6 @@ import irid.pipeline
 import irid.sysid
 from irid.cfoi import CfoiParams, cfoi_transfer, gamma_complex
 from irid.errors import EvaluationError, ParamError, PipelineStageError
-from irid.nilt import _kept
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
@@ -302,29 +301,6 @@ class TestIridFcoi:
             tracemalloc.stop()
         assert peak <= 2.5 * 2 ** 20
 
-    @pytest.mark.parametrize("m", [64, 256, 16384])
-    def test_kept_window_gives_the_bits_of_a_new_one(self, m):
-        # the second request reads the window that the first kept; the
-        # third builds it again.  Both invert again instead of sharing the
-        # first's kept reference
-        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
-                          wmin=0.01, wmax=50.0, norder=5, m=m)
-        irid_fcoi(req)
-        _kept_reference.cache_clear()
-        kept = irid_fcoi(req)
-        _kept.cache_clear()
-        _kept_reference.cache_clear()
-        new = irid_fcoi(req)
-        for name in ("h_ref", "h_d", "h_c"):
-            assert np.array_equal(getattr(kept, name).values,
-                                  getattr(new, name).values), name
-        for name in ("gd", "gc"):
-            assert np.array_equal(getattr(kept, name).num,
-                                  getattr(new, name).num), name
-            assert np.array_equal(getattr(kept, name).den,
-                                  getattr(new, name).den), name
-        assert kept.metrics == new.metrics
-
     @pytest.mark.parametrize("m", [64, 256, 2 ** 14, 2 ** 15])
     def test_reference_hands_cfoi_transfer_the_line_and_extended_points(
             self, m, monkeypatch):
@@ -340,12 +316,11 @@ class TestIridFcoi:
         assert seen == [2 * m, 19]
 
     def test_request_above_2_14_keeps_no_window(self):
-        # nor its reference
-        _kept.cache_clear()
+        # the reference memo, the only state kept between requests, takes
+        # no reference above 2**14
         _kept_reference.cache_clear()
         irid_fcoi(IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                               wmin=0.01, wmax=100.0, norder=2, m=2 ** 15))
-        assert _kept.cache_info().currsize == 0
         assert _kept_reference.cache_info().currsize == 0
 
     # lattice points of the benchmark's domain_sweep, tm = 20 clamping
@@ -412,8 +387,8 @@ class TestIridFcoi:
                         reason="ru_maxrss is in KiB on Linux")
     def test_max_rss_at_the_top_of_the_domain(self):
         # m = 2**20 and norder 8 in a fresh process, the largest fit the
-        # matrix cap admits: 235 MiB measured on Linux x86-64 (Python 3.11,
-        # numpy 2.4, scipy 1.17); the bound leaves 65 MiB for other
+        # matrix cap admits: 229 MiB measured on Linux x86-64 (Python 3.11,
+        # numpy 2.4, scipy 1.17); the bound leaves 71 MiB for other
         # interpreters and numpy/OpenBLAS builds, and a fit that allocated
         # its own filter band (346 MiB) fails it
         code = ("import resource\n"
