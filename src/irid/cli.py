@@ -51,16 +51,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_err(line: str) -> None:
+    # print(file=None) would write to stdout, so a closed stderr (None, or
+    # a descriptor that refuses writes) drops the line
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Parse flags, run the pipeline, write outputs, print the summary.
 
-    Exit codes: 0 success, 2 invalid input, 1 computation failure or a
-    file that could not be written.  Errors and warnings are printed as
-    one line each on standard error, "error: ..." and "warning: ...".  A
-    standard output closed early (``irid-cfoi ... | head -1``) is not a
-    failure: the artifacts are written before the summary is printed, so
-    the rest of the summary is dropped, output goes to os.devnull from
-    then on, and the exit code stays 0.
+    Returns the exit code and never exits, so a program can embed the
+    command: 0 success, 2 invalid input, 1 computation failure or a file
+    that could not be written.  Errors and warnings are printed as one
+    line each on standard error, "error: ..." and "warning: ...".  A
+    closed standard output is not a failure, nor is one closed early
+    (``irid-cfoi ... | head -1``): the artifacts are written before the
+    summary is printed, so the rest of the summary is dropped, output goes
+    to os.devnull from then on, and the exit code stays 0.  A closed
+    standard error drops the error and warning lines and keeps the code.
     """
     parser = build_parser()
     try:
@@ -82,27 +94,43 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
                 result = irid_fcoi(request)
             finally:
                 for warning in caught:
-                    print(f"warning: {warning.message}", file=sys.stderr)
+                    _print_err(f"warning: {warning.message}")
         paths = write_outputs(result, args.out_dir, svg=not args.no_svg)
     except ParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_err(f"error: {exc}")
         return 2
     except (IridError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_err(f"error: {exc}")
         return 1
 
     try:
-        print(format_summary(result))
-        print("  wrote:")
-        for path in paths:
-            print(f"    {path}")
-        sys.stdout.flush()
+        # print skips a closed stdout (None), flush included
+        print("\n".join([format_summary(result), "  wrote:",
+                         *(f"    {path}" for path in paths)]), flush=True)
     except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; send that to devnull
+        # main, or the interpreter's exit when cli_main is embedded,
+        # flushes stdout again; send that to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
     return 0
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    """The ``irid-cfoi`` and ``python -m irid`` entry point: run cli_main,
+    flush standard output and error, and end the process with its code.
+
+    The process ends by ``os._exit``, which skips the interpreter's
+    teardown (module finalization and the last garbage collection), a
+    fixed ~20 ms of each cold run; irid registers no atexit handler and
+    closes every file it writes.  A stream that cannot take its flush,
+    closed or refusing writes, is skipped as in cli_main.  A program that
+    embeds the command calls cli_main, which returns its code.
+    """
+    code = cli_main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(code)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import irid.pipeline
-from irid.cli import cli_main
+from irid.cli import build_parser, cli_main
 from irid.lti import DiscreteTransferFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,11 +19,15 @@ README_ARGS = ["--lambda", "1.5", "--mu", "-0.4", "--wgc", "1", "--tm", "2",
                "--wmin", "0.01", "--wmax", "100", "--norder", "5"]
 
 
+# a quick run: 128 samples, a band below the Nyquist clamp
+SMALL_ARGS = ["--lambda", "1.5", "--mu", "-0.4", "--wgc", "1", "--tm", "2",
+              "--wmin", "0.01", "--wmax", "40", "--norder", "5",
+              "--samples", "128"]
+
+
 def run(tmp_path, *extra):
-    args = ["--lambda", "1.5", "--mu", "-0.4", "--wgc", "1", "--tm", "2",
-            "--wmin", "0.01", "--wmax", "40", "--norder", "5",
-            "--samples", "128", "--out-dir", str(tmp_path / "out")]
-    return cli_main(args + list(extra))
+    return cli_main(SMALL_ARGS + ["--out-dir", str(tmp_path / "out"),
+                                  *extra])
 
 
 def test_successful_run(tmp_path, capsys):
@@ -253,27 +257,123 @@ def test_scipy_linalg_imports_after_the_package():
     assert proc.stdout.strip() == "irid._flapack True"
 
 
-def test_closed_stdout_exits_zero(tmp_path):
-    # stdout is a pipe whose read end is already closed, as after
-    # `irid-cfoi ... | head -1`: printing the summary hits EPIPE after the
-    # artifacts are written
+def run_module(args, **kwargs):
+    # the command as a process: `python -m irid` runs the entry point,
+    # which flushes its streams and ends the process without teardown.
+    # stdout stays block-buffered, so text still in its buffer at the end
+    # shows
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "irid", *args], env=env,
+                          text=True, timeout=120, **kwargs)
+
+
+def expected_stdout(out_dir):
+    return ((out_dir / "summary.txt").read_text() + "  wrote:\n"
+            + "".join(f"    {out_dir / name}\n" for name in ARTIFACTS))
+
+
+def test_piped_summary_arrives_whole(tmp_path):
+    # block-buffered stdout: the summary and the six paths come out whole
     out_dir = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = run_module(SMALL_ARGS + ["--out-dir", str(out_dir)],
+                      capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == expected_stdout(out_dir)
+
+
+def test_piped_help_arrives_whole(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = run_module(["--help"], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == build_parser().format_help()
+
+
+@pytest.mark.parametrize("flags, code, fragment", [
+    (("--lambda", "3"), 2, "error: lambda must lie strictly inside (0, 2)"),
+    (("--wgc", "1e300"), 1, "error: nilt stage failed"),
+], ids=["invalid-input", "breakdown"])
+def test_failing_process_prints_one_error_line(tmp_path, flags, code,
+                                               fragment):
+    proc = run_module(SMALL_ARGS + ["--out-dir", str(tmp_path / "out"),
+                                    *flags], capture_output=True)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(fragment)
+    assert not (tmp_path / "out").exists()
+
+
+def run_into_closed_pipe(args):
+    # stdout is a pipe whose read end is already closed, as after
+    # `irid-cfoi ... | head -1`
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "irid", "--lambda", "1.5", "--mu", "-0.4",
-             "--wgc", "1", "--tm", "2", "--samples", "128",
-             "--out-dir", str(out_dir)],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
-            timeout=120)
+        return run_module(args, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
-    assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_closed_stdout_exits_zero(tmp_path):
+    # printing the summary hits EPIPE after the artifacts are written
+    out_dir = tmp_path / "out"
+    proc = run_into_closed_pipe(SMALL_ARGS + ["--out-dir", str(out_dir)])
     assert proc.returncode == 0, proc.stderr
-    for name in ARTIFACTS:
-        assert (out_dir / name).exists()
+    assert proc.stderr == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACTS)
+
+
+def test_help_into_closed_stdout_exits_zero():
+    # the help text hits EPIPE only when the entry point flushes it
+    proc = run_into_closed_pipe(["--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+# the closed-descriptor cases close fd 1 or 2 in the child between fork
+# and exec, as the shell's `>&-` and `2>&-` do
+posix_only = pytest.mark.skipif(
+    os.name != "posix", reason="closing a descriptor of the child between "
+    "fork and exec needs preexec_fn, which is POSIX-only")
+
+
+@posix_only
+def test_closed_stdout_descriptor_exits_zero(tmp_path):
+    # `irid-cfoi ... >&-`: Python starts with sys.stdout None
+    out_dir = tmp_path / "out"
+    proc = run_module(SMALL_ARGS + ["--out-dir", str(out_dir)],
+                      stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACTS)
+
+
+# a closed stderr drops the error and warning lines and keeps the exit
+# code and the summary: `2>&-` starts Python with sys.stderr None, and a
+# read-only descriptor 2 refuses each write with EBADF, as where a
+# wrapper script opened itself on the free descriptor 2
+@pytest.mark.parametrize("closed", [
+    pytest.param("descriptor", marks=posix_only), "read-only"])
+@pytest.mark.parametrize("flags, code", [
+    (("--lambda", "3"), 2),
+    (("--wgc", "1e300"), 1),
+    (("--wmax", "1e6"), 0),
+], ids=["invalid-input", "breakdown", "warning"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, closed, flags, code):
+    out_dir = tmp_path / "out"
+    args = SMALL_ARGS + ["--out-dir", str(out_dir), *flags]
+    if closed == "descriptor":
+        proc = run_module(args, stdout=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(2))
+    else:
+        with open(os.devnull, "rb") as read_only:
+            proc = run_module(args, stdout=subprocess.PIPE,
+                              stderr=read_only)
+    assert proc.returncode == code
+    assert proc.stdout == (expected_stdout(out_dir) if code == 0 else "")
 
 
 def test_processes_write_the_same_bytes_under_one_and_two_blas_threads(

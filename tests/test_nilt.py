@@ -81,9 +81,9 @@ class TestLineSum:
         assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
 
 
-class TestWindow:
+class TestNothingKept:
     @pytest.mark.parametrize("m", [64, 2 ** 10, 2 ** 14, 2 ** 15, 2 ** 17])
-    def test_above_2_14_nothing_left_behind(self, m):
+    def test_nothing_left_behind(self, m):
         # at every m, not only above 2**14: the warm-up call at tm = 2,
         # m = 64 makes the first-call allocations, and a call at another
         # tm leaves none of its arrays behind

@@ -315,7 +315,7 @@ class TestIridFcoi:
         _reference(CfoiParams(1.5, -0.4, 1.0), 2.0, m)
         assert seen == [2 * m, 19]
 
-    def test_request_above_2_14_keeps_no_window(self):
+    def test_reference_memo_keeps_nothing_above_2_14(self):
         # the reference memo, the only state kept between requests, takes
         # no reference above 2**14
         _kept_reference.cache_clear()
