@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 import warnings
-from typing import List, Optional
+from typing import Callable, List, Optional, TextIO
 
 from .cfoi import CfoiParams
 from .errors import IridError, ParamError
@@ -51,14 +51,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_err(line: str) -> None:
+def _on_stderr(write: Callable[[TextIO], object]) -> None:
     # print(file=None) would write to stdout, so a closed stderr (None, or
-    # a descriptor that refuses writes) drops the line
+    # a descriptor that refuses writes) drops what would go there
     if sys.stderr is not None:
         try:
-            print(line, file=sys.stderr)
+            write(sys.stderr)
         except OSError:
             pass
+
+
+def _print_err(line: str) -> None:
+    _on_stderr(lambda err: print(line, file=err))
+
+
+def _on_stdout(write: Callable[[TextIO], object]) -> int:
+    # 0, or 1 after an error line when stdout refuses the write.  A closed
+    # stdout (None) is skipped, and one closed early by its reader (EPIPE,
+    # `| head -1`) is not a failure.  After a refused write stdout goes to
+    # os.devnull, so the next flush (main's, or the interpreter's exit when
+    # cli_main is embedded) cannot fail on what is left in its buffer
+    if sys.stdout is None:
+        return 0
+    try:
+        write(sys.stdout)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            _print_err(f"error: standard output: {exc}")
+            return 1
+    return 0
 
 
 def cli_main(argv: Optional[List[str]] = None) -> int:
@@ -71,8 +95,10 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     closed standard output is not a failure, nor is one closed early
     (``irid-cfoi ... | head -1``): the artifacts are written before the
     summary is printed, so the rest of the summary is dropped, output goes
-    to os.devnull from then on, and the exit code stays 0.  A closed
-    standard error drops the error and warning lines and keeps the code.
+    to os.devnull from then on, and the exit code stays 0.  Any other
+    error writing the summary (a full disk) goes to os.devnull the same
+    way and is one error line, code 1.  A closed standard error drops the
+    error and warning lines and keeps the code.
     """
     parser = build_parser()
     try:
@@ -103,16 +129,9 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         _print_err(f"error: {exc}")
         return 1
 
-    try:
-        # print skips a closed stdout (None), flush included
-        print("\n".join([format_summary(result), "  wrote:",
-                         *(f"    {path}" for path in paths)]), flush=True)
-    except BrokenPipeError:
-        # main, or the interpreter's exit when cli_main is embedded,
-        # flushes stdout again; send that to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    return 0
+    summary = "\n".join([format_summary(result), "  wrote:",
+                         *(f"    {path}" for path in paths)])
+    return _on_stdout(lambda out: print(summary, file=out, flush=True))
 
 
 def main() -> None:
@@ -122,15 +141,12 @@ def main() -> None:
     The process ends by ``os._exit``, which skips the interpreter's
     teardown (module finalization and the last garbage collection), a
     fixed ~20 ms of each cold run; irid registers no atexit handler and
-    closes every file it writes.  A stream that cannot take its flush,
-    closed or refusing writes, is skipped as in cli_main.  A program that
-    embeds the command calls cli_main, which returns its code.
+    closes every file it writes.  The flush of standard output follows
+    cli_main's rules: a closed or early-closed stdout is not a failure,
+    any other write error is one error line and exit code 1.  A program
+    that embeds the command calls cli_main, which returns its code.
     """
     code = cli_main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            try:
-                stream.flush()
-            except OSError:
-                pass
-    os._exit(code)
+    flushed = _on_stdout(lambda out: out.flush())
+    _on_stderr(lambda err: err.flush())
+    os._exit(code or flushed)

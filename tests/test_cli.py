@@ -376,6 +376,26 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, closed, flags, code):
     assert proc.stdout == (expected_stdout(out_dir) if code == 0 else "")
 
 
+
+# /dev/full refuses each write with ENOSPC: unlike a reader that closed
+# its end early, a failure, one error line and code 1.  The help text is
+# still buffered when cli_main returns, so main's own flush meets it
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device that refuses every "
+                    "write (Linux)")
+@pytest.mark.parametrize("help_text", [False, True], ids=["summary", "help"])
+def test_stdout_refusing_writes_exits_1_with_one_line(tmp_path, help_text):
+    out_dir = tmp_path / "out"
+    args = ["--help"] if help_text else SMALL_ARGS + ["--out-dir",
+                                                      str(out_dir)]
+    with open("/dev/full", "w") as full:
+        proc = run_module(args, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: standard output: [Errno 28] "
+                           "No space left on device\n")
+    if not help_text:
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACTS)
+
 def test_processes_write_the_same_bytes_under_one_and_two_blas_threads(
         tmp_path):
     # the README command at m = 16384, as a fresh process under one and
