@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EvaluationError, ParamError
 from .lti import (FrequencyGrid, FrequencyResponseSeries, _all_finite,
-                  _finite_real, _number_array, _positive)
+                  _finite_real, _number_array, _positive, _Value)
 
 __all__ = [
     "CfoiParams",
@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CfoiParams:
+@dataclass(init=False, repr=False, eq=False)
+class CfoiParams(_Value):
     """Order (lam + j*mu) and gain-crossover frequency of one integrator.
 
     Real numbers (not strings or bools), stored as floats: ``lam`` strictly
@@ -53,8 +53,7 @@ class CfoiParams:
     mu: float
     wgc: float
 
-    def __post_init__(self):
-        lam, mu = self.lam, self.mu
+    def __init__(self, lam, mu, wgc):
         if not (_finite_real(lam) and 0.0 < lam < 2.0):
             raise ParamError(f"lambda must lie strictly inside (0, 2), got {lam!r}")
         if not (_finite_real(mu) and -1.0 < mu <= 0.0):
@@ -62,7 +61,7 @@ class CfoiParams:
         object.__setattr__(self, "lam", float(lam))
         # -0.0 + 0.0 is +0.0; G is the same on either zero
         object.__setattr__(self, "mu", float(mu) + 0.0)
-        object.__setattr__(self, "wgc", _positive("wgc", self.wgc))
+        object.__setattr__(self, "wgc", _positive("wgc", wgc))
 
 
 # Arrays of this many points or more take the real form of G.  From 256

@@ -68,17 +68,23 @@ def _print_err(line: str) -> None:
 def _on_stdout(write: Callable[[TextIO], object]) -> int:
     # 0, or 1 after an error line when stdout refuses the write.  A closed
     # stdout (None) is skipped, and one closed early by its reader (EPIPE,
-    # `| head -1`) is not a failure.  After a refused write stdout goes to
-    # os.devnull, so the next flush (main's, or the interpreter's exit when
-    # cli_main is embedded) cannot fail on what is left in its buffer
+    # `| head -1`) is not a failure.  After a refused write a stdout with a
+    # descriptor goes to os.devnull, so the next flush (main's, or the
+    # interpreter's exit when cli_main is embedded) cannot fail on what is
+    # left in its buffer; an in-memory stream has no descriptor to redirect
     if sys.stdout is None:
         return 0
     try:
         write(sys.stdout)
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        try:
+            fd = sys.stdout.fileno()
+        except ValueError:  # io.UnsupportedOperation, or a closed stream
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             _print_err(f"error: standard output: {exc}")
             return 1

@@ -15,7 +15,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -194,8 +194,65 @@ def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteTransferFunction:
+class _Record:
+    """Base of irid's ten records, each declared
+    ``@dataclass(init=False, repr=False, eq=False)``: the decorator records
+    the fields, for ``fields``, ``replace`` and ``asdict``, and generates no
+    code.  This class does what ``frozen=True`` and the generated repr
+    would, and a record's own ``__init__`` takes the fields in field order
+    and validates each one and stores it once, by ``object.__setattr__``
+    or :meth:`_store`.  A record compares by identity; see
+    :class:`_Value`.  ``pickle`` and ``copy`` rebuild a record through
+    ``__init__``, so a restored one is checked again and its arrays are
+    read-only."""
+
+    def _store(self, *values):
+        """Set the fields, in field order, past ``__setattr__``: for
+        :class:`irid.pipeline.IridRequest` and ``IridResult``, whose eight
+        and eleven fields would take a line each.  The other records call
+        ``object.__setattr__`` once per field, at about half the cost per
+        field of this loop."""
+        # object.__setattr__, not an update of __dict__: on CPython 3.11
+        # that would give the instance a dict of its own, whose fields
+        # read about three times slower, with ~60 bytes more per record
+        for name, value in zip(self.__dataclass_fields__, values,
+                               strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                          for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                                 if f.init)
+
+
+class _Value(_Record):
+    """A record that compares and hashes by the tuple of its compare
+    fields, and equals only a record of its own class."""
+
+    def _key(self):
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(init=False, repr=False, eq=False)
+class DiscreteTransferFunction(_Record):
     """Rational function of z with sample period ``ts``.
 
     ``num`` and ``den`` are read-only float64 coefficient arrays, both
@@ -211,19 +268,19 @@ class DiscreteTransferFunction:
     den: np.ndarray
     ts: float
 
-    def __post_init__(self):
-        num, den = _monic_pair(self.num, self.den)
+    def __init__(self, num, den, ts):
+        num, den = _monic_pair(num, den)
         size = max(len(num), len(den))
         for name, coeffs in (("num", num), ("den", den)):
             if len(coeffs) < size:
                 coeffs = np.concatenate((coeffs, np.zeros(size - len(coeffs))))
                 coeffs.flags.writeable = False
             object.__setattr__(self, name, coeffs)
-        object.__setattr__(self, "ts", _positive("ts", self.ts))
+        object.__setattr__(self, "ts", _positive("ts", ts))
 
 
-@dataclass(frozen=True, eq=False)
-class ContinuousTransferFunction:
+@dataclass(init=False, repr=False, eq=False)
+class ContinuousTransferFunction(_Record):
     """Rational function of s; read-only coefficient arrays, both divided
     by the denominator's leading coefficient, so ``den[0]`` is exactly
     1.0, and the numerator stored without leading zeros (the zero
@@ -232,14 +289,14 @@ class ContinuousTransferFunction:
     num: np.ndarray
     den: np.ndarray
 
-    def __post_init__(self):
-        num, den = _monic_pair(self.num, self.den)
+    def __init__(self, num, den):
+        num, den = _monic_pair(num, den)
         object.__setattr__(self, "num", _trim(num))
         object.__setattr__(self, "den", den)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+@dataclass(init=False, repr=False, eq=False)
+class TimeSeries(_Record):
     """Uniformly sampled real signal; sample k sits at ``t0 + k*dt``.
 
     ``t0`` and ``dt`` > 0 are finite real numbers; ``values``, non-empty and
@@ -250,12 +307,12 @@ class TimeSeries:
     dt: float
     values: np.ndarray
 
-    def __post_init__(self):
-        if not _finite_real(self.t0):
-            raise ParamError(f"t0 must be finite, got {self.t0!r}")
-        object.__setattr__(self, "values", _vector("values", self.values))
-        object.__setattr__(self, "dt", _positive("dt", self.dt))
-        object.__setattr__(self, "t0", float(self.t0))
+    def __init__(self, t0, dt, values):
+        if not _finite_real(t0):
+            raise ParamError(f"t0 must be finite, got {t0!r}")
+        object.__setattr__(self, "values", _vector("values", values))
+        object.__setattr__(self, "dt", _positive("dt", dt))
+        object.__setattr__(self, "t0", float(t0))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -270,14 +327,14 @@ class TimeSeries:
 _MAX_POINTS = 2 ** 20
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyGrid:
+@dataclass(init=False, repr=False, eq=False)
+class FrequencyGrid(_Record):
     """Strictly increasing positive angular frequencies in rad/s."""
 
     omegas: np.ndarray
 
-    def __post_init__(self):
-        omegas = _vector("omegas", self.omegas)
+    def __init__(self, omegas):
+        omegas = _vector("omegas", omegas)
         if np.any(omegas <= 0.0):
             raise ParamError("frequencies must be > 0")
         if np.any(np.diff(omegas) <= 0.0):
@@ -312,8 +369,8 @@ class FrequencyGrid:
                              ) from None
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyResponseSeries:
+@dataclass(init=False, repr=False, eq=False)
+class FrequencyResponseSeries(_Record):
     """Complex response sampled on a FrequencyGrid: ints, floats or
     complex numbers, all finite, one per grid point, stored as a read-only
     complex128 array; else ParamError."""
@@ -321,10 +378,11 @@ class FrequencyResponseSeries:
     grid: FrequencyGrid
     response: np.ndarray
 
-    def __post_init__(self):
-        response = _vector("response", self.response, complex)
-        if len(response) != len(self.grid):
+    def __init__(self, grid, response):
+        response = _vector("response", response, complex)
+        if len(response) != len(grid):
             raise ParamError("response length must match the grid")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "response", response)
 
     def magnitude_db(self) -> np.ndarray:

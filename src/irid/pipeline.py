@@ -25,7 +25,8 @@ from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                  _all_finite, _count, _finite_real, _positive, _sum_squares,
+                  _all_finite, _count, _finite_real, _positive, _Record,
+                  _sum_squares, _Value,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
@@ -53,8 +54,8 @@ def _band_limit(tm: float, m: int) -> float:
     return NYQUIST_MARGIN * math.pi / (tm / m)
 
 
-@dataclass(frozen=True)
-class IridRequest:
+@dataclass(init=False, repr=False, eq=False)
+class IridRequest(_Value):
     """One discretization job.
 
     The sample period is always derived as dt = tm/m.  The frequency band
@@ -83,12 +84,11 @@ class IridRequest:
     # derived: the band grid, wmax clamped to the band limit
     grid: FrequencyGrid = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.params, CfoiParams):
-            raise ParamError(f"params must be a CfoiParams, got "
-                             f"{self.params!r}")
-        tm, m = _check_window(self.tm, self.m)
-        wmin, wmax = _positive("wmin", self.wmin), self.wmax
+    def __init__(self, params, tm, wmin, wmax, norder, m=1024, npoints=200):
+        if not isinstance(params, CfoiParams):
+            raise ParamError(f"params must be a CfoiParams, got {params!r}")
+        tm, m = _check_window(tm, m)
+        wmin = _positive("wmin", wmin)
         # wmax may be +inf: it is clamped to the band limit below
         if not (_finite_real(wmax) or wmax == math.inf) or wmin >= wmax:
             raise ParamError("need 0 < wmin < wmax")
@@ -96,20 +96,14 @@ class IridRequest:
         if not wmin < limit:
             raise ParamError(f"wmin must be below {NYQUIST_MARGIN:g}x the "
                              f"Nyquist rate, {limit:g} rad/s")
-        norder = _count("norder", self.norder, 1)
+        norder = _count("norder", norder, 1)
         _check_fit(m, norder, norder)
-        object.__setattr__(self, "tm", tm)
-        object.__setattr__(self, "wmin", wmin)
-        object.__setattr__(self, "wmax", float(wmax))
-        object.__setattr__(self, "norder", norder)
-        object.__setattr__(self, "m", m)
-        grid = FrequencyGrid.log_spaced(wmin, min(wmax, limit), self.npoints)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "npoints", len(grid))
+        grid = FrequencyGrid.log_spaced(wmin, min(wmax, limit), npoints)
+        self._store(params, tm, wmin, float(wmax), norder, m, len(grid), grid)
 
 
-@dataclass(frozen=True)
-class ModelErrors:
+@dataclass(init=False, repr=False, eq=False)
+class ModelErrors(_Value):
     """Closeness of one approximate model to the integrator: the impulse
     scores by :func:`compare_impulse` against ``h_ref``, the numerically
     inverted reference, not the exact response, and the frequency scores
@@ -121,15 +115,28 @@ class ModelErrors:
     mag_max_err_db: float
     phase_max_err_deg: float
 
+    def __init__(self, impulse_rel_l2, impulse_max_abs, mag_max_err_db,
+                 phase_max_err_deg):
+        object.__setattr__(self, "impulse_rel_l2", impulse_rel_l2)
+        object.__setattr__(self, "impulse_max_abs", impulse_max_abs)
+        object.__setattr__(self, "mag_max_err_db", mag_max_err_db)
+        object.__setattr__(self, "phase_max_err_deg", phase_max_err_deg)
 
-@dataclass(frozen=True)
-class ComparisonMetrics:
+
+@dataclass(init=False, repr=False, eq=False)
+class ComparisonMetrics(_Value):
+    """The :class:`ModelErrors` of the discrete and the continuous model."""
+
     discrete: ModelErrors
     continuous: ModelErrors
 
+    def __init__(self, discrete, continuous):
+        object.__setattr__(self, "discrete", discrete)
+        object.__setattr__(self, "continuous", continuous)
 
-@dataclass(frozen=True, eq=False)
-class IridResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class IridResult(_Record):
     """Fitted models, the three impulse/frequency series on shared grids,
     and the comparison metrics: each model's impulse response scored
     against the reference ``h_ref``, inverted numerically, and its
@@ -146,6 +153,11 @@ class IridResult:
     f_c: FrequencyResponseSeries
     metrics: ComparisonMetrics
     stable: bool
+
+    def __init__(self, request, gd, gc, h_ref, h_d, h_c, f_ref, f_d, f_c,
+                 metrics, stable):
+        self._store(request, gd, gc, h_ref, h_d, h_c, f_ref, f_d, f_c,
+                    metrics, stable)
 
 
 def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -186,6 +188,28 @@ def test_cold_import_leaves_out_heavy_scipy_modules():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _generated(attr) -> bool:
+    func = getattr(attr, "__func__", getattr(attr, "fget", attr))
+    return getattr(getattr(func, "__code__", None), "co_filename",
+                   None) == "<string>"
+
+
+def test_import_generates_no_code():
+    # dataclasses compiles the methods it generates from source text, so
+    # their code has the file name "<string>"; irid's records are declared
+    # with @dataclass(init=False, repr=False, eq=False), which generates
+    # none, and take their methods from irid.lti._Record
+    classes = {cls for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "irid"
+               for cls in vars(module).values() if isinstance(cls, type)
+               and cls.__module__.split(".")[0] == "irid"}
+    assert {"CfoiParams", "IridRequest", "IridResult", "TimeSeries"} <= {
+        cls.__name__ for cls in classes}
+    assert sorted(f"{cls.__qualname__}.{name}" for cls in classes
+                  for name, attr in vars(cls).items() if _generated(attr)
+                  ) == []
 
 
 # makes the first `fails` loads of irid._flapack raise ImportError, as a
@@ -395,6 +419,27 @@ def test_stdout_refusing_writes_exits_1_with_one_line(tmp_path, help_text):
                            "No space left on device\n")
     if not help_text:
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACTS)
+
+
+class FullMemoryStream(io.StringIO):
+    """An in-memory standard output, without a descriptor, that refuses
+    every write as a full disk would."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_in_memory_stdout_refusing_writes_exits_1_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    # a program that embeds cli_main with its own sys.stdout: nothing to
+    # redirect to os.devnull, still one error line and code 1
+    monkeypatch.setattr(sys, "stdout", FullMemoryStream())
+    assert run(tmp_path) == 1
+    assert capsys.readouterr().err == ("error: standard output: [Errno 28] "
+                                       "No space left on device\n")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        ARTIFACTS)
+
 
 def test_processes_write_the_same_bytes_under_one_and_two_blas_threads(
         tmp_path):
