@@ -9,6 +9,7 @@ B(z**-1)/A(z**-1) and its polynomial reading num(z)/den(z) are one function.
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -131,7 +132,7 @@ def _checked_vector(name: str, x, dtype=float) -> np.ndarray:
     arr = _number_array(name, x, dtype)
     if arr.ndim != 1 or arr.size == 0:
         raise ParamError(f"{name} must be a non-empty 1-D sequence")
-    if not np.isfinite(arr).all():
+    if _first_non_finite(arr) is not None:
         raise ParamError(f"{name} must be finite")
     return arr
 
@@ -143,9 +144,27 @@ def _vector(name: str, x, dtype=float) -> np.ndarray:
     return arr
 
 
+# the type codes of float64 and complex128, whose sum of squares np.vdot
+# takes by BLAS; a long double takes the scan, also where it is a double
+_DOT_TYPES = "dD"
+
+
 def _first_non_finite(x: np.ndarray):
     """The flat C-order index of the first non-finite entry of ``x``, or
-    None when every entry is finite."""
+    None when every entry is finite.
+
+    A 1-D float64 or complex128 ``x`` is first summed as sum |x_k|**2 by
+    one BLAS dot: a finite sum proves every entry finite, since its terms
+    cannot cancel an inf and a NaN stays NaN.  Only a sum that is not
+    finite, from a non-finite entry or from squares beyond the double
+    range, leads to the entrywise scan, which alone finds the index.  The
+    sum's finiteness is all that is read of it, so the number of BLAS
+    threads cannot change a result.  Any other array, such as the fit's
+    2-D blocks, which ``np.vdot`` would copy into one line, or nilt's
+    long double points, goes straight to the scan."""
+    if (x.ndim == 1 and x.dtype.char in _DOT_TYPES
+            and cmath.isfinite(np.vdot(x, x))):
+        return None
     finite = np.isfinite(x)
     if finite.all():
         return None
@@ -187,7 +206,8 @@ def _monic_pair(num, den) -> Tuple[np.ndarray, np.ndarray]:
     # the quotients are new arrays
     with np.errstate(over="ignore"):
         num, den = num / lead, den / lead
-    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+    if not (_first_non_finite(num) is None
+            and _first_non_finite(den) is None):
         raise ParamError("coefficients overflow when divided by the "
                          "denominator's leading coefficient")
     num.flags.writeable = den.flags.writeable = False
@@ -369,6 +389,14 @@ class FrequencyGrid(_Record):
                              ) from None
 
 
+def _decibels(magnitude: np.ndarray) -> np.ndarray:
+    """20*log10 of the array ``magnitude``, in place: the dB scale of
+    :meth:`FrequencyResponseSeries.magnitude_db` and of the scores."""
+    np.log10(magnitude, out=magnitude)
+    magnitude *= 20.0
+    return magnitude
+
+
 @dataclass(init=False, repr=False, eq=False)
 class FrequencyResponseSeries(_Record):
     """Complex response sampled on a FrequencyGrid: ints, floats or
@@ -386,7 +414,7 @@ class FrequencyResponseSeries(_Record):
         object.__setattr__(self, "response", response)
 
     def magnitude_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.abs(self.response))
+        return _decibels(np.abs(self.response))
 
     def phase_deg(self) -> np.ndarray:
         """Phase in degrees, unwrapped along the grid."""
@@ -566,16 +594,38 @@ def continuous_impulse(g: ContinuousTransferFunction, dt: float,
         "in the right half-plane", vals))
 
 
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial ``c`` at the points ``x``, as a new array: the
+    operations of ``np.polyval`` in its order, y = y*x + c_k for each
+    coefficient from y = 0, here in place.  ``x * 0`` stands for its first
+    product, zeros times x, so every signed zero comes out as it does.
+    The coefficients are Python floats, which numpy adds as it adds their
+    float64 scalars, at less cost per call."""
+    first, *rest = c.tolist()
+    y = x * 0
+    y += first
+    for ck in rest:
+        y *= x
+        y += ck
+    return y
+
+
 def _rational_response(num: np.ndarray, den: np.ndarray, points: np.ndarray,
                        grid: FrequencyGrid) -> FrequencyResponseSeries:
-    """num/den at ``points``, each polynomial evaluated by ``np.polyval``."""
+    """num/den at ``points``, each polynomial evaluated by :func:`_horner`,
+    bit for bit as ``np.polyval``.  EvaluationError at the first grid
+    point where |den| < 1e-300, also where another value of den is not
+    finite, else at the first quotient that is not finite."""
     with np.errstate(all="ignore"):
-        dv = np.polyval(den, points)
-        small = np.abs(dv) < 1e-300
-        ratio = np.polyval(num, points) / dv
-    if small.any():
-        w = grid.omegas[np.argmax(small)]
-        raise EvaluationError(f"denominator vanishes near omega={w:g} rad/s")
+        dv = _horner(den, points)
+        mag = np.abs(dv)
+        # fmin skips NaNs, which would hide a vanishing value from min
+        if np.fmin.reduce(mag) < 1e-300:
+            w = grid.omegas[np.argmax(mag < 1e-300)]
+            raise EvaluationError(f"denominator vanishes near omega={w:g} "
+                                  f"rad/s")
+        ratio = _horner(num, points)
+        ratio /= dv
     return FrequencyResponseSeries(grid, _all_finite(
         "frequency response is not finite", ratio))
 
@@ -588,12 +638,11 @@ def discrete_freq_response(g: DiscreteTransferFunction,
 
     Frequencies above the Nyquist rate are evaluated anyway, with a warning.
     """
-    w = grid.omegas
-    if (w * g.ts > math.pi).any():
+    wts = grid.omegas * g.ts
+    if (wts > math.pi).any():
         warnings.warn("grid extends above the Nyquist frequency pi/ts",
                       stacklevel=2)
-    z = np.exp(1j * w * g.ts)
-    return _rational_response(g.num, g.den, z, grid)
+    return _rational_response(g.num, g.den, np.exp(1j * wts), grid)
 
 
 def continuous_freq_response(g: ContinuousTransferFunction,

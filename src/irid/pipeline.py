@@ -25,8 +25,8 @@ from .cfoi import CfoiParams, cfoi_freq_grid, cfoi_transfer
 from .errors import EvaluationError, IridError, ParamError, PipelineStageError
 from .lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                   FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                  _all_finite, _count, _finite_real, _positive, _Record,
-                  _sum_squares, _Value,
+                  _all_finite, _count, _decibels, _finite_real, _positive,
+                  _Record, _sum_squares, _Value,
                   continuous_freq_response, continuous_impulse,
                   discrete_freq_response, discrete_impulse,
                   is_stable_discrete)
@@ -188,21 +188,45 @@ def compare_impulse(a: TimeSeries, b: TimeSeries) -> Tuple[float, float]:
     return err / norm, dev
 
 
+def _polar(f: FrequencyResponseSeries) -> Tuple[np.ndarray, np.ndarray]:
+    """(magnitude in dB, angle) of ``f`` as new arrays, the magnitude as
+    ``magnitude_db`` gives it; EvaluationError if a magnitude underflows
+    the dB scale."""
+    magnitude = np.abs(f.response)
+    if magnitude.min() < 1e-300:
+        raise EvaluationError("response magnitude underflows the dB scale")
+    return _decibels(magnitude), np.angle(f.response)
+
+
+def _score(ref: Tuple[np.ndarray, np.ndarray],
+           b: FrequencyResponseSeries) -> Tuple[float, float]:
+    """:func:`compare_frequency` of ``b`` against a response on the same
+    grid whose :func:`_polar` is ``ref``, which stays unchanged."""
+    ref_db, ref_angle = ref
+    db, turn = _polar(b)
+    np.subtract(ref_db, db, out=db)
+    mag = np.abs(db, out=db).max()
+    # the phase difference plus pi, wrapped to [0, 2*pi), minus pi
+    turn -= ref_angle
+    turn += math.pi
+    np.remainder(turn, 2 * math.pi, out=turn)
+    turn -= math.pi
+    phase = np.degrees(np.abs(turn, out=turn).max())
+    return float(mag), float(phase)
+
+
 def compare_frequency(a: FrequencyResponseSeries,
                       b: FrequencyResponseSeries) -> Tuple[float, float]:
     """(max |magnitude difference| in dB, max |phase difference| in
     degrees) of b against a on their shared grid, the magnitudes from
     ``magnitude_db`` and the phase difference np.angle(b) - np.angle(a)
     taken per point and wrapped to [-180, 180); EvaluationError if a
-    magnitude underflows the dB scale."""
+    magnitude underflows the dB scale.  :func:`irid_fcoi` scores both
+    models by the same code, with the exact response's dB and angle taken
+    once."""
     if not np.array_equal(a.grid.omegas, b.grid.omegas):
         raise ParamError("frequency grids differ")
-    if min(np.abs(a.response).min(), np.abs(b.response).min()) < 1e-300:
-        raise EvaluationError("response magnitude underflows the dB scale")
-    mag = np.abs(a.magnitude_db() - b.magnitude_db()).max()
-    turn = np.angle(b.response) - np.angle(a.response) + math.pi
-    phase = np.degrees(np.abs(turn % (2 * math.pi) - math.pi).max())
-    return float(mag), float(phase)
+    return _score(_polar(a), b)
 
 
 def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
@@ -251,9 +275,11 @@ def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
         f_ref = cfoi_freq_grid(req.params, req.grid)
         f_d = discrete_freq_response(gd, req.grid)
         f_c = continuous_freq_response(gc, req.grid)
+        # the three responses share req.grid: compare_frequency's scores,
+        # the exact response's dB and angle taken once
+        ref = _polar(f_ref)
         metrics = ComparisonMetrics(*(
-            ModelErrors(*compare_impulse(h_ref, h),
-                        *compare_frequency(f_ref, f))
+            ModelErrors(*compare_impulse(h_ref, h), *_score(ref, f))
             for h, f in ((h_d, f_d), (h_c, f_c))))
     except IridError as exc:
         raise PipelineStageError(stage, exc) from exc

@@ -251,6 +251,24 @@ class TestFreqResponse:
         with pytest.raises(EvaluationError, match="not finite"):
             cfoi_freq_response(CfoiParams(1.9, 0.0, 1e160), 1e-5)
 
+    @pytest.mark.parametrize("lam,mu,wgc", itertools.product(
+        (1.5, 1.95), (0.0, -0.95), (1.0, 1e10)))
+    def test_formula_bits_where_g_underflows(self, lam, mu, wgc):
+        # the expression's own bits, also where (wgc/omega)**lam underflows
+        # and only the signs of the zero parts are left of G: writing the
+        # two parts straight into one complex array would change them
+        omega = np.logspace(-5, 300, 500)
+        with np.errstate(all="ignore"):
+            x = mu * np.log(wgc / omega)
+            a = math.cosh(mu * math.pi / 2.0) * np.cos(x)
+            b = math.sinh(mu * math.pi / 2.0) * np.sin(x)
+            c = math.cos(lam * math.pi / 2.0)
+            d = math.sin(lam * math.pi / 2.0)
+            pref = (wgc / omega) ** lam
+            want = pref * (a * c + b * d) + 1j * (pref * (b * c - a * d))
+        got = cfoi_freq_response(CfoiParams(lam, mu, wgc), omega)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_domain_error(self, omega):
         with pytest.raises(ParamError, match="omega must be positive"):

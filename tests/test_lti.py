@@ -9,11 +9,13 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irid.lti
 from irid.cfoi import CfoiParams
 from irid.errors import EvaluationError, ParamError
 from irid.lti import (ContinuousTransferFunction, DiscreteTransferFunction,
                       FrequencyGrid, FrequencyResponseSeries, TimeSeries,
-                      _allpole, _expm, continuous_freq_response,
+                      _allpole, _expm, _first_non_finite, _horner,
+                      _rational_response, continuous_freq_response,
                       continuous_impulse, discrete_freq_response,
                       discrete_impulse, is_stable_discrete)
 from irid.pipeline import IridRequest, irid_fcoi
@@ -563,10 +565,53 @@ class TestFrequencyResponses:
         fr = continuous_freq_response(tf_c([1], [1, 1]), FrequencyGrid([1.0]))
         assert fr.response[0] == pytest.approx(0.5 - 0.5j)
 
+    # leading zeros and -0.0 (a discrete delay, a zero polynomial), one
+    # coefficient, and a continuous numerator stored trimmed, shorter than
+    # its denominator
+    @pytest.mark.parametrize("c", [
+        [1.0, -2.1, 1.9, -1.2, 0.4, -0.05],
+        [0.0, 0.0, 1.5, -0.3],
+        [-0.0, 0.7, -0.2],
+        [-0.0, -0.0],
+        [0.0],
+        [-0.0],
+        [2.5],
+        tf_c([0.0, -0.0, 1.5, -0.3], [2.0, 0.7, 0.2, 0.1]).num,
+    ], ids=["full", "zero-lead", "minus-zero-lead", "minus-zeros", "zero",
+            "minus-zero", "constant", "trimmed-continuous"])
+    def test_horner_is_polyval(self, c):
+        # random complex points, every pair of signed zeros and points on
+        # both axes, as the responses evaluate at
+        rng = np.random.default_rng(46)
+        x = np.concatenate((
+            rng.standard_normal(300) + 1j * rng.standard_normal(300),
+            [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)],
+            np.exp(1j * np.linspace(0.01, 3.1, 50)),
+            1j * np.logspace(-3, 3, 50), -1j * np.logspace(-3, 3, 50)))
+        c = np.asarray(c)
+        with np.errstate(all="ignore"):
+            want = np.polyval(c, x)
+        assert _horner(c, x).tobytes() == want.tobytes()
+
     def test_denominator_zero_raises(self):
         g = tf_c([1], [1, 0, 1])  # poles at +-j
         with pytest.raises(EvaluationError, match="denominator vanishes"):
             continuous_freq_response(g, FrequencyGrid([0.5, 1.0]))
+
+    # den(s) = s at these points: a NaN value before or after a vanishing
+    # one still names the vanishing one; NaN alone is a response that is
+    # not finite
+    @pytest.mark.parametrize("points,match", [
+        ([math.nan, 1.0, 0.0], r"vanishes near omega=3 rad/s"),
+        ([0.0, math.nan, 1.0], r"vanishes near omega=1 rad/s"),
+        ([1.0, 1e-301, math.nan], r"vanishes near omega=2 rad/s"),
+        ([1.0, math.nan, 2.0], r"not finite \(sample 1\)"),
+    ], ids=["nan-first", "nan-after", "tiny-then-nan", "nan-only"])
+    def test_vanishing_denominator_outranks_nan(self, points, match):
+        grid = FrequencyGrid([1.0, 2.0, 3.0])
+        with pytest.raises(EvaluationError, match=match):
+            _rational_response(np.array([1.0]), np.array([1.0, 0.0]),
+                               np.array(points, complex), grid)
 
     # |num/dv| ~ 1e305/1e-5 at the lowest frequency: the quotient overflows
     @pytest.mark.parametrize("response", [
@@ -583,6 +628,69 @@ class TestFrequencyResponses:
         fr = FrequencyResponseSeries(grid, [10.0 + 0j, 0 - 10j])
         np.testing.assert_allclose(fr.magnitude_db(), [20.0, 20.0])
         np.testing.assert_allclose(fr.phase_deg(), [0.0, -90.0])
+
+
+@pytest.fixture(params=[True, False], ids=["pretest", "scan-only"])
+def pretest(request, monkeypatch):
+    """Runs a test with and without _first_non_finite's sum pre-test."""
+    if not request.param:
+        monkeypatch.setattr(irid.lti, "_DOT_TYPES", "")
+    return request.param
+
+
+class TestFirstNonFinite:
+    """The one-dot pre-test only ever shortens the entrywise scan: every
+    case holds with and without it."""
+
+    # squares beyond the double range: the sum is inf, the scan says finite
+    @pytest.mark.parametrize("x", [np.full(1000, 1e200),
+                                   np.full(1000, -1e200 + 1e200j),
+                                   np.array([1e200, -1e200, 1.0])],
+                             ids=["real", "complex", "short"])
+    def test_overflowing_sum_of_finite_entries(self, pretest, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _first_non_finite(x) is None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 500, 999])
+    def test_index_of_the_entrywise_scan(self, pretest, dtype, bad, at):
+        # a second NaN after the first bad entry, except where that is last
+        x = np.linspace(-1.0, 1.0, 1000).astype(dtype)
+        x[at] = bad
+        x[-1] = x[-1] if at == 999 else math.nan
+        assert _first_non_finite(x) == int(np.argmin(np.isfinite(x))) == at
+
+    def test_finite_vector(self, pretest, monkeypatch):
+        dots = []
+
+        def vdot(a, b):
+            dots.append(a.dtype)
+            return np.dot(a.conj(), b)
+
+        monkeypatch.setattr(np, "vdot", vdot)
+        assert _first_non_finite(np.linspace(-1.0, 1.0, 1000)) is None
+        assert _first_non_finite(np.exp(1j * np.arange(200.0))) is None
+        assert dots == ([np.float64, np.complex128] if pretest else [])
+
+    @pytest.mark.parametrize("make,at", [
+        # the fit's Fortran-order (n, 2) filter pair: np.vdot would copy it
+        (lambda: np.ones((16384, 2), order="F"), (16383, 1)),
+        # the k x (k+1) factor, a strided view of its QR's storage
+        (lambda: np.ones((256, 7), order="F")[:6, :7], (5, 2)),
+        # nilt's extended-precision points
+        (lambda: np.ones(19, np.clongdouble), (18,)),
+    ], ids=["filter-pair", "factor", "longdouble"])
+    def test_other_arrays_skip_the_dot(self, pretest, monkeypatch, make, at):
+        def no_dot(*args):
+            raise AssertionError("np.vdot called")
+
+        monkeypatch.setattr(np, "vdot", no_dot)
+        x = make()
+        assert _first_non_finite(x) is None
+        x[at] = math.nan
+        assert _first_non_finite(x) == np.ravel_multi_index(at, x.shape)
 
 
 class TestStability:

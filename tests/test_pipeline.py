@@ -161,6 +161,42 @@ class TestCompareFrequency:
         with pytest.raises(EvaluationError, match="underflows the dB scale"):
             compare_frequency(a, a)
 
+    def test_equals_its_definition(self):
+        # the scores' definition written out, as the reference, on random
+        # responses whose phase gaps wrap both ways
+        rng = np.random.default_rng(46)
+        grid = FrequencyGrid(np.arange(1.0, 301.0))
+        a, b = (FrequencyResponseSeries(grid, np.exp(
+                    rng.uniform(-30, 30, 300) + 1j * rng.uniform(-4, 4, 300)))
+                for _ in range(2))
+        db = [20.0 * np.log10(np.abs(f.response)) for f in (a, b)]
+        turn = np.angle(b.response) - np.angle(a.response) + math.pi
+        want = (float(np.abs(db[0] - db[1]).max()),
+                float(np.degrees(np.abs(turn % (2 * math.pi)
+                                        - math.pi).max())))
+        assert compare_frequency(a, b) == want
+        assert a.magnitude_db().tobytes() == db[0].tobytes()
+
+    # the showcase and lattice requests, m = 256 to 4096, norder 2 to 8,
+    # stable and unstable fits
+    @pytest.mark.parametrize("lam,mu,wgc,tm,m,norder", [
+        (1.5, -0.4, 1.0, 2.0, 256, 5),
+        (1.5, -0.2, 1.0, 2.0, 1024, 5),
+        (0.1, 0.0, 0.1, 0.5, 256, 2),
+        (1.95, -0.95, 10.0, 20.0, 256, 8),
+        (0.5, -0.5, 1.0, 2.0, 4096, 8),
+        (1.0, -0.95, 0.1, 20.0, 4096, 5),
+    ])
+    def test_pipeline_scores_are_compare_frequency(self, lam, mu, wgc, tm,
+                                                   m, norder):
+        req = IridRequest(CfoiParams(lam, mu, wgc), tm, 0.01,
+                          _band_limit(tm, m), norder, m)
+        res = irid_fcoi(req)
+        for e, f in ((res.metrics.discrete, res.f_d),
+                     (res.metrics.continuous, res.f_c)):
+            assert ((e.mag_max_err_db, e.phase_max_err_deg)
+                    == compare_frequency(res.f_ref, f))
+
     def test_phase_gap_taken_per_point(self):
         # 179 and -179 degrees sit 2 degrees apart across the branch cut
         grid = FrequencyGrid([1.0])
