@@ -72,10 +72,13 @@ class CfoiParams(_Value):
 # points 17 against 24, 256 points 27 against 27, 512 points 47 against
 # 36, 32768 points 2.8 ms against 1.4 ms).  128 is the length of the
 # shortest Bromwich line, nilt's at m = 64, so every line takes the one
-# real form.  Shorter arrays keep the direct form's bits; nilt's 19-point
+# real form.  Shorter arrays keep the direct form, and nilt's 19-point
 # extended call (the qd tail and the initial-value split's two points)
-# must, because the continued fraction amplifies any change in its
-# rounding.
+# must, for its accuracy as well as its bits: the continued fraction
+# amplifies its rounding.  With the real form on those points the worst
+# oracle gap of the m = 256 lattice (TestDoubleTailOracle) reads 3.50e-4
+# with a tail in double, against 1.76e-4 with the direct form; the
+# 80-bit tail reads 2.03e-5 against 2.02e-5.
 _REAL_FORM_MIN = 128
 
 

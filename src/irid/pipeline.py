@@ -245,8 +245,9 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
 
 # references of at most this many samples, 128 KiB each, are kept, the 8
 # last used, and shared read-only: every model order of one integrator
-# fits the same reference.  This memo, at most 1 MiB, is the only state
-# irid keeps between requests.  An inversion that raises keeps nothing,
+# fits the same reference.  This memo, at most 1 MiB, is the only request
+# data irid keeps between requests (sysid's bilinear basis cache holds
+# constants per model order).  An inversion that raises keeps nothing,
 # so it raises again on every call
 _KEEP_REFERENCE_MAX_M = 2 ** 14
 _kept_reference = functools.lru_cache(maxsize=8)(_reference)
@@ -299,7 +300,8 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     m), and a request that repeats one shares its read-only series
     instead of inverting again, so every model order of one integrator
     fits one inversion; an inversion that raises is not kept.  These
-    references are the only state kept between requests.
+    references are the only request data kept between requests; the
+    bilinear basis cache holds constants per model order.
     The model stages fit models to that reference: "fit" scales it by
     dt, fits a (norder, norder) discrete model, computes its impulse
     response by its difference equation, rescaled back by 1/dt so all

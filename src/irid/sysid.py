@@ -212,10 +212,9 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
             if it:
                 _allpole(a, filtered, band)
                 # each column on its own, so "(sample k)" names a time index
-                if not np.isfinite(filtered).all():
-                    for name, col in (("impulse", xf), ("data", hf)):
-                        _all_finite(f"prefiltered {name} overflowed "
-                                    f"(iteration {it})", col)
+                for name, col in (("impulse", xf), ("data", hf)):
+                    _all_finite(f"prefiltered {name} overflowed "
+                                f"(iteration {it})", col)
             np.negative(hf, out=src_h[na:])
             np.copyto(mat[:, :na], lags_h)
             np.copyto(mat[:, na:k], lags_x)

@@ -185,8 +185,9 @@ class TestTransfer:
 
     @pytest.mark.parametrize("s,rtol", [
         ((0.9 + 1j * np.linspace(0.0, 500.0, 300)).astype(np.complex64), 1e-5),
-        ((0.9 + 1j * np.linspace(0.0, 500.0, 300)).astype(np.clongdouble),
-         1e-17),
+        pytest.param(
+            (0.9 + 1j * np.linspace(0.0, 500.0, 300)).astype(np.clongdouble),
+            1e-17, marks=pytest.mark.long_double),
         (np.linspace(0.5, 10.0, 300), 1e-14),
     ], ids=["complex64", "clongdouble", "float64"])
     def test_real_form_keeps_the_dtype(self, s, rtol):

@@ -176,6 +176,9 @@ def test_help_exits_zero(capsys):
     assert "--wgc" in capsys.readouterr().out
 
 
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="a wheel whose __init__ sets up its shared "
+                    "libraries needs import scipy")
 def test_cold_import_leaves_out_heavy_scipy_modules():
     # scipy.linalg, scipy.signal and scipy.stats cost most of the command's
     # cold start; the package needs only numpy and scipy's LAPACK

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -705,6 +706,9 @@ class TestStability:
     def test_constant_denominator(self):
         assert is_stable_discrete(tf_d([1], [1])) == (True, 1.0)
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="np.roots runs numpy's own LAPACK build, "
+                        "whose bits are pinned to scipy's on Linux only")
     def test_margin_equals_np_roots(self):
         # the margin is 1 - max |root| with the roots np.roots finds, bit
         # for bit: denominators padded with trailing zeros (poles at 0),
