@@ -243,14 +243,39 @@ def _reference(params: CfoiParams, tm: float, m: int) -> TimeSeries:
     return h_ref
 
 
-# references of at most this many samples, 128 KiB each, are kept, the 8
-# last used, and shared read-only: every model order of one integrator
-# fits the same reference.  This memo, at most 1 MiB, is the only request
-# data irid keeps between requests (sysid's bilinear basis cache holds
-# constants per model order).  An inversion that raises keeps nothing,
-# so it raises again on every call
+def _exact(params: CfoiParams, grid: FrequencyGrid
+           ) -> Tuple[FrequencyResponseSeries, Tuple[np.ndarray, np.ndarray]]:
+    """The integrator's exact response on ``grid`` and its :func:`_polar`,
+    made read-only; EvaluationError if its magnitude underflows the dB
+    scale."""
+    f_ref = cfoi_freq_grid(params, grid)
+    ref = _polar(f_ref)
+    for part in ref:
+        part.flags.writeable = False
+    return f_ref, ref
+
+
+# Two memos, the 8 last used entries each, hold the only request data irid
+# keeps between requests, shared read-only: every model order of one
+# integrator fits the same reference and scores against the same exact
+# response.  References of at most 2**14 samples, 128 KiB each, are keyed
+# by (params, tm, m).  Exact responses of at most 2**11 points, 80 KiB
+# each with their grid, dB and angle, are keyed by (params, wmin, top,
+# npoints), top the clamped wmax: log_spaced pins both ends, so the key
+# rebuilds the request's grid bit for bit, and requests at another tm or
+# m whose clamped band is the same share it.  Each memo holds at most
+# 1 MiB (sysid's bilinear basis cache holds constants per model order).
+# A call that raises keeps nothing, so it raises again on every call
 _KEEP_REFERENCE_MAX_M = 2 ** 14
 _kept_reference = functools.lru_cache(maxsize=8)(_reference)
+_KEEP_EXACT_MAX_POINTS = 2 ** 11
+
+
+@functools.lru_cache(maxsize=8)
+def _kept_exact(params: CfoiParams, wmin: float, top: float, npoints: int
+                ) -> Tuple[FrequencyResponseSeries,
+                           Tuple[np.ndarray, np.ndarray]]:
+    return _exact(params, FrequencyGrid.log_spaced(wmin, top, npoints))
 
 
 def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
@@ -273,12 +298,15 @@ def _models(req: IridRequest, h_ref: TimeSeries) -> IridResult:
         h_c = continuous_impulse(gc, dt, req.m)
 
         stage = "compare"
-        f_ref = cfoi_freq_grid(req.params, req.grid)
+        if req.npoints <= _KEEP_EXACT_MAX_POINTS:
+            f_ref, ref = _kept_exact(req.params, req.wmin,
+                                     float(req.grid.omegas[-1]), req.npoints)
+        else:
+            f_ref, ref = _exact(req.params, req.grid)
         f_d = discrete_freq_response(gd, req.grid)
         f_c = continuous_freq_response(gc, req.grid)
-        # the three responses share req.grid: compare_frequency's scores,
+        # the three responses share one grid: compare_frequency's scores,
         # the exact response's dB and angle taken once
-        ref = _polar(f_ref)
         metrics = ComparisonMetrics(*(
             ModelErrors(*compare_impulse(h_ref, h), *_score(ref, f))
             for h, f in ((h_d, f_d), (h_c, f_c))))
@@ -299,9 +327,12 @@ def irid_fcoi(req: IridRequest) -> IridResult:
     The last 8 references with m <= 2**14 are kept, keyed by (params, tm,
     m), and a request that repeats one shares its read-only series
     instead of inverting again, so every model order of one integrator
-    fits one inversion; an inversion that raises is not kept.  These
-    references are the only request data kept between requests; the
-    bilinear basis cache holds constants per model order.
+    fits one inversion.  Likewise the last 8 exact frequency responses
+    with npoints <= 2**11, with their dB and angle, are kept, keyed by
+    (params, wmin, clamped wmax, npoints), so every model order scores
+    against one.  A call that raises is not kept.  These two memos, at
+    most 1 MiB each, are the only request data kept between requests;
+    the bilinear basis cache holds constants per model order.
     The model stages fit models to that reference: "fit" scales it by
     dt, fits a (norder, norder) discrete model, computes its impulse
     response by its difference equation, rescaled back by 1/dt so all

@@ -137,9 +137,15 @@ def stmcb_fit(h: TimeSeries, nb: int, na: int) -> DiscreteTransferFunction:
     its last iterate can be worse than one it has already passed.  No
     extra solve is needed: each pass filters the unit impulse through
     the previous iterate's 1/A(z), so the lags of that column times the
-    iterate's numerator are its impulse response.  Only the last iterate
-    takes one more single-column filter pass, of its numerator.  A
-    non-finite output error is never kept; EvaluationError when no
+    iterate's numerator, ``mat[:, na:k] @ b``, are its impulse response.
+    Only the last iterate takes one more single-column filter pass, of
+    its numerator.  The ranking is by the output error as computed here:
+    an impulse response recomputed another way, such as by
+    :func:`irid.lti.discrete_impulse`, rounds differently, and can rank
+    two near-exact iterates the other way (recomputed, the kept iterate's
+    error reads 1.6279e-13 against 1.6255e-13 for the first pass's, on
+    one order-8 lattice request with nilt's tail rounded to double).
+    A non-finite output error is never kept; EvaluationError when no
     iterate has a finite one.
 
     The fit is equivariant under power-of-two scaling: it fits the data

@@ -23,14 +23,21 @@ from irid.errors import EvaluationError, ParamError, PipelineStageError
 from irid.lti import (DiscreteTransferFunction, FrequencyGrid,
                       FrequencyResponseSeries, TimeSeries, discrete_impulse,
                       is_stable_discrete)
-from irid.pipeline import (IridRequest, _band_limit, _kept_reference,
-                           _models, _reference, compare_frequency,
-                           compare_impulse, irid_fcoi, write_outputs)
+from irid.pipeline import (IridRequest, _band_limit, _kept_exact,
+                           _kept_reference, _models, _reference,
+                           compare_frequency, compare_impulse, irid_fcoi,
+                           write_outputs)
 from irid.sysid import stmcb_fit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count())
+
+
+def clear_memos():
+    """Empty both memos, so that the next request does all its work."""
+    _kept_reference.cache_clear()
+    _kept_exact.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -325,9 +332,9 @@ class TestIridFcoi:
         req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                           wmin=0.01, wmax=100.0, norder=5, m=16384)
         irid_fcoi(req)
-        # the measured request inverts again instead of sharing the kept
-        # reference
-        _kept_reference.cache_clear()
+        # the measured request inverts again and computes the exact
+        # response again instead of sharing the kept ones
+        clear_memos()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -352,8 +359,7 @@ class TestIridFcoi:
         assert seen == [2 * m, 19]
 
     def test_reference_memo_keeps_nothing_above_2_14(self):
-        # the reference memo, the only request data kept between requests,
-        # takes no reference above 2**14
+        # the reference memo takes no reference above 2**14
         _kept_reference.cache_clear()
         irid_fcoi(IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
                               wmin=0.01, wmax=100.0, norder=2, m=2 ** 15))
@@ -368,20 +374,22 @@ class TestIridFcoi:
     def test_kept_reference_gives_the_bits_of_a_new_one(self, lam, mu, wgc,
                                                         tm, m):
         # the three orders of one integrator share one read-only reference
-        # and give the bits of requests that each invert it again
+        # and one exact response, and give the bits of requests that each
+        # compute both again
         reqs = [IridRequest(params=CfoiParams(lam, mu, wgc), tm=tm,
                             wmin=0.01, wmax=100.0, norder=norder, m=m)
                 for norder in (2, 5, 8)]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "wmax=.*clamping", UserWarning)
-            _kept_reference.cache_clear()
+            clear_memos()
             kept = [irid_fcoi(req) for req in reqs]
             new = []
             for req in reqs:
-                _kept_reference.cache_clear()
+                clear_memos()
                 new.append(irid_fcoi(req))
-        h_ref = kept[0].h_ref
+        h_ref, f_ref = kept[0].h_ref, kept[0].f_ref
         assert all(res.h_ref is h_ref for res in kept)
+        assert all(res.f_ref is f_ref for res in kept)
         assert not h_ref.values.flags.writeable
         for a, b in zip(kept, new):
             assert self.outputs(a) == self.outputs(b), a.request
@@ -403,6 +411,78 @@ class TestIridFcoi:
         assert run(norder=2, wmax=50.0) is h_ref
         assert run(mu=-0.0) is run(mu=0.0)
         assert _kept_reference.cache_info().currsize == 7
+
+    def test_kept_exact_response_is_one_per_params_and_band(self):
+        # another integrator, wmin, clamped wmax or point count computes a
+        # new exact response; the order does not, nor another m or tm
+        # whose clamped band is the same, and mu = -0.0 is stored as +0.0
+        def run(lam=1.5, mu=-0.4, tm=2.0, m=256, norder=5, wmin=0.01,
+                wmax=100.0, npoints=200):
+            return irid_fcoi(IridRequest(
+                params=CfoiParams(lam, mu, 1.0), tm=tm, wmin=wmin,
+                wmax=wmax, norder=norder, m=m, npoints=npoints)).f_ref
+
+        clear_memos()
+        f_ref = run()
+        # tm = 20 at m = 256 clamps wmax = 100 to the band limit, 36.2
+        with pytest.warns(UserWarning, match="clamping"):
+            clamped = run(tm=20.0)
+        others = [run(lam=1.4), run(wmin=0.02), run(wmax=50.0), clamped,
+                  run(npoints=100)]
+        assert len({id(f) for f in (f_ref, *others)}) == 6
+        assert run(norder=2) is f_ref
+        # band limits 724 and 5791 rad/s leave wmax = 100 unclamped
+        assert run(m=512) is f_ref
+        assert run(tm=0.5, m=1024, norder=8) is f_ref
+        assert run(mu=-0.0) is run(mu=0.0)
+        assert _kept_exact.cache_info().currsize == 7
+
+    def test_kept_exact_response_is_read_only_and_capped(self):
+        # scoring leaves the kept dB and angle as they were; 8 entries at
+        # the cap of 2**11 points hold at most 1 MiB, and a longer grid is
+        # not kept
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=256,
+                          npoints=2 ** 11)
+        clear_memos()
+        f_ref = irid_fcoi(req).f_ref
+        kept, ref = _kept_exact(req.params, 0.01, 100.0, 2 ** 11)
+        assert kept is f_ref
+        assert not any(a.flags.writeable
+                       for a in (f_ref.grid.omegas, f_ref.response, *ref))
+        before = [a.copy() for a in ref]
+        irid_fcoi(IridRequest(params=req.params, tm=2.0, wmin=0.01,
+                              wmax=100.0, norder=8, m=256, npoints=2 ** 11))
+        assert all(np.array_equal(a, b) for a, b in zip(ref, before))
+        size = sum(a.nbytes for a in (f_ref.grid.omegas, f_ref.response, *ref))
+        assert 8 * size <= 2 ** 20
+        clear_memos()
+        irid_fcoi(IridRequest(params=req.params, tm=2.0, wmin=0.01,
+                              wmax=100.0, norder=5, m=256,
+                              npoints=2 ** 11 + 1))
+        assert _kept_exact.cache_info().currsize == 0
+
+    def test_underflowing_exact_response_is_not_kept(self, monkeypatch):
+        # an exact response with a zero underflows the dB scale in stage
+        # "compare" on every call, and nothing is kept
+        def zero_at_one_point(params, grid):
+            response = np.ones(len(grid), complex)
+            response[3] = 0.0
+            return FrequencyResponseSeries(grid, response)
+
+        monkeypatch.setattr(irid.pipeline, "cfoi_freq_grid",
+                            zero_at_one_point)
+        req = IridRequest(params=CfoiParams(1.5, -0.4, 1.0), tm=2.0,
+                          wmin=0.01, wmax=100.0, norder=5, m=256)
+        clear_memos()
+        for _ in range(2):
+            with pytest.raises(PipelineStageError) as err:
+                irid_fcoi(req)
+            assert err.value.stage == "compare"
+            assert isinstance(err.value.cause, EvaluationError)
+            assert str(err.value.cause) == ("response magnitude underflows "
+                                            "the dB scale")
+        assert _kept_exact.cache_info().currsize == 0
 
     def test_underflowing_reference_is_not_kept(self):
         # G underflows to zero on the whole line, so every call inverts
